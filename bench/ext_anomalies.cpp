@@ -13,7 +13,7 @@
 #include "core/vedrfolnir.h"
 #include "net/network.h"
 #include "sim/rng.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace {
 
@@ -40,9 +40,11 @@ std::vector<net::NodeId> sample_hosts(sim::Rng& rng, const net::Topology& topo, 
 
 bool run_loop_case(int id) {
   sim::Rng rng(sim::Rng::mix(0x100F, static_cast<std::uint64_t>(id)));
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   const auto participants = sample_hosts(rng, network.topology(), 8);
   auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
                                                2 << 20);
@@ -69,12 +71,14 @@ bool run_loop_case(int id) {
 
 bool run_deadlock_case(int id) {
   sim::Rng rng(sim::Rng::mix(0xDEAD, static_cast<std::uint64_t>(id)));
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
   cfg.ecn_kmin_bytes = 1 << 30;
   cfg.ecn_kmax_bytes = 1 << 30;
   const int ring_size = 3 + static_cast<int>(rng.uniform_int(0, 2));  // 3-5 switches
-  net::Network network(sim, net::make_switch_ring(ring_size, 1, cfg), cfg);
+  const net::Topology topo = net::make_switch_ring(ring_size, 1, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   anomaly::pin_clockwise_routes(network, network.switches());
 
   // Crossing flows: participant order skips around the ring.
@@ -98,9 +102,11 @@ bool run_deadlock_case(int id) {
 
 bool run_imbalance_case(int id) {
   sim::Rng rng(sim::Rng::mix(0x10AD, static_cast<std::uint64_t>(id)));
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
 
   // Two same-edge hosts with cross-pod destinations, pinned to one uplink.
   const net::NodeId edge = network.switches()[static_cast<std::size_t>(rng.uniform_int(0, 7))];

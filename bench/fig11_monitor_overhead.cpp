@@ -15,7 +15,7 @@
 #include "core/vedrfolnir.h"
 #include "net/host.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace {
 
@@ -24,9 +24,10 @@ using namespace vedr;
 // --- micro: per-event monitor costs ----------------------------------------
 
 struct MonitorHarness {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::Topology topo = net::make_fat_tree(4, net::NetConfig{});
-  net::Network net{sim, topo, net::NetConfig{}};
+  net::Network net{engine, net::ShardPlan::single(topo), topo, net::NetConfig{}};
   std::vector<net::NodeId> participants;
   collective::CollectivePlan plan;
   core::Analyzer analyzer;
@@ -96,9 +97,11 @@ BENCHMARK(BM_AnalyzerStepRecordIngest);
 // --- macro: 4-node AllGather (paper's testbed op), monitor on vs off -------
 
 void run_allgather(bool with_monitor, std::int64_t bytes) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   auto plan = collective::CollectivePlan::ring(
       0, collective::OpType::kAllGather, {0, 1, 2, 3}, bytes);
   collective::CollectiveRunner runner(network, std::move(plan));

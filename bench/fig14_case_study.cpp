@@ -19,7 +19,7 @@
 #include "core/vedrfolnir.h"
 #include "net/host.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 int main() {
   using namespace vedr;
@@ -30,9 +30,11 @@ int main() {
   const auto bf1_bytes = static_cast<std::int64_t>(90e6 * scale);
   const auto bf2_bytes = static_cast<std::int64_t>(450e6 * scale);
 
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig netcfg;
-  net::Network network(sim, net::make_fat_tree(4, netcfg), netcfg);
+  const net::Topology topo = net::make_fat_tree(4, netcfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, netcfg);
 
   // The paper's case study runs the ring over its cluster's "nodes 12-19";
   // we use the last 8 hosts of the fat-tree.

@@ -25,7 +25,7 @@
 // 1-core CI boxes) the engine's blocking barriers make extra shards pure
 // overhead, so the sweep is report-only there (gate_enforced=false).
 //
-// --shard-report (with --shards >= 2) prints the engine's introspection
+// --shard-report (not with --sweep) prints the engine's introspection
 // table after the timed runs: per-worker barrier-wait ratios, per-domain
 // event distributions, handoff-lane spills. It turns on per-window wall
 // timing inside the workers, so don't compare its events/sec against an
@@ -196,8 +196,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: sharded runs support --system vedrfolnir only\n");
     return 2;
   }
-  if (shard_report && (shards < 2 || sweep)) {
-    std::fprintf(stderr, "error: --shard-report requires --shards >= 2 (and no --sweep)\n");
+  if (shard_report && sweep) {
+    std::fprintf(stderr, "error: --shard-report does not combine with --sweep\n");
     return 2;
   }
 
@@ -288,8 +288,7 @@ int main(int argc, char** argv) {
   std::printf("packets/sec: %.0f\n", packets_per_sec);
   std::printf("wall:        %.3fs (best of %d)\n", m.wall, runs);
   std::printf("peak RSS:    %ld KiB\n", rss_kb);
-  if (shard_report && m.shard_report != nullptr)
-    std::printf("\n%s", m.shard_report->table().c_str());
+  if (shard_report) std::printf("\n%s", m.shard_report->table().c_str());
 
   if (!json_path.empty()) {
     bench::BenchReport report("sim_throughput");

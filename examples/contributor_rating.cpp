@@ -13,14 +13,16 @@
 #include "collective/runner.h"
 #include "core/vedrfolnir.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 int main() {
   using namespace vedr;
 
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
 
   const auto hosts = network.hosts();
   std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + 8);

@@ -19,16 +19,18 @@
 #include "core/vedrfolnir.h"
 #include "net/network.h"
 #include "net/switch.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 int main() {
   using namespace vedr;
 
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
   cfg.ecn_kmin_bytes = 1 << 30;  // ECN off: nothing tames the line-rate start
   cfg.ecn_kmax_bytes = 1 << 30;
-  net::Network network(sim, net::make_switch_ring(4, 1, cfg), cfg);
+  const net::Topology topo = net::make_switch_ring(4, 1, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
 
   const auto switches = network.switches();
   anomaly::pin_clockwise_routes(network, switches);

@@ -15,14 +15,16 @@
 #include "collective/step_queues.h"
 #include "core/vedrfolnir.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 int main() {
   using namespace vedr;
 
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
 
   // Spread participants across pods so partner distances change hop counts.
   const std::vector<net::NodeId> participants = {0, 2, 4, 6, 8, 10, 12, 14};

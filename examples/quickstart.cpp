@@ -15,15 +15,17 @@
 #include "collective/runner.h"
 #include "core/vedrfolnir.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 int main() {
   using namespace vedr;
 
   // 1. Fabric.
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;  // 100 Gbps / 2 us links, PFC XOFF 200 KB, ECN 40-160 KB
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
 
   // 2. Collective: Ring AllGather, 8 participants, 8 MiB per step.
   const auto hosts = network.hosts();

@@ -36,9 +36,9 @@ net::PortId port_towards(const net::Topology& topo, NodeId from, NodeId to) {
 void inject_routing_loop(net::Network& net, NodeId dst, NodeId a, NodeId b, Tick at) {
   VEDR_LOG_DEBUG("anomaly", "inject routing loop %d<->%d for dst %d at t=%lld", a, b, dst,
                  static_cast<long long>(at));
-  // The routing table is shared across domains; mutating it mid-run from one
+  // The routing table is shared across domains; rewriting it mid-run from one
   // domain would race with every other domain's forwarding decisions.
-  VEDR_CHECK(!net.sharded(), "routing-loop injection is serial-only");
+  VEDR_CHECK(net.num_domains() == 1, "routing-loop injection is single-domain only");
   const net::PortId a_to_b = port_towards(net.topology(), a, b);
   const net::PortId b_to_a = port_towards(net.topology(), b, a);
   net.sim().schedule_at(at, [&net, dst, a, b, a_to_b, b_to_a] {

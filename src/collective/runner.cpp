@@ -9,10 +9,6 @@ namespace vedr::collective {
 
 namespace {
 
-void on_collective_start(const sim::EventPayload& p) {
-  static_cast<CollectiveRunner*>(p.obj)->on_start();
-}
-
 /// Async-span correlation id for a (rank, step) pair — stable across the
 /// begin/end pair and unique within a collective.
 std::uint64_t step_span_id(int flow, int step) {
@@ -24,7 +20,7 @@ std::uint64_t step_span_id(int flow, int step) {
 
 CollectiveRunner::CollectiveRunner(net::Network& net, CollectivePlan plan)
     : net_(net), plan_(std::move(plan)) {
-  net_.set_handler_all(sim::EventKind::kCollectiveStart, &on_collective_start);
+  net_.set_handler_all(sim::EventKind::kCollectiveStart, &on_start_event);
   const int flows = plan_.num_flows();
   records_.resize(static_cast<std::size_t>(flows));
   recv_done_.resize(static_cast<std::size_t>(flows));
@@ -55,8 +51,17 @@ CollectiveRunner::CollectiveRunner(net::Network& net, CollectivePlan plan)
 }
 
 void CollectiveRunner::start(Tick at) {
-  VEDR_CHECK(!net_.sharded(), "sharded runs must call on_start() before the engine starts");
-  net_.sim().schedule_event_at(at, sim::EventKind::kCollectiveStart, {this, 0, 0});
+  if (net_.num_domains() == 1) {
+    net_.sim().schedule_event_at(at, sim::EventKind::kCollectiveStart, {this, 0, 0});
+    return;
+  }
+  VEDR_CHECK_EQ(at, net_.latest_now(),
+                "a multi-domain collective starts at the current time, before the engine runs");
+  on_start();
+}
+
+void CollectiveRunner::on_start_event(const sim::EventPayload& p) {
+  static_cast<CollectiveRunner*>(p.obj)->on_start();
 }
 
 void CollectiveRunner::on_start() {
@@ -64,8 +69,7 @@ void CollectiveRunner::on_start() {
   // Register every expected receive up front; the plan is known before
   // execution (§III-B: steps are predefined prior to execution). Each
   // registration and first send runs scoped to the acting host's domain so
-  // sharded runs land flow state and tx events on the right simulator
-  // (serial: domain 0 throughout, a no-op).
+  // multi-domain runs land flow state and tx events on the right simulator.
   for (int f = 0; f < plan_.num_flows(); ++f) {
     for (const StepSpec& s : plan_.steps_of_flow(f)) {
       sim::ShardScope scope(net_.domain_of(s.dst));
@@ -109,7 +113,7 @@ void CollectiveRunner::try_start_send(int flow, int step) {
   // host's own completion path or from a receive at that very host (the
   // dependency's destination is the waiter's source), so this holds for
   // every plan shape the repo builds; the assert enforces it under TSan.
-  VEDR_ASSERT(!net_.sharded() || net_.domain_of(s.src) == sim::current_domain(),
+  VEDR_ASSERT(net_.domain_of(s.src) == sim::current_domain(),
               "cross-domain send start would race");
   send_started_[static_cast<std::size_t>(flow)][static_cast<std::size_t>(step)] = true;
   r.start_time = net_.sim().now();

@@ -42,10 +42,12 @@ class CollectiveRunner {
 
   CollectiveRunner(net::Network& net, CollectivePlan plan);
 
-  /// Schedules the op to begin at absolute time `at`. Serial engine only;
-  /// a sharded run calls on_start() directly before the engine starts (the
-  /// trampoline would fire mid-window on one domain while other domains'
-  /// hosts are being touched).
+  /// Begins the op at absolute time `at`. With one domain this schedules the
+  /// kCollectiveStart event, which counts toward the run's events. With
+  /// several domains the start registers receives and launches step 0 right
+  /// away, so `at` must be the current time and the engine must not have
+  /// started: the start touches hosts in every domain, and an event would
+  /// fire mid-window on one domain while the others run.
   void start(Tick at = 0);
 
   void set_on_step_start(StepStartFn fn) { on_step_start_ = std::move(fn); }
@@ -71,14 +73,12 @@ class CollectiveRunner {
     return queues_.at(static_cast<std::size_t>(flow));
   }
 
-  // --- event-dispatch entry point (kCollectiveStart trampoline only) -------
-
-  /// The scheduled start time arrived: register receives and launch step 0.
-  /// Sharded runs call this directly (before engine.run(), no workers yet);
-  /// each host's registration happens under its own domain's ShardScope.
-  void on_start();
-
  private:
+  /// kCollectiveStart dispatch: the scheduled start time arrived.
+  static void on_start_event(const sim::EventPayload& p);
+  /// Registers receives and launches step 0; each host's registration
+  /// happens under its own domain's ShardScope.
+  void on_start();
   void try_start_send(int flow, int step);
   void on_send_done(int flow, int step, Tick t);
   void on_recv_done(int flow, int step, Tick t);

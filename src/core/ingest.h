@@ -14,9 +14,9 @@ namespace vedr::core {
 class Analyzer;
 
 /// The host-monitor half of the analyzer's ingestion surface: step records
-/// and poll registrations. The Analyzer implements it directly (the serial
-/// wiring); the sharded engine interposes a DomainIngestBuffer so monitors
-/// on worker threads never touch the single-threaded analyzer.
+/// and poll registrations. The Analyzer implements it directly (the
+/// one-domain wiring); multi-domain runs interpose a DomainIngestBuffer so
+/// monitors on worker threads never touch the single-threaded analyzer.
 class IngestSink {
  public:
   virtual ~IngestSink() = default;

@@ -6,96 +6,69 @@ namespace vedr::core::json {
 
 namespace {
 
-std::string quote(const std::string& s) { return "\"" + escape(s) + "\""; }
-
-std::string number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-template <typename T, typename Fn>
-std::string array(const std::vector<T>& items, Fn&& render) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ",";
-    out += render(items[i]);
-  }
-  out += "]";
-  return out;
+template <typename T>
+void write_strs(obs::JsonWriter& w, const std::vector<T>& items) {
+  w.begin_array();
+  for (const T& item : items) w.value(item.str());
+  w.end_array();
 }
 
 }  // namespace
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string finding_to_json(const AnomalyFinding& f) {
-  std::string out = "{";
-  out += "\"type\":" + quote(to_string(f.type));
-  out += ",\"step\":" + std::to_string(f.step);
-  out += ",\"root\":" + quote(f.root_port.valid() ? f.root_port.str() : "");
-  out += ",\"flows\":" +
-         array(f.contending_flows, [](const FlowKey& k) { return quote(k.str()); });
-  out += ",\"ports\":" +
-         array(f.congested_ports, [](const PortRef& p) { return quote(p.str()); });
-  out += ",\"chain\":" + array(f.pfc_chain, [](const PortRef& p) { return quote(p.str()); });
-  out += "}";
-  return out;
+void write_finding(obs::JsonWriter& w, const AnomalyFinding& f) {
+  w.begin_object();
+  w.kv("type", to_string(f.type));
+  w.kv("step", f.step);
+  w.kv("root", f.root_port.valid() ? f.root_port.str() : "");
+  w.key("flows");
+  write_strs(w, f.contending_flows);
+  w.key("ports");
+  write_strs(w, f.congested_ports);
+  w.key("chain");
+  write_strs(w, f.pfc_chain);
+  w.end_object();
 }
 
 std::string diagnosis_to_json(const Diagnosis& d) {
-  std::string out = "{";
-  out += "\"collective_time_ns\":" + std::to_string(d.collective_time);
-  out += ",\"findings\":" + array(d.findings, finding_to_json);
-  out += ",\"critical_path\":" + array(d.critical_path, [](const std::pair<int, int>& v) {
-           return "{\"flow\":" + std::to_string(v.first) +
-                  ",\"step\":" + std::to_string(v.second) + "}";
-         });
-  out += ",\"contributors\":" +
-         array(d.contributions, [](const std::pair<FlowKey, double>& c) {
-           return "{\"flow\":" + quote(c.first.str()) + ",\"score\":" + number(c.second) + "}";
-         });
-  out += ",\"critical_flow_per_step\":" +
-         array(d.critical_flow_per_step, [](int f) { return std::to_string(f); });
+  std::string out;
+  obs::JsonWriter w(&out);
+  w.begin_object();
+  w.kv("collective_time_ns", d.collective_time);
+  w.key("findings");
+  w.begin_array();
+  for (const AnomalyFinding& f : d.findings) write_finding(w, f);
+  w.end_array();
+  w.key("critical_path");
+  w.begin_array();
+  for (const auto& [flow, step] : d.critical_path) {
+    w.begin_object();
+    w.kv("flow", flow);
+    w.kv("step", step);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("contributors");
+  w.begin_array();
+  for (const auto& [flow, score] : d.contributions) {
+    // %.6g, not JsonWriter's %.17g: the diagnosis JSON is digested, and its
+    // bytes are pinned.
+    char score_text[32];
+    std::snprintf(score_text, sizeof score_text, "%.6g", score);
+    w.begin_object();
+    w.kv("flow", flow.str());
+    w.key("score");
+    w.raw(score_text);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("critical_flow_per_step");
+  w.begin_array();
+  for (const int f : d.critical_flow_per_step) w.value(f);
+  w.end_array();
   // Appended last, and only on the sketch lane: exact-lane JSON (and every
   // digest over it) stays byte-for-byte what it was before backends existed.
-  if (d.sketch_lane) out += ",\"telemetry\":\"sketch\"";
-  out += "}";
-  return out;
-}
-
-std::string waiting_graph_to_json(const WaitingGraph& g) {
-  std::string out = "{";
-  out += "\"vertices\":" +
-         array(g.pruned_vertices(), [](const WgVertex& v) { return quote(v.str()); });
-  out += ",\"edges\":" + array(g.edges(), [](const WgEdge& e) {
-           const char* type = e.type == WgEdgeType::kExecution
-                                  ? "execution"
-                                  : (e.type == WgEdgeType::kPrevStep ? "prev_step" : "data_dep");
-           return "{\"from\":" + quote(e.from.str()) + ",\"to\":" + quote(e.to.str()) +
-                  ",\"type\":\"" + type + "\",\"weight_ns\":" + std::to_string(e.weight) + "}";
-         });
-  out += "}";
+  if (d.sketch_lane) w.kv("telemetry", "sketch");
+  w.end_object();
   return out;
 }
 

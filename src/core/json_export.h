@@ -2,28 +2,23 @@
 
 #include <string>
 
-#include "core/analyzer.h"
 #include "core/diagnosis.h"
-#include "core/waiting_graph.h"
+#include "obs/json.h"
 
 namespace vedr::core {
 
-/// Dependency-free JSON serialization of diagnosis artifacts, for dashboards
-/// and downstream tooling. Output is deterministic (stable field order and
-/// element ordering) so snapshots can be diffed.
+/// JSON serialization of diagnosis artifacts through obs::JsonWriter, for
+/// dashboards and downstream tooling. Output is deterministic (stable field
+/// order and element ordering) so snapshots can be diffed; the diagnosis
+/// JSON is digested, so its bytes are pinned.
 namespace json {
-
-std::string escape(const std::string& s);
 
 /// {"type":"FlowContention","step":0,"root":"p(20.1)","flows":[...],
 ///  "ports":[...],"chain":[...]}
-std::string finding_to_json(const AnomalyFinding& f);
+void write_finding(obs::JsonWriter& w, const AnomalyFinding& f);
 
 /// Full diagnosis: findings, critical path, collective time, contributors.
 std::string diagnosis_to_json(const Diagnosis& d);
-
-/// Waiting graph as {"vertices":[...],"edges":[{"from","to","type","weight_ns"}]}.
-std::string waiting_graph_to_json(const WaitingGraph& g);
 
 }  // namespace json
 

@@ -18,8 +18,9 @@ namespace vedr::core {
 /// to the waiting host via notification packets on step completion, and
 /// reports step performance records to the analyzer.
 ///
-/// Reports flow through an IngestSink: the analyzer itself in serial runs,
-/// or the host's domain staging buffer in sharded runs (DESIGN.md §14).
+/// Reports flow through an IngestSink: the analyzer itself in one-domain
+/// runs, or the host's domain staging buffer in multi-domain runs
+/// (DESIGN.md §14).
 class Monitor {
  public:
   Monitor(net::Network& net, const collective::CollectivePlan& plan, IngestSink& ingest,

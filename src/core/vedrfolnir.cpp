@@ -11,11 +11,11 @@ Vedrfolnir::Vedrfolnir(net::Network& net, collective::CollectiveRunner& runner,
     : net_(net), runner_(runner), analyzer_(&net.topology(), &runner.plan()) {
   analyzer_.set_trace_tap(cfg.trace);
   analyzer_.set_stats(&net_.stats());
-  if (net_.sharded()) {
-    // Trace recording serializes the whole ingestion stream inline; that is
-    // a serial-lane feature (record/replay digests are pinned against the
-    // serial engine anyway).
-    VEDR_CHECK(cfg.trace == nullptr, "trace taps are serial-only; run with --shards 1");
+  const bool staged = net_.num_domains() > 1;
+  if (staged) {
+    // A trace tap writes inline from whichever worker produced the record,
+    // and every domain's worker would write it at once.
+    VEDR_CHECK(cfg.trace == nullptr, "trace taps are single-domain only; run with --shards 1");
     buffers_.reserve(static_cast<std::size_t>(net_.num_domains()));
     for (int d = 0; d < net_.num_domains(); ++d) {
       buffers_.push_back(std::make_unique<DomainIngestBuffer>(net_.domain_sim(d), d));
@@ -28,9 +28,9 @@ Vedrfolnir::Vedrfolnir(net::Network& net, collective::CollectiveRunner& runner,
   for (net::NodeId host : runner_.plan().participants()) {
     // Scope construction to the host's domain: the monitor interns its stats
     // cells into the domain-local registry it will write from the domain's
-    // worker (serial: domain 0, a no-op).
+    // worker.
     sim::ShardScope scope(net_.domain_of(host));
-    IngestSink& sink = net_.sharded()
+    IngestSink& sink = staged
                            ? static_cast<IngestSink&>(
                                  *buffers_[static_cast<std::size_t>(net_.domain_of(host))])
                            : static_cast<IngestSink&>(analyzer_);
@@ -57,7 +57,7 @@ Vedrfolnir::Vedrfolnir(net::Network& net, collective::CollectiveRunner& runner,
 }
 
 Diagnosis Vedrfolnir::diagnose() {
-  if (net_.sharded() && !ingest_merged_) {
+  if (!buffers_.empty() && !ingest_merged_) {
     // One-shot merge: the engine has joined its workers by the time the
     // caller asks for a diagnosis, so the buffers are quiescent.
     DomainIngestBuffer::replay_into(buffers_, analyzer_);

@@ -26,14 +26,17 @@ struct VedrfolnirConfig {
 /// Typical use:
 ///   Vedrfolnir v(net, runner);
 ///   runner.start(0);
-///   sim.run();
+///   engine.run();
 ///   Diagnosis d = v.diagnose();
 ///
-/// On a sharded Network (DESIGN.md §14) the wiring changes shape, not
-/// semantics: each domain's monitors and switches feed a per-domain
-/// DomainIngestBuffer instead of the analyzer, and diagnose() first merges
-/// the buffers in (time, domain, seq) order into the single-threaded
-/// analyzer. Trace taps are serial-only.
+/// The ingest wiring depends on the domain count (DESIGN.md §14). With one
+/// domain, monitors and switches feed the analyzer directly. With several,
+/// each domain's monitors and switches feed a per-domain DomainIngestBuffer
+/// instead, and diagnose() first merges the buffers in (time, domain, seq)
+/// order into the single-threaded analyzer. The one-domain run does not
+/// stage through a buffer: the analyzer's trace tap would then record the
+/// ingest stream at diagnose() time, after every record the monitors tapped
+/// live, which reorders the .vtrc. Trace taps are single-domain only.
 class Vedrfolnir {
  public:
   Vedrfolnir(net::Network& net, collective::CollectiveRunner& runner,
@@ -50,7 +53,8 @@ class Vedrfolnir {
   net::Network& net_;
   collective::CollectiveRunner& runner_;
   Analyzer analyzer_;
-  /// Sharded runs only: one staging buffer per domain, merged at diagnose().
+  /// Multi-domain runs only: one staging buffer per domain, merged at
+  /// diagnose().
   std::vector<std::unique_ptr<DomainIngestBuffer>> buffers_;
   bool ingest_merged_ = false;
   std::unordered_map<net::NodeId, std::unique_ptr<Monitor>> monitors_;

@@ -9,7 +9,6 @@
 #include "collective/runner.h"
 #include "common/digest.h"
 #include "common/worker_pool.h"
-#include "eval/case_internal.h"
 #include "core/json_export.h"
 #include "core/vedrfolnir.h"
 #include "net/network.h"
@@ -20,11 +19,11 @@
 #include "obs/trace.h"
 #include "replay/collector.h"
 #include "replay/trace_writer.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr::eval {
 
-namespace detail {
+namespace {
 
 /// Ground-truth verification (see score_case): which injected flows
 /// actually queued ahead of collective packets somewhere in the fabric,
@@ -32,14 +31,14 @@ namespace detail {
 std::vector<net::FlowKey> verified_contenders(net::Network& network,
                                               const collective::CollectivePlan& plan,
                                               const ScenarioSpec& spec,
-                                              double min_weight) {
+                                              double min_weight = 8.0) {
   std::unordered_set<net::FlowKey, net::FlowKeyHash> cc;
   for (int f = 0; f < plan.num_flows(); ++f)
     for (const auto& s : plan.steps_of_flow(f)) cc.insert(plan.key_for(f, s.step));
 
   std::unordered_set<net::FlowKey, net::FlowKeyHash> found;
-  // latest_now(): in a sharded run each domain's clock stops at its own
-  // last event, so the fabric-wide "end of run" is the max (serial: == now).
+  // latest_now(): each domain's clock stops at its own last event, so the
+  // fabric-wide "end of run" is the max.
   const sim::Tick now = network.latest_now();
   for (net::NodeId sw_id : network.switches()) {
     const net::Switch& sw = network.switch_at(sw_id);
@@ -120,8 +119,9 @@ bool pfc_impacted_collective(net::Network& network, const collective::Collective
   return true;
 }
 
+/// Folds every diagnosis-visible case output into `digest` — the shared
+/// tail of both determinism lanes.
 void fold_case_outputs(common::Digest& digest, const CaseResult& result) {
-  // Fold every output a consumer of the diagnosis could observe.
   digest.mix(std::string_view(result.outcome.label()));
   digest.mix(result.cc_completed);
   digest.mix(result.cc_time);
@@ -136,7 +136,7 @@ void fold_case_outputs(common::Digest& digest, const CaseResult& result) {
     digest.mix(flow.hash()).mix(score);
 }
 
-}  // namespace detail
+}  // namespace
 
 const char* to_string(SystemKind s) {
   switch (s) {
@@ -149,24 +149,32 @@ const char* to_string(SystemKind s) {
 }
 
 CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig& cfg) {
-  if (cfg.shards > 1) {
-    VEDR_CHECK(system == SystemKind::kVedrfolnir,
-               "sharded runs support the Vedrfolnir system only");
-    VEDR_CHECK(cfg.tracer == nullptr && cfg.trace_writer == nullptr,
-               "sharded runs take per-domain tracers (domain_tracer_factory), not a "
-               "global tracer or trace writer");
-    return detail::run_case_sharded(spec, cfg);
-  }
   VEDR_SPAN("eval", "run_case");
   CaseResult result;
   result.scenario = spec.type;
   result.system = system;
   result.case_id = spec.case_id;
 
-  sim::Simulator sim;
   const net::Topology topo = net::make_fat_tree(cfg.fat_tree_k, cfg.netcfg);
-  net::Network network(sim, topo, cfg.netcfg);
-  if (cfg.tracer != nullptr) network.set_tracer(cfg.tracer);
+  // The serial lane is the one-domain plan; shards > 1 runs the topology's
+  // pod domains (DESIGN.md §14).
+  const net::ShardPlan shard_plan =
+      cfg.shards > 1 ? net::ShardPlan::for_topology(topo) : net::ShardPlan::single(topo);
+  if (shard_plan.parallel()) {
+    // Full Polling sweeps every switch from one simulator, and Hawkeye's one
+    // analyzer is every switch's report sink.
+    VEDR_CHECK(system == SystemKind::kVedrfolnir,
+               "the baselines are single-domain only; run with --shards 1");
+    // A trace tap writes inline from every domain's worker at once.
+    VEDR_CHECK(cfg.trace_writer == nullptr, "--record is single-domain only; run with --shards 1");
+  }
+  sim::ShardedEngine engine(shard_plan.num_domains, shard_plan.lookahead, cfg.shards);
+  if (cfg.capture_shard_report) engine.set_collect_timing(true);
+  net::Network network(engine, shard_plan, topo, cfg.netcfg);
+  if (cfg.domain_tracer_factory) {
+    for (int d = 0; d < shard_plan.num_domains; ++d)
+      network.set_domain_tracer(d, cfg.domain_tracer_factory(d, shard_plan.num_domains));
+  }
   if (cfg.trace_writer != nullptr) network.set_telemetry_tap(cfg.trace_writer);
 
   auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather,
@@ -203,11 +211,12 @@ CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig
   for (const auto& s : spec.storms) anomaly::inject_storm(network, s);
 
   runner.start(0);
-  sim.run(spec.horizon * 4);
+  engine.run(spec.horizon * 4);
+  network.merge_domain_stats();
 
   result.cc_completed = runner.done();
   result.cc_time = runner.done() ? runner.finish_time() - runner.start_time() : 0;
-  result.sim_events = sim.events_executed();
+  result.sim_events = engine.events_executed();
   result.packets_delivered = network.packets_delivered();
 
   switch (system) {
@@ -223,14 +232,14 @@ CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig
       break;
   }
   if (spec.type == ScenarioType::kFlowContention || spec.type == ScenarioType::kIncast) {
-    const auto verified = detail::verified_contenders(network, runner.plan(), spec);
+    const auto verified = verified_contenders(network, runner.plan(), spec);
     result.outcome = score_case(spec, result.diagnosis, &verified);
   } else {
-    const bool impacted = detail::pfc_impacted_collective(network, runner.plan(), spec);
+    const bool impacted = pfc_impacted_collective(network, runner.plan(), spec);
     result.outcome = score_case(spec, result.diagnosis, nullptr, &impacted);
   }
 
-  const auto& stats = network.stats();
+  const auto& stats = network.stats();  // domain 0 holds the merged registry
   result.telemetry_bytes = stats.counter("overhead.telemetry_bytes");
   result.bandwidth_bytes = stats.counter("overhead.bandwidth_bytes");
   result.poll_bytes = stats.counter("overhead.poll_bytes");
@@ -243,6 +252,12 @@ CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig
     result.telemetry_state_bytes += network.switch_at(sw_id).telem().state_bytes();
   if (cfg.capture_metrics)
     result.metrics = std::make_shared<const obs::MetricsSnapshot>(obs::snapshot(stats));
+  if (cfg.capture_shard_report) {
+    auto report = std::make_shared<sim::ShardReport>();
+    engine.fill_report(*report);
+    network.fill_shard_report(*report);
+    result.shard_report = std::move(report);
+  }
   return result;
 }
 
@@ -320,49 +335,39 @@ void mix_trace_event(common::Digest& digest, const net::TraceEvent& ev) {
 }  // namespace
 
 std::uint64_t run_case_digest(const ScenarioSpec& spec, SystemKind system, RunConfig cfg) {
-  if (cfg.shards > 1) {
-    // The parallel lane: one streaming digest per domain (a domain's packet
-    // events are totally ordered by its own simulator), combined in domain
-    // order, then the shared output fold. Pinned separately from the serial
-    // lane, and identical for any shard count — the domain decomposition is
-    // a pure function of the topology.
-    struct DomainLane {
-      common::Digest digest;
-      net::PacketTracer tracer{1};
-    };
-    std::vector<std::unique_ptr<DomainLane>> lanes;
-    cfg.domain_tracer_factory = [&lanes](int domain, int num_domains) {
-      (void)num_domains;
-      VEDR_CHECK_EQ(static_cast<std::size_t>(domain), lanes.size(),
-                    "domains must be attached in order");
-      lanes.push_back(std::make_unique<DomainLane>());
-      DomainLane& lane = *lanes.back();
-      lane.tracer.set_sink(
-          [&lane](const net::TraceEvent& ev) { mix_trace_event(lane.digest, ev); });
-      return &lane.tracer;
-    };
-
-    const CaseResult result = run_case(spec, system, cfg);
-
+  // One streaming digest per domain: a domain's packet events are totally
+  // ordered by its own simulator, and streaming keeps the (possibly
+  // multi-million-event) stream out of memory.
+  struct DomainLane {
     common::Digest digest;
-    digest.mix(static_cast<std::uint64_t>(lanes.size()));
-    for (const auto& lane : lanes) digest.mix(lane->digest.value());
-    detail::fold_case_outputs(digest, result);
-    return digest.value();
-  }
-
-  common::Digest digest;
-
-  // Stream every packet event into the digest as it happens: capacity 1 keeps
-  // the tracer's ring buffer from holding the (possibly multi-million-event)
-  // stream in memory.
-  net::PacketTracer tracer(1);
-  tracer.set_sink([&digest](const net::TraceEvent& ev) { mix_trace_event(digest, ev); });
-  cfg.tracer = &tracer;
+    net::PacketTracer tracer;
+  };
+  std::vector<std::unique_ptr<DomainLane>> lanes;
+  cfg.domain_tracer_factory = [&lanes](int domain, int num_domains) {
+    (void)num_domains;
+    VEDR_CHECK_EQ(static_cast<std::size_t>(domain), lanes.size(),
+                  "domains must be attached in order");
+    lanes.push_back(std::make_unique<DomainLane>());
+    DomainLane& lane = *lanes.back();
+    lane.tracer.set_sink([&lane](const net::TraceEvent& ev) { mix_trace_event(lane.digest, ev); });
+    return &lane.tracer;
+  };
 
   const CaseResult result = run_case(spec, system, cfg);
 
-  detail::fold_case_outputs(digest, result);
+  // Two pinned formulas. The serial lane (one domain) folds the case outputs
+  // straight after its packet stream. The parallel lane folds the domain
+  // count and the per-domain digests in domain order first; it is identical
+  // for any shard count, because the domain decomposition is a pure function
+  // of the topology.
+  common::Digest digest;
+  if (lanes.size() == 1) {
+    digest = lanes.front()->digest;
+  } else {
+    digest.mix(static_cast<std::uint64_t>(lanes.size()));
+    for (const auto& lane : lanes) digest.mix(lane->digest.value());
+  }
+  fold_case_outputs(digest, result);
   return digest.value();
 }
 

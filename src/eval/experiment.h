@@ -45,37 +45,34 @@ struct RunConfig {
   core::DetectionConfig detection;  ///< Vedrfolnir knobs (swept in Figs. 12/13)
   sim::Tick full_poll_interval = 100 * sim::kMicrosecond;
   double hawkeye_multiplier = 1.2;
-  /// Optional packet tracer attached to the run's Network (observation only;
-  /// must not change behavior). Used by the determinism checker to digest
-  /// the complete packet-event stream.
-  net::PacketTracer* tracer = nullptr;
   /// Optional trace tap (normally a replay::TraceWriter) mirroring the
   /// diagnosis plane's full input stream to a .vtrc file. Observation only:
   /// a recorded run must produce the same determinism digest as an
   /// unrecorded one. Prefer record_case(), which also writes the
-  /// envelope/footer frames.
+  /// envelope/footer frames. Single-domain only (shards == 1).
   core::TraceTap* trace_writer = nullptr;
-  /// Copies the case's complete StatsRegistry (counters, summaries,
-  /// histograms) into CaseResult::metrics when the run finishes. Each case
+  /// Copies the case's complete StatsRegistry (counters and histograms)
+  /// into CaseResult::metrics when the run finishes. Each case
   /// owns a fresh Network — and therefore a fresh registry — so per-case
   /// snapshots never bleed across the suite. Observation only.
   bool capture_metrics = false;
   /// Worker threads for the sharded engine (DESIGN.md §14). 1 (default)
-  /// runs the serial engine, byte-identical to the pre-sharding code. N > 1
-  /// runs the conservative parallel engine: Vedrfolnir system only, and
-  /// incompatible with `tracer`/`trace_writer` (attach per-domain tracers
-  /// via domain_tracer_factory instead). Results are identical for any
-  /// N >= 2 — the domain decomposition is fixed by the topology; N only
-  /// picks how many threads execute it.
+  /// runs the serial lane: one domain, one window, the pinned serial
+  /// digests. N > 1 runs the fabric's pod domains on the conservative
+  /// parallel engine: Vedrfolnir system only, and incompatible with
+  /// `trace_writer`. Results are identical for any N >= 2 — the domain
+  /// decomposition is fixed by the topology; N only picks how many threads
+  /// execute it.
   int shards = 1;
   /// Radix of the fat-tree fabric run_case builds (the paper's K).
   int fat_tree_k = 4;
-  /// Sharded runs only: called once per domain on the main thread before
-  /// the engine starts, to attach a per-domain packet tracer (the parallel
-  /// digest lane). Return nullptr for no tracer on that domain.
+  /// Called once per domain on the main thread before the engine starts, to
+  /// attach a per-domain packet tracer (observation only; the determinism
+  /// digest streams the packet events through it). Return nullptr for no
+  /// tracer on that domain.
   std::function<net::PacketTracer*(int domain, int num_domains)> domain_tracer_factory;
-  /// Sharded runs only: collect the end-of-run ShardReport (barrier-wait
-  /// timing per worker, per-domain events/window, handoff lane stats) into
+  /// Collect the end-of-run ShardReport (barrier-wait timing per worker,
+  /// per-domain events/window, handoff lane stats) into
   /// CaseResult::shard_report. Enables the engine's wall-clock timing lane;
   /// observation only — digests are unaffected.
   bool capture_shard_report = false;
@@ -106,14 +103,14 @@ struct CaseResult {
   /// Set iff RunConfig::capture_metrics: the case's full metric snapshot
   /// (shared so CaseResult stays cheap to copy through the suite plumbing).
   std::shared_ptr<const obs::MetricsSnapshot> metrics;
-  /// Set iff RunConfig::capture_shard_report on a sharded run.
+  /// Set iff RunConfig::capture_shard_report.
   std::shared_ptr<const sim::ShardReport> shard_report;
 };
 
 /// Builds the paper's fabric, runs one case under one system, diagnoses,
-/// and scores it. Fully self-contained (fresh simulator per call) and
-/// thread-safe to run concurrently. With cfg.shards > 1 the case runs on
-/// the sharded engine (see RunConfig::shards for the constraints).
+/// and scores it. Fully self-contained (fresh engine per call) and
+/// thread-safe to run concurrently. cfg.shards picks the domain plan (see
+/// RunConfig::shards for the constraints).
 CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig& cfg = {});
 
 /// Runs one case with a replay::TraceWriter attached and writes the complete

@@ -11,37 +11,18 @@
 
 namespace vedr::net {
 
-Network::Network(sim::Simulator& sim, const Topology& topo, NetConfig cfg, DcqcnParams dcqcn)
-    : cfg_(cfg),
-      dcqcn_(dcqcn),
-      topo_(topo),
-      routing_(RoutingTable::shortest_paths(topo)),
-      pool_(1) {
-  dcqcn_.line_rate_gbps = cfg_.link_gbps;
-  swift_.line_rate_gbps = cfg_.link_gbps;
-  auto ctx = std::make_unique<DomainCtx>();
-  ctx->sim = &sim;
-  ctx->stats = std::make_unique<sim::StatsRegistry>();
-  ctxs_.push_back(std::move(ctx));
-  register_net_event_handlers(sim);
-  sim.set_stats(ctxs_[0]->stats.get());  // kernel self-observation (sim.dispatch_ns)
-  init_devices();
-}
-
 Network::Network(sim::ShardedEngine& engine, const ShardPlan& plan, const Topology& topo,
                  NetConfig cfg, DcqcnParams dcqcn)
     : cfg_(cfg),
       dcqcn_(dcqcn),
       topo_(topo),
       routing_(RoutingTable::shortest_paths(topo)),
-      sharded_(true),
       plan_(plan),
-      engine_(&engine),
+      engine_(engine),
       pool_(plan.num_domains) {
-  VEDR_CHECK(plan_.parallel(), "sharded Network needs a parallel ShardPlan");
   VEDR_CHECK(plan_.num_domains == engine.num_domains(),
              "ShardPlan and ShardedEngine disagree on domain count");
-  VEDR_CHECK(plan_.lookahead > 0 && engine.lookahead() <= plan_.lookahead,
+  VEDR_CHECK(engine.lookahead() <= plan_.lookahead,
              "engine lookahead exceeds the plan's cross-domain minimum");
   VEDR_CHECK(plan_.domain_of.size() == topo_.size(), "ShardPlan built for another topology");
   dcqcn_.line_rate_gbps = cfg_.link_gbps;
@@ -53,7 +34,7 @@ Network::Network(sim::ShardedEngine& engine, const ShardPlan& plan, const Topolo
     ctx->sim = &engine.domain(d);
     ctx->stats = std::make_unique<sim::StatsRegistry>();
     register_net_event_handlers(*ctx->sim);
-    ctx->sim->set_stats(ctx->stats.get());
+    ctx->sim->set_stats(ctx->stats.get());  // kernel self-observation (sim.dispatch_ns)
     ctxs_.push_back(std::move(ctx));
   }
   init_devices();
@@ -67,7 +48,7 @@ void Network::init_devices() {
     const NodeId id = static_cast<NodeId>(i);
     // Construct each device scoped to its domain so constructor-time stats
     // interning (queue cells, monitor cells) lands in the domain-local
-    // registry the device will write at runtime. Serial: domain 0, a no-op.
+    // registry the device will write at runtime.
     sim::ShardScope scope(domain_of(id));
     if (topo_.is_host(id)) {
       devices_.push_back(std::make_unique<Host>(*this, id));
@@ -79,12 +60,10 @@ void Network::init_devices() {
 }
 
 Network::~Network() {
-  if (engine_ != nullptr) {
-    // The engine may outlive us (it is constructed first); detach the hooks
-    // that capture `this`.
-    engine_->set_drain_hook(nullptr);
-    engine_->set_flush_hook(nullptr);
-  }
+  // The engine may outlive us (it is constructed first); detach the hooks
+  // that capture `this`.
+  engine_.set_drain_hook(nullptr);
+  engine_.set_flush_hook(nullptr);
   for (auto& c : ctxs_) c->sim->set_stats(nullptr);  // registries die with us
 }
 
@@ -105,15 +84,8 @@ Tick Network::latest_now() const {
 
 void Network::fill_shard_report(sim::ShardReport& out) const {
   out.lanes.clear();
-  if (handoffs_ == nullptr) return;
   for (const auto& l : handoffs_->lane_stats())
     out.lanes.push_back({l.src, l.dst, l.pushed, l.spills, l.ring_peak});
-}
-
-void Network::set_tracer(PacketTracer* tracer) {
-  VEDR_CHECK(!sharded_ || tracer == nullptr,
-             "a single tracer would race across domains; use set_domain_tracer");
-  for (auto& c : ctxs_) c->tracer = tracer;
 }
 
 void Network::drain_domain(int domain) {
@@ -153,19 +125,16 @@ void Network::deliver(NodeId from, PortId out_port, Packet pkt) {
 void Network::deliver_ref(NodeId from, PortId out_port, PacketRef ref) {
   const PortRef peer = topo_.peer(from, out_port);
   const Tick delay = topo_.port(from, out_port).delay;
-  const std::size_t ci = ctx_index();
-  DomainCtx& c = *ctxs_[ci];
+  const int src = sim::current_domain();
+  DomainCtx& c = *ctxs_[static_cast<std::size_t>(src)];
   ++c.packets_delivered;
-  if (sharded_) {
-    const int dst = plan_.domain_of[static_cast<std::size_t>(peer.node)];
-    if (dst != static_cast<int>(ci)) {
-      // Cross-domain: ride the handoff matrix; the destination merges it at
-      // its next window boundary. The conservative window guarantees the
-      // arrival time is at or beyond every in-flight window's end.
-      handoffs_->push(static_cast<int>(ci), dst, c.sim->now() + delay, peer.node, peer.port,
-                      ref);
-      return;
-    }
+  const int dst = domain_of(peer.node);
+  if (dst != src) {
+    // Cross-domain: ride the handoff matrix; the destination merges it at
+    // its next window boundary. The conservative window guarantees the
+    // arrival time is at or beyond every in-flight window's end.
+    handoffs_->push(src, dst, c.sim->now() + delay, peer.node, peer.port, ref);
+    return;
   }
   Device* dev = devices_.at(static_cast<std::size_t>(peer.node)).get();
   c.sim->schedule_event_in(delay, sim::EventKind::kPacketDelivery,

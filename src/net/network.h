@@ -32,23 +32,19 @@ class Switch;
 /// table, link-level delivery, and the hooks the diagnosis plane uses
 /// (stats registry, report sink).
 ///
-/// Two execution shapes share this class (DESIGN.md §14):
-///   - Serial (the first constructor): one Simulator drives everything;
-///     behavior and digests are byte-identical to the pre-sharding engine.
-///   - Sharded (the ShardedEngine constructor): the fabric is partitioned
-///     into the plan's domains; every domain gets its own Simulator, stats
-///     registry, tracer slot, report sink, and delivery counter, resolved
-///     through sim::current_domain() so device code is shard-oblivious.
-///     Deliveries whose endpoint lives in another domain travel through the
-///     HandoffMatrix and are merged at window boundaries in
-///     (time, src domain, seq) order.
+/// The fabric is partitioned into the plan's domains (DESIGN.md §14); every
+/// domain gets its own Simulator, stats registry, tracer slot, report sink,
+/// and delivery counter, resolved through sim::current_domain() so device
+/// code is shard-oblivious. Deliveries whose endpoint lives in another
+/// domain travel through the HandoffMatrix and are merged at window
+/// boundaries in (time, src domain, seq) order. The serial lane is the
+/// one-domain plan (ShardPlan::single) on the one-domain engine: every
+/// delivery is local and the run is one window.
 class Network {
  public:
-  Network(sim::Simulator& sim, const Topology& topo, NetConfig cfg = {},
-          DcqcnParams dcqcn = {});
-  /// Sharded shape: `plan` must be a parallel plan for `topo` (ShardPlan
-  /// with num_domains matching engine.num_domains() and a positive
-  /// lookahead). Installs itself as the engine's boundary hooks.
+  /// `plan` must be built for `topo`, with num_domains matching
+  /// engine.num_domains() and a lookahead no shorter than the engine's.
+  /// Installs itself as the engine's boundary hooks.
   Network(sim::ShardedEngine& engine, const ShardPlan& plan, const Topology& topo,
           NetConfig cfg = {}, DcqcnParams dcqcn = {});
   ~Network();
@@ -56,8 +52,7 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// The calling context's simulator: the single serial simulator, or the
-  /// current shard's (per sim::current_domain()) in the sharded shape.
+  /// The calling context's simulator (per sim::current_domain()).
   sim::Simulator& sim() { return *ctxs_[ctx_index()]->sim; }
   const NetConfig& config() const { return cfg_; }
   const DcqcnParams& dcqcn_params() const { return dcqcn_; }
@@ -66,39 +61,35 @@ class Network {
   const Topology& topology() const { return topo_; }
   RoutingTable& routing() { return routing_; }
   const RoutingTable& routing() const { return routing_; }
-  /// The calling context's stats registry (domain-local when sharded; call
+  /// The calling context's stats registry (domain-local; call
   /// merge_domain_stats() after the run to collapse them for readers).
   sim::StatsRegistry& stats() { return *ctxs_[ctx_index()]->stats; }
 
   // --- sharding ------------------------------------------------------------
 
   int num_domains() const { return static_cast<int>(ctxs_.size()); }
-  bool sharded() const { return sharded_; }
-  int domain_of(NodeId node) const {
-    return sharded_ ? plan_.domain_of[static_cast<std::size_t>(node)] : 0;
-  }
+  int domain_of(NodeId node) const { return plan_.domain_of[static_cast<std::size_t>(node)]; }
   /// The simulator that owns `node` — injectors schedule against this so a
-  /// trigger fires on the domain that executes the device (serial: the one
-  /// simulator, making this a strict generalization of sim()).
+  /// trigger fires on the domain that executes the device.
   sim::Simulator& sim_of(NodeId node) {
     return *ctxs_[static_cast<std::size_t>(domain_of(node))]->sim;
   }
-  /// Domain d's simulator (serial: d must be 0).
+  /// Domain d's simulator.
   sim::Simulator& domain_sim(int d) { return *ctxs_.at(static_cast<std::size_t>(d))->sim; }
-  /// Registers a typed-event handler on every domain's simulator (serial:
-  /// exactly one). Components that dispatch through typed events must use
-  /// this instead of sim().set_handler so their events fire on any domain.
+  /// Registers a typed-event handler on every domain's simulator.
+  /// Components that dispatch through typed events must use this instead of
+  /// sim().set_handler so their events fire on any domain.
   void set_handler_all(sim::EventKind kind, sim::EventHandler fn);
   /// Folds every domain's registry into domain 0's (which the main thread
   /// reads through stats()). Call after the engine has joined its workers.
   void merge_domain_stats();
-  /// Latest simulated time across domains (== sim().now() when serial).
+  /// Latest simulated time across domains (== sim().now() with one domain).
   /// Post-run scoring reads this: domain clocks stop at their own last
   /// event, so no single domain's now() bounds the whole run.
   Tick latest_now() const;
   /// Fills the handoff-lane section of a ShardReport (pushed / spills /
   /// ring peak per active (src,dst) pair). Engine sections are filled by
-  /// ShardedEngine::fill_report. Quiesced (post-run) only; no-op when serial.
+  /// ShardedEngine::fill_report. Quiesced (post-run) only.
   void fill_shard_report(sim::ShardReport& out) const;
 
   Host& host(NodeId id);
@@ -117,10 +108,8 @@ class Network {
   }
   telemetry::ReportSink* report_sink() { return ctxs_[ctx_index()]->sink; }
 
-  /// Optional packet tracer for debugging; nullptr (default) costs nothing.
-  /// Serial-only — a single tracer would race across domain workers; the
-  /// sharded digest lane attaches one tracer per domain instead.
-  void set_tracer(PacketTracer* tracer);
+  /// Optional per-domain packet tracer; nullptr (default) costs nothing.
+  /// One tracer per domain, because each is written by its domain's worker.
   void set_domain_tracer(int domain, PacketTracer* tracer) {
     ctxs_.at(static_cast<std::size_t>(domain))->tracer = tracer;
   }
@@ -128,6 +117,8 @@ class Network {
 
   /// Attaches an observation-only telemetry tap to every switch's recorder
   /// (pause causes, TTL drops) — the switch-side leg of trace recording.
+  /// Single-domain only (run_case checks): the tap writes inline, so every
+  /// domain's worker would write it at once.
   void set_telemetry_tap(telemetry::TelemetryTap* tap);
 
   /// Link-level delivery: schedules arrival of `pkt` at the peer of
@@ -182,9 +173,7 @@ class Network {
     std::vector<Handoff> scratch;  ///< boundary drain buffer, reused
   };
 
-  std::size_t ctx_index() const {
-    return sharded_ ? static_cast<std::size_t>(sim::current_domain()) : 0;
-  }
+  std::size_t ctx_index() const { return static_cast<std::size_t>(sim::current_domain()); }
   void init_devices();
   /// Engine drain hook: reclaim returned pool slots, then merge inbound
   /// handoffs (sorted) into this domain's queue.
@@ -195,9 +184,8 @@ class Network {
   SwiftParams swift_;
   Topology topo_;
   RoutingTable routing_;
-  bool sharded_ = false;
   ShardPlan plan_;
-  sim::ShardedEngine* engine_ = nullptr;
+  sim::ShardedEngine& engine_;
   std::vector<std::unique_ptr<DomainCtx>> ctxs_;
   std::unique_ptr<HandoffMatrix> handoffs_;
   PacketPool pool_;

@@ -41,7 +41,7 @@ using PacketRef = std::uint32_t;
 /// every shard sees the same return batches in the same window for any
 /// worker count.
 ///
-/// With num_shards == 1 (the default, and the serial engine's shape) no
+/// With num_shards == 1 (the default, and the one-domain run's shape) no
 /// rings exist and every release is a local free — `--shards 1` keeps the
 /// allocation-free audit and behavior of the original pool.
 ///

@@ -47,9 +47,7 @@ int pod_of_name(std::string_view name, bool* recognized, bool* is_core) {
 
 ShardPlan ShardPlan::single(const Topology& topo) {
   ShardPlan plan;
-  plan.num_domains = 1;
   plan.domain_of.assign(topo.size(), 0);
-  plan.lookahead = 0;
   return plan;
 }
 

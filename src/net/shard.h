@@ -27,14 +27,15 @@ namespace vedr::net {
 struct ShardPlan {
   int num_domains = 1;
   std::vector<int> domain_of;  ///< node id -> domain id
-  Tick lookahead = 0;          ///< min delay over cross-domain links (0 if none)
+  /// Min delay over cross-domain links; kForever (unbounded) when none.
+  Tick lookahead = sim::kForever;
 
   /// Pod-based plan for a fat-tree built by make_fat_tree(). For any other
   /// topology (no "h<pod>."/"edge"/"agg"/"core" node names) returns the
-  /// trivial single-domain plan — callers should then run the serial engine.
+  /// trivial single-domain plan.
   static ShardPlan for_topology(const Topology& topo);
 
-  /// The trivial plan: every node in domain 0 (serial shape).
+  /// The trivial plan: every node in domain 0 — the serial lane.
   static ShardPlan single(const Topology& topo);
 
   bool parallel() const { return num_domains > 1; }

@@ -1,17 +1,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <string>
-#include <vector>
+#include <utility>
 
 #include "net/packet.h"
 #include "net/types.h"
 
 namespace vedr::net {
 
-/// A recorded packet event, pcap-style but at the model's granularity.
+/// A packet event, pcap-style but at the model's granularity.
 struct TraceEvent {
   enum class Kind : std::uint8_t { kHostTx, kHostRx, kSwitchEnqueue, kSwitchDequeue, kDrop };
 
@@ -23,56 +21,23 @@ struct TraceEvent {
   FlowKey flow;
   std::uint32_t seq = 0;
   std::int32_t size = 0;
-
-  std::string str() const;
 };
 
-const char* to_string(TraceEvent::Kind k);
-
-/// Bounded in-memory packet tracer with flow filtering — the debugging tool
-/// every network model grows sooner or later. Attach with
-/// Network::set_tracer(); zero cost when detached.
+/// Packet-event tap: hands every host tx/rx and switch enqueue/dequeue/drop
+/// of the domain it is attached to (Network::set_domain_tracer) to a sink,
+/// in the domain's event order. Keeps nothing itself; zero cost when
+/// detached.
 class PacketTracer {
  public:
-  explicit PacketTracer(std::size_t capacity = 1 << 16) : capacity_(capacity) {}
+  using Sink = std::function<void(const TraceEvent&)>;
 
-  /// Restricts recording to these flows (empty = record everything).
-  void filter(std::vector<FlowKey> flows) { filter_ = std::move(flows); }
-  /// Restricts recording to data packets only.
-  void data_only(bool v) { data_only_ = v; }
-
-  /// Streaming sink: called for every accepted event, before ring-buffer
-  /// truncation, so consumers (the determinism digest) see the complete
-  /// stream even when it exceeds `capacity`.
-  void set_sink(std::function<void(const TraceEvent&)> sink) { sink_ = std::move(sink); }
-
-  void record(TraceEvent ev);
-
-  const std::deque<TraceEvent>& events() const { return events_; }
-  std::size_t dropped_events() const { return dropped_; }
-  void clear() {
-    events_.clear();
-    dropped_ = 0;
+  void set_sink(Sink sink) { sink_ = std::move(sink); }
+  void record(const TraceEvent& ev) {
+    if (sink_) sink_(ev);
   }
 
-  /// Events touching one flow, in time order.
-  std::vector<TraceEvent> of_flow(const FlowKey& flow) const;
-
-  /// The (node, port) journey of one packet (flow, seq): every hop recorded.
-  std::vector<TraceEvent> journey(const FlowKey& flow, std::uint32_t seq) const;
-
-  /// Tab-separated dump for offline analysis.
-  std::string dump() const;
-
  private:
-  bool accepts(const TraceEvent& ev) const;
-
-  std::size_t capacity_;
-  std::deque<TraceEvent> events_;
-  std::function<void(const TraceEvent&)> sink_;
-  std::vector<FlowKey> filter_;
-  bool data_only_ = false;
-  std::size_t dropped_ = 0;
+  Sink sink_;
 };
 
 }  // namespace vedr::net

@@ -9,8 +9,9 @@
 
 namespace vedr::obs {
 
-/// Minimal JSON emitter shared by the trace exporter, the metrics snapshot
-/// writer, and the bench result files (bench/bench_util.h). Tracks comma
+/// The repository's one JSON emitter: the trace exporter, the metrics
+/// snapshot writer, the diagnosis export (core/json_export.h), serve's
+/// verdict lines, and the bench result files (bench/bench_util.h). Tracks comma
 /// placement per nesting level so call sites never hand-manage separators —
 /// the bug class the previous copy-pasted per-bench emitters kept re-growing.
 ///

@@ -57,7 +57,6 @@ void append_line(std::string& out, const std::string& name, const std::string& l
 MetricsSnapshot snapshot(const sim::StatsRegistry& stats) {
   MetricsSnapshot snap;
   snap.counters = stats.counters();
-  snap.summaries = stats.summaries();
   snap.hists = stats.hists();
   return snap;
 }
@@ -108,15 +107,6 @@ std::string to_prometheus(const MetricsSnapshot& snap,
     }
   }
 
-  for (const auto& [name, s] : snap.summaries) {
-    const std::string m = "vedr_" + sanitize(name);
-    out += "# TYPE " + m + " gauge\n";
-    append_line(out, m + "_count", lb, static_cast<double>(s.count()));
-    append_line(out, m + "_mean", lb, s.mean());
-    append_line(out, m + "_min", lb, s.min());
-    append_line(out, m + "_max", lb, s.max());
-  }
-
   for (const auto& [name, h] : snap.hists) {
     const std::string m = "vedr_" + sanitize(name);
     out += "# TYPE " + m + " histogram\n";
@@ -148,20 +138,6 @@ std::string to_json(const MetricsSnapshot& snap) {
   w.key("counters");
   w.begin_object();
   for (const auto& [name, value] : snap.counters) w.kv(name, value);
-  w.end_object();
-
-  w.key("summaries");
-  w.begin_object();
-  for (const auto& [name, s] : snap.summaries) {
-    w.key(name);
-    w.begin_object();
-    w.kv("count", static_cast<std::uint64_t>(s.count()));
-    w.kv("mean", s.mean());
-    w.kv("min", s.min());
-    w.kv("max", s.max());
-    w.kv("stddev", s.stddev());
-    w.end_object();
-  }
   w.end_object();
 
   w.key("hists");

@@ -20,20 +20,17 @@ struct GaugeSeries {
   double value = 0.0;
 };
 
-/// Point-in-time copy of a StatsRegistry: counters, sample summaries, and
-/// log-bucketed histograms. Cheap to hold per eval case (the maps are small)
-/// and safe to read after the originating Network has been destroyed.
+/// Point-in-time copy of a StatsRegistry: counters and log-bucketed
+/// histograms. Cheap to hold per eval case (the maps are small) and safe to
+/// read after the originating Network has been destroyed.
 /// `gauges` carries computed point-in-time series (windowed quantiles/rates,
 /// uptime, build info) that have no registry backing.
 struct MetricsSnapshot {
   std::map<std::string, std::int64_t> counters;
-  std::map<std::string, sim::Summary> summaries;
   std::map<std::string, Histogram> hists;
   std::vector<GaugeSeries> gauges;
 
-  bool empty() const {
-    return counters.empty() && summaries.empty() && hists.empty() && gauges.empty();
-  }
+  bool empty() const { return counters.empty() && hists.empty() && gauges.empty(); }
 };
 
 MetricsSnapshot snapshot(const sim::StatsRegistry& stats);
@@ -46,16 +43,16 @@ std::string escape_label_value(const std::string& v);
 
 /// Prometheus text exposition (version 0.0.4). Metric names are sanitized
 /// (dots and other invalid characters become '_'); `labels` are attached to
-/// every series. Counters export as `counter`, summaries as `gauge`
-/// sub-series (_count/_mean/_min/_max), histograms as native `histogram`
-/// with cumulative `le` buckets, `_sum`, and `_count`. Empty histogram
-/// buckets are elided (log2 buckets span 63 decades of dynamic range; the
-/// cumulative counts stay correct without the dead lines).
+/// every series. Counters export as `counter`, gauges as `gauge`, histograms
+/// as native `histogram` with cumulative `le` buckets, `_sum`, and `_count`.
+/// Empty histogram buckets are elided (log2 buckets span 63 decades of
+/// dynamic range; the cumulative counts stay correct without the dead
+/// lines).
 std::string to_prometheus(const MetricsSnapshot& snap,
                           const std::map<std::string, std::string>& labels = {});
 
-/// JSON rendering of the same snapshot (object with "counters", "summaries",
-/// "hists", "gauges"); histogram buckets appear as [upper_edge, count] pairs
+/// JSON rendering of the same snapshot (object with "counters", "hists",
+/// "gauges"); histogram buckets appear as [upper_edge, count] pairs
 /// and gauges as an array of {name, labels, value} objects.
 std::string to_json(const MetricsSnapshot& snap);
 

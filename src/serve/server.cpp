@@ -4,8 +4,8 @@
 #include <chrono>
 #include <utility>
 
-#include "core/json_export.h"
 #include "obs/flight.h"
+#include "obs/json.h"
 #include "obs/trace.h"  // wall_now_ns
 
 #ifndef VEDR_VERSION
@@ -214,34 +214,39 @@ std::string Server::prometheus() const {
 }
 
 std::string Server::sessions_json() const {
-  std::string out = "{\"sessions\":[";
-  bool first = true;
+  std::string out;
+  obs::JsonWriter w(&out);
+  w.begin_object();
+  w.key("sessions");
+  w.begin_array();
   common::MutexLock lock(mu_);
   for (const auto& [id, s] : sessions_) {
     const common::QueueStats q = s->queue_stats();
     const SessionState st = s->state();
-    if (!first) out += ',';
-    first = false;
-    out += "{\"id\":" + std::to_string(id) + ",\"tenant\":\"" +
-           core::json::escape(s->tenant()) + "\",\"shard\":" +
-           std::to_string(s->shard()) + ",\"state\":\"" + to_string(st) +
-           "\",\"frames\":" + std::to_string(s->frames_ingested()) +
-           ",\"steps_closed\":" + std::to_string(s->steps_closed()) +
-           ",\"verdicts\":" + std::to_string(s->verdicts_emitted()) +
-           ",\"digest_match\":" + (st != SessionState::kActive && s->digest_matched()
-                                       ? "true" : "false") +
-           ",\"error\":\"" +
-           core::json::escape(st == SessionState::kError ? s->final_error()
-                                                         : std::string()) +
-           "\",\"queue\":{\"size\":" + std::to_string(q.size) +
-           ",\"capacity\":" + std::to_string(s->config().queue_capacity) +
-           ",\"pushed\":" + std::to_string(q.pushed) +
-           ",\"popped\":" + std::to_string(q.popped) +
-           ",\"dropped\":" + std::to_string(q.dropped) +
-           ",\"blocked\":" + std::to_string(q.blocked) +
-           ",\"high_watermark\":" + std::to_string(q.high_watermark) + "}}";
+    w.begin_object();
+    w.kv("id", id);
+    w.kv("tenant", s->tenant());
+    w.kv("shard", s->shard());
+    w.kv("state", to_string(st));
+    w.kv("frames", s->frames_ingested());
+    w.kv("steps_closed", s->steps_closed());
+    w.kv("verdicts", s->verdicts_emitted());
+    w.kv("digest_match", st != SessionState::kActive && s->digest_matched());
+    w.kv("error", st == SessionState::kError ? s->final_error() : std::string());
+    w.key("queue");
+    w.begin_object();
+    w.kv("size", q.size);
+    w.kv("capacity", s->config().queue_capacity);
+    w.kv("pushed", q.pushed);
+    w.kv("popped", q.popped);
+    w.kv("dropped", q.dropped);
+    w.kv("blocked", q.blocked);
+    w.kv("high_watermark", q.high_watermark);
+    w.end_object();
+    w.end_object();
   }
-  out += "]}";
+  w.end_array();
+  w.end_object();
   return out;
 }
 

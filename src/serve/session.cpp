@@ -97,21 +97,21 @@ void Session::emit_step_verdicts(VerdictSink& sink, sim::StatsRegistry& stats) {
   }
 
   for (int s = last_closed_step_ + 1; s <= closed; ++s) {
-    std::string line = "{\"type\":\"step\",\"session\":" + std::to_string(id_) +
-                       ",\"tenant\":\"" + core::json::escape(tenant_) +
-                       "\",\"step\":" + std::to_string(s) + ",\"critical_flow\":";
     const bool have_cf = s >= 0 && s < static_cast<int>(d.critical_flow_per_step.size());
-    line += std::to_string(have_cf ? d.critical_flow_per_step[static_cast<std::size_t>(s)]
-                                   : -1);
-    line += ",\"findings\":[";
-    bool first = true;
-    for (const auto& f : d.findings) {
-      if (f.step != s) continue;
-      if (!first) line += ',';
-      first = false;
-      line += core::json::finding_to_json(f);
-    }
-    line += "]}";
+    std::string line;
+    obs::JsonWriter w(&line);
+    w.begin_object();
+    w.kv("type", "step");
+    w.kv("session", id_);
+    w.kv("tenant", tenant_);
+    w.kv("step", s);
+    w.kv("critical_flow", have_cf ? d.critical_flow_per_step[static_cast<std::size_t>(s)] : -1);
+    w.key("findings");
+    w.begin_array();
+    for (const auto& f : d.findings)
+      if (f.step == s) core::json::write_finding(w, f);
+    w.end_array();
+    w.end_object();
     sink.on_verdict(line);
     verdicts_.fetch_add(1, std::memory_order_relaxed);
     stats.add_counter("serve.step_verdicts");
@@ -133,18 +133,23 @@ void Session::finish(VerdictSink& sink, sim::StatsRegistry& stats) {
   const replay::ReplayResult r = collector_.finalize(end, bytes);
   const std::string err = r.ok ? std::string() : r.error.str();
 
-  std::string line = "{\"type\":\"final\",\"session\":" + std::to_string(id_) +
-                     ",\"tenant\":\"" + core::json::escape(tenant_) + "\",\"state\":\"" +
-                     (r.ok ? "finished" : "error") + "\",\"ok\":" +
-                     (r.ok ? "true" : "false") + ",\"digest_match\":" +
-                     (r.digest_matches ? "true" : "false") +
-                     ",\"frames\":" + std::to_string(r.stats.frames) +
-                     ",\"dropped\":" + std::to_string(queue_.stats().dropped) +
-                     ",\"error\":\"" + core::json::escape(err) + "\",\"diagnosis\":";
+  std::string line;
+  obs::JsonWriter w(&line);
+  w.begin_object();
+  w.kv("type", "final");
+  w.kv("session", id_);
+  w.kv("tenant", tenant_);
+  w.kv("state", r.ok ? "finished" : "error");
+  w.kv("ok", r.ok);
+  w.kv("digest_match", r.digest_matches);
+  w.kv("frames", r.stats.frames);
+  w.kv("dropped", queue_.stats().dropped);
+  w.kv("error", err);
   // diagnosis_json is the canonical deterministic export — splice it raw so
   // the daemon's final verdict is byte-comparable with batch vedr_replay.
-  line += r.diagnosis_json.empty() ? "null" : r.diagnosis_json;
-  line += '}';
+  w.key("diagnosis");
+  w.raw(r.diagnosis_json.empty() ? "null" : r.diagnosis_json);
+  w.end_object();
   sink.on_verdict(line);
   verdicts_.fetch_add(1, std::memory_order_relaxed);
 

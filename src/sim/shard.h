@@ -7,8 +7,7 @@ namespace vedr::sim {
 /// Components that are shard-aware (Network's per-domain contexts, the
 /// shared PacketPool's per-shard free lists) resolve "which domain am I
 /// running in?" through this value instead of threading a domain id through
-/// every call signature — the serial engine's call graph stays byte-for-byte
-/// identical, because on a never-sharded thread the value is always 0.
+/// every call signature. A one-domain run reads 0 throughout.
 ///
 /// The engine's worker threads set it with ShardScope around every domain's
 /// event window and boundary hook. Pre-run bootstrap code that constructs
@@ -20,8 +19,7 @@ inline thread_local int tls_domain = 0;
 }  // namespace internal
 
 /// The domain the calling thread is currently executing on behalf of
-/// (0 on any thread outside a ShardScope — in particular, always 0 for the
-/// serial engine).
+/// (0 on any thread outside a ShardScope).
 inline int current_domain() { return internal::tls_domain; }
 
 /// RAII domain marker. Cheap enough for per-event-window use: two

@@ -38,13 +38,17 @@ void ShardedEngine::on_sync() {
   // Idle-gap introspection: the fabric went globally quiet between the last
   // window's end and the next event — count the jump (observation only; the
   // window math below is unchanged).
-  if (windows_ > 0 && min_next > window_end_) {
+  if (windows_ > 0 && min_next - window_last_ > 1) {
     ++idle_gap_jumps_;
-    idle_gap_ticks_ += static_cast<std::uint64_t>(min_next - window_end_);
+    idle_gap_ticks_ += static_cast<std::uint64_t>(min_next - window_last_ - 1);
   }
+  // The window is [min_next, min_next + lookahead), cut at until_ (a final
+  // partial window). Saturating: the one-domain engine's lookahead is
+  // kForever, so the plain sum would overflow; an end past kForever makes
+  // the window unbounded.
   window_start_ = min_next;
-  window_end_ = min_next + lookahead_;
-  if (window_end_ > until_) window_end_ = until_ + 1;  // final partial window
+  window_last_ = min_next >= kForever - lookahead_ ? kForever : min_next + lookahead_ - 1;
+  if (window_last_ > until_) window_last_ = until_;
   ++windows_;
 }
 
@@ -70,7 +74,7 @@ void ShardedEngine::worker_loop(int w) {
       t0 = t1;
     }
     if (done_) return;
-    const Tick bound = window_end_ - 1;  // Simulator::run's bound is inclusive
+    const Tick bound = window_last_;  // Simulator::run's bound is inclusive too
     const Tick win_start = window_start_;
     const std::uint64_t win_index = windows_;
     for (int d = w; d < domains; d += num_workers_) {

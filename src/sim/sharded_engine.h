@@ -34,6 +34,11 @@ namespace vedr::sim {
 /// count W >= 1 given the same domain decomposition. `--shards N` picks W;
 /// the decomposition itself is fixed by the topology (net::ShardPlan).
 ///
+/// The serial lane is the one-domain engine (the default constructor): one
+/// worker and unbounded lookahead, so run() executes a single window that is
+/// exactly Simulator::run(until) on domain 0 — same (time, seq) order, no
+/// barrier ever waits.
+///
 /// Synchronization shape per window (two std::barrier phases):
 ///   [each worker: drain hook per owned domain]     — merge inbound handoffs
 ///   barrier A (completion: pick next window / stop) — queues are quiesced
@@ -43,9 +48,11 @@ namespace vedr::sim {
 /// machines — including 1-core CI runners — degrade gracefully.
 class ShardedEngine {
  public:
-  /// `lookahead` must be positive; `num_workers` is clamped to
-  /// [1, num_domains].
+  /// `lookahead` must be positive (kForever: unbounded); `num_workers` is
+  /// clamped to [1, num_domains].
   ShardedEngine(int num_domains, Tick lookahead, int num_workers);
+  /// The one-domain engine: the serial lane.
+  ShardedEngine() : ShardedEngine(1, kForever, 1) {}
 
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
@@ -71,7 +78,7 @@ class ShardedEngine {
   /// next global event would be later than `until` (inclusive bound on event
   /// time, matching Simulator::run). Blocks the calling thread, which serves
   /// as worker 0. Returns total events executed across domains this call.
-  std::uint64_t run(Tick until);
+  std::uint64_t run(Tick until = kForever);
 
   /// Events executed across all domains since construction. Call only while
   /// no run() is in flight.
@@ -126,7 +133,7 @@ class ShardedEngine {
   // (the barrier's own synchronization carries the happens-before edges).
   Tick until_ = 0;
   Tick window_start_ = 0;
-  Tick window_end_ = 0;
+  Tick window_last_ = 0;  ///< inclusive: the window is [start, last]
   bool done_ = false;
   std::uint64_t windows_ = 0;
   std::uint64_t idle_gap_jumps_ = 0;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -59,9 +58,10 @@ class Simulator {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
-  /// Runs until the queue drains or `until` is passed (exclusive bound on
-  /// event time when given). Returns the number of events executed.
-  std::uint64_t run(Tick until = std::numeric_limits<Tick>::max());
+  /// Runs until the queue drains or the next event is later than `until`
+  /// (inclusive bound: an event at exactly `until` runs). Returns the number
+  /// of events executed.
+  std::uint64_t run(Tick until = kForever);
 
   /// Executes exactly one event if available. Returns false when idle.
   bool step();

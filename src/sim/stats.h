@@ -1,7 +1,5 @@
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -13,57 +11,13 @@
 
 namespace vedr::sim {
 
-/// Streaming summary of a series of samples (count/mean/min/max/stddev).
-class VEDR_THREAD_COMPATIBLE Summary {
- public:
-  void add(double x) {
-    ++n_;
-    sum_ += x;
-    sum_sq_ += x * x;
-    min_ = n_ == 1 ? x : std::min(min_, x);
-    max_ = n_ == 1 ? x : std::max(max_, x);
-  }
-
-  /// Folds another summary in as if its samples had been add()ed here —
-  /// count/sum/sum_sq are additive, min/max combine. Order-independent, so
-  /// per-domain summaries merge to the same result for any domain count.
-  void merge(const Summary& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    n_ += other.n_;
-    sum_ += other.sum_;
-    sum_sq_ += other.sum_sq_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-
-  std::uint64_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double stddev() const {
-    if (n_ < 2) return 0.0;
-    const double m = mean();
-    const double var = sum_sq_ / static_cast<double>(n_) - m * m;
-    return var > 0 ? std::sqrt(var) : 0.0;
-  }
-
- private:
-  std::uint64_t n_ = 0;
-  double sum_ = 0, sum_sq_ = 0, min_ = 0, max_ = 0;
-};
-
-/// Named counters/summaries/histograms shared by model components, used by
+/// Named counters and histograms shared by model components, used by
 /// the evaluation harness to account overhead without plumbing every number
 /// through constructors.
 ///
 /// Threading contract (capability-checked under VEDR_THREAD_SAFETY):
-///   - Every name-keyed operation (add_counter / add_sample / observe /
-///     counter / summary / hist / snapshots / reset) locks `mu_`, so
+///   - Every name-keyed operation (add_counter / observe / counter / hist /
+///     snapshots / reset) locks `mu_`, so
 ///     concurrent keyed accumulation from suite worker threads is safe and
 ///     never loses updates.
 ///   - The interned cells returned by counter_cell()/hist_cell() are the
@@ -97,16 +51,6 @@ class StatsRegistry {
     return it == counters_.end() ? 0 : it->second;
   }
 
-  void add_sample(const std::string& name, double x) VEDR_EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    summaries_[name].add(x);
-  }
-  Summary summary(const std::string& name) const VEDR_EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    auto it = summaries_.find(name);
-    return it == summaries_.end() ? Summary{} : it->second;
-  }
-
   /// Log2-bucketed distribution (RTTs, queue depths, latencies). Like the
   /// counters, hist cells live in a node-based map: hot paths intern the
   /// pointer once and add() through it without touching the string key.
@@ -132,27 +76,21 @@ class StatsRegistry {
     common::MutexLock lock(mu_);
     return counters_;
   }
-  std::map<std::string, Summary> summaries() const VEDR_EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return summaries_;
-  }
   std::map<std::string, obs::Histogram> hists() const VEDR_EXCLUDES(mu_) {
     common::MutexLock lock(mu_);
     return hists_;
   }
 
-  /// Folds every counter, summary, and histogram of `other` into this
-  /// registry (counters add, summaries/histograms merge). Used by the
-  /// sharded engine to collapse per-domain registries into one after the
-  /// workers have joined; both registries must be quiescent (no live cell
-  /// writers — see the interned-cell contract above).
+  /// Folds every counter and histogram of `other` into this registry
+  /// (counters add, histograms merge). Used to collapse per-domain
+  /// registries into one after the engine's workers have joined; both
+  /// registries must be quiescent (no live cell writers — see the
+  /// interned-cell contract above).
   void merge_from(const StatsRegistry& other) VEDR_EXCLUDES(mu_) {
     const auto counters = other.counters();
-    const auto summaries = other.summaries();
     const auto hists = other.hists();
     common::MutexLock lock(mu_);
     for (const auto& [name, v] : counters) counters_[name] += v;
-    for (const auto& [name, s] : summaries) summaries_[name].merge(s);
     for (const auto& [name, h] : hists) hists_[name].merge(h);
   }
 
@@ -161,14 +99,12 @@ class StatsRegistry {
   void reset() VEDR_EXCLUDES(mu_) {
     common::MutexLock lock(mu_);
     counters_.clear();
-    summaries_.clear();
     hists_.clear();
   }
 
  private:
   mutable common::Mutex mu_;
   std::map<std::string, std::int64_t> counters_ VEDR_GUARDED_BY(mu_);
-  std::map<std::string, Summary> summaries_ VEDR_GUARDED_BY(mu_);
   std::map<std::string, obs::Histogram> hists_ VEDR_GUARDED_BY(mu_);
 };
 

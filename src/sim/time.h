@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 namespace vedr::sim {
 
@@ -15,6 +16,9 @@ inline constexpr Tick kSecond = 1'000'000'000;
 
 /// Sentinel meaning "no time recorded yet".
 inline constexpr Tick kNever = -1;
+
+/// The end of simulated time: an unbounded run limit or lookahead.
+inline constexpr Tick kForever = std::numeric_limits<Tick>::max();
 
 constexpr double to_us(Tick t) { return static_cast<double>(t) / kMicrosecond; }
 constexpr double to_ms(Tick t) { return static_cast<double>(t) / kMillisecond; }

@@ -5,7 +5,7 @@
 #include "net/host.h"
 #include "net/network.h"
 #include "net/switch.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr::anomaly {
 namespace {
@@ -19,8 +19,10 @@ TEST(Injectors, BackgroundKeyRoundTrip) {
 }
 
 TEST(Injectors, FlowStartsAtScheduledTime) {
-  sim::Simulator sim;
-  net::Network net(sim, net::make_star(3, net::NetConfig{}));
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
+  const net::Topology topo = net::make_star(3, net::NetConfig{});
+  net::Network net(engine, net::ShardPlan::single(topo), topo);
   const InjectedFlow f{background_key(0, 0, 2), 1024 * 1024, 500 * sim::kMicrosecond};
   Tick done = sim::kNever;
   inject_flow(net, f, [&](Tick t) { done = t; });
@@ -34,8 +36,10 @@ TEST(Injectors, FlowStartsAtScheduledTime) {
 }
 
 TEST(Injectors, StormForcesAndReleasesPause) {
-  sim::Simulator sim;
-  net::Network net(sim, net::make_star(3, net::NetConfig{}));
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
+  const net::Topology topo = net::make_star(3, net::NetConfig{});
+  net::Network net(engine, net::ShardPlan::single(topo), topo);
   const net::NodeId sw = net.switches()[0];
   const StormSpec storm{net::PortRef{sw, 0}, 100 * sim::kMicrosecond, 1 * sim::kMillisecond};
   inject_storm(net, storm);
@@ -56,8 +60,10 @@ TEST(Injectors, StormForcesAndReleasesPause) {
 }
 
 TEST(Injectors, StormActuallyHaltsTraffic) {
-  sim::Simulator sim;
-  net::Network net(sim, net::make_star(3, net::NetConfig{}));
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
+  const net::Topology topo = net::make_star(3, net::NetConfig{});
+  net::Network net(engine, net::ShardPlan::single(topo), topo);
   const net::NodeId sw = net.switches()[0];
   const net::FlowKey key = background_key(0, 0, 2);
   Tick done = sim::kNever;

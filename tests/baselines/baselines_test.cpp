@@ -6,18 +6,21 @@
 #include "collective/runner.h"
 #include "net/host.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr::baselines {
 namespace {
 
 struct Fixture {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::Topology topo;
   net::Network net;
   std::vector<net::NodeId> participants;
 
-  Fixture() : topo(net::make_fat_tree(4, net::NetConfig{})), net(sim, topo, net::NetConfig{}) {
+  Fixture()
+      : topo(net::make_fat_tree(4, net::NetConfig{})),
+        net(engine, net::ShardPlan::single(topo), topo, net::NetConfig{}) {
     const auto hosts = topo.hosts();
     participants.assign(hosts.begin(), hosts.begin() + 4);
   }

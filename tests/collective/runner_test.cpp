@@ -6,17 +6,20 @@
 
 #include "collective/step_queues.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr::collective {
 namespace {
 
 struct Fixture {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::Topology topo;
   net::Network net;
 
-  Fixture() : topo(net::make_fat_tree(4, net::NetConfig{})), net(sim, topo, net::NetConfig{}) {}
+  Fixture()
+      : topo(net::make_fat_tree(4, net::NetConfig{})),
+        net(engine, net::ShardPlan::single(topo), topo, net::NetConfig{}) {}
 
   std::vector<NodeId> participants(int n) {
     const auto hosts = topo.hosts();

@@ -10,7 +10,7 @@
 #include "net/host.h"
 #include "core/vedrfolnir.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr::collective {
 namespace {
@@ -69,9 +69,11 @@ TEST(TreeBroadcast, OneTransferUnblocksMultipleSends) {
 }
 
 TEST(TreeBroadcast, RunsOnFabricAndCompletes) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   const auto all = network.topology().hosts();
   std::vector<NodeId> participants(all.begin(), all.begin() + 8);
   auto plan = CollectivePlan::tree_broadcast(0, participants, 1024 * 1024);
@@ -93,9 +95,11 @@ TEST(TreeBroadcast, RunsOnFabricAndCompletes) {
 }
 
 TEST(TreeBroadcast, VedrfolnirMonitorsItEndToEnd) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   const auto all = network.topology().hosts();
   std::vector<NodeId> participants(all.begin(), all.begin() + 8);
   auto plan = CollectivePlan::tree_broadcast(0, participants, 2 * 1024 * 1024);

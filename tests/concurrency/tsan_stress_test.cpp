@@ -41,7 +41,6 @@ TEST(TsanStress, StatsRegistryConcurrentKeyedAccumulation) {
       for (int i = 0; i < kOps; ++i) {
         reg.add_counter("shared.counter");
         reg.observe("shared.hist", i % 1024);
-        reg.add_sample("shared.summary", static_cast<double>(i));
       }
     });
   }
@@ -61,7 +60,6 @@ TEST(TsanStress, StatsRegistryConcurrentKeyedAccumulation) {
   // The mutex makes keyed accumulation lossless: exact totals, not "close".
   EXPECT_EQ(reg.counter("shared.counter"), static_cast<std::int64_t>(kThreads) * kOps);
   EXPECT_EQ(reg.hist("shared.hist").count(), static_cast<std::uint64_t>(kThreads) * kOps);
-  EXPECT_EQ(reg.summary("shared.summary").count(), static_cast<std::uint64_t>(kThreads) * kOps);
 }
 
 TEST(TsanStress, StatsRegistryConcurrentCellInterning) {

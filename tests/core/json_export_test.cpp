@@ -8,11 +8,18 @@ namespace vedr::core {
 namespace {
 
 TEST(Json, EscapesSpecials) {
-  EXPECT_EQ(json::escape("plain"), "plain");
-  EXPECT_EQ(json::escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json::escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json::escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json::escape(std::string("a\x01") + "b"), "a\\u0001b");
+  // Every string field of the diagnosis JSON goes through JsonWriter.
+  const auto quoted = [](const std::string& v) {
+    std::string out;
+    obs::JsonWriter w(&out);
+    w.value(v);
+    return out;
+  };
+  EXPECT_EQ(quoted("plain"), "\"plain\"");
+  EXPECT_EQ(quoted("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(quoted("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(quoted("a\nb"), "\"a\\nb\"");
+  EXPECT_EQ(quoted(std::string("a\x01") + "b"), "\"a\\u0001b\"");
 }
 
 TEST(Json, FindingRoundTripFields) {
@@ -22,7 +29,9 @@ TEST(Json, FindingRoundTripFields) {
   f.root_port = PortRef{20, 1};
   f.contending_flows = {anomaly::background_key(0, 1, 2)};
   f.pfc_chain = {PortRef{19, 2}, PortRef{20, 1}};
-  const std::string j = json::finding_to_json(f);
+  std::string j;
+  obs::JsonWriter w(&j);
+  json::write_finding(w, f);
   EXPECT_NE(j.find("\"type\":\"PfcStorm\""), std::string::npos);
   EXPECT_NE(j.find("\"step\":2"), std::string::npos);
   EXPECT_NE(j.find("p(20.1)"), std::string::npos);
@@ -33,7 +42,8 @@ TEST(Json, DiagnosisSerializes) {
   Diagnosis d;
   d.collective_time = 1234567;
   d.critical_path = {{0, 0}, {1, 1}};
-  d.contributions = {{anomaly::background_key(0, 1, 2), 42.5}};
+  d.contributions = {{anomaly::background_key(0, 1, 2), 42.5},
+                     {anomaly::background_key(1, 3, 4), 1.0 / 3.0}};
   d.critical_flow_per_step = {0, 1};
   AnomalyFinding f;
   f.type = AnomalyType::kFlowContention;
@@ -44,6 +54,8 @@ TEST(Json, DiagnosisSerializes) {
   EXPECT_NE(j.find("\"critical_path\":[{\"flow\":0,\"step\":0},{\"flow\":1,\"step\":1}]"),
             std::string::npos);
   EXPECT_NE(j.find("\"score\":42.5"), std::string::npos);
+  // Scores keep six significant digits: the digested bytes are pinned.
+  EXPECT_NE(j.find("\"score\":0.333333}"), std::string::npos) << j;
   EXPECT_NE(j.find("\"critical_flow_per_step\":[0,1]"), std::string::npos);
 }
 
@@ -51,20 +63,6 @@ TEST(Json, DeterministicOutput) {
   Diagnosis d;
   d.collective_time = 99;
   EXPECT_EQ(json::diagnosis_to_json(d), json::diagnosis_to_json(d));
-}
-
-TEST(Json, WaitingGraphSerializes) {
-  collective::StepRecord r;
-  r.flow_index = 0;
-  r.step = 0;
-  r.start_time = 0;
-  r.end_time = 100;
-  const auto g = WaitingGraph::build({r});
-  const std::string j = json::waiting_graph_to_json(g);
-  EXPECT_NE(j.find("\"vertices\""), std::string::npos);
-  EXPECT_NE(j.find("F0S0"), std::string::npos);
-  EXPECT_NE(j.find("\"type\":\"execution\""), std::string::npos);
-  EXPECT_NE(j.find("\"weight_ns\":100"), std::string::npos);
 }
 
 TEST(Json, BalancedBrackets) {

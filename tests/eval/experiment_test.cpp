@@ -126,11 +126,11 @@ TEST(Experiment, TracerObservationDoesNotChangeOutcome) {
   const auto spec = make_scenario(ScenarioType::kIncast, 0, topo, routing, tiny_params());
   const auto untraced = run_case(spec, SystemKind::kVedrfolnir, tiny_config());
 
-  net::PacketTracer tracer(1);
+  net::PacketTracer tracer;
   std::size_t seen = 0;
   tracer.set_sink([&seen](const net::TraceEvent&) { ++seen; });
   RunConfig cfg = tiny_config();
-  cfg.tracer = &tracer;
+  cfg.domain_tracer_factory = [&tracer](int, int) { return &tracer; };
   const auto traced = run_case(spec, SystemKind::kVedrfolnir, cfg);
 
   EXPECT_GT(seen, 0u);

@@ -67,6 +67,23 @@ TEST(ShardReport, CapturedReportAccountsForTheRun) {
   EXPECT_NE(table.find("domain"), std::string::npos) << table;
 }
 
+TEST(ShardReport, OneDomainRunIsOneWindow) {
+  // The serial lane is a one-domain run of the same engine, so it reports
+  // too: one domain, one worker, one window holding every event, no lanes.
+  const ScenarioSpec spec = tiny_spec(ScenarioType::kIncast);
+  RunConfig cfg;
+  cfg.capture_shard_report = true;
+  const CaseResult result = run_case(spec, SystemKind::kVedrfolnir, cfg);
+
+  ASSERT_NE(result.shard_report, nullptr);
+  const sim::ShardReport& rep = *result.shard_report;
+  EXPECT_EQ(rep.windows, 1u);
+  ASSERT_EQ(rep.workers.size(), 1u);
+  ASSERT_EQ(rep.domains.size(), 1u);
+  EXPECT_EQ(rep.domains[0].events, result.sim_events);
+  EXPECT_TRUE(rep.lanes.empty());
+}
+
 TEST(ShardReport, AbsentUnlessRequested) {
   const ScenarioSpec spec = tiny_spec(ScenarioType::kFlowContention);
   RunConfig cfg;

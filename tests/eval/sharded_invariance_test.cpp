@@ -3,13 +3,14 @@
 // The domain decomposition is a function of the topology, never of the
 // worker count, so the parallel lane's digest must be bit-identical for
 // every --shards N >= 2 — N only picks how many threads execute the fixed
-// domains. And --shards 1 must not reroute into the sharded path at all:
-// its digest is the serial engine's pinned lane.
+// domains. --shards 1 is the serial lane: a one-domain run of the same
+// engine, whose digest formula and values are pinned separately.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "eval/experiment.h"
@@ -35,6 +36,16 @@ std::uint64_t digest_with_shards(const ScenarioSpec& spec, int shards) {
   RunConfig cfg;
   cfg.shards = shards;
   return run_case_digest(spec, SystemKind::kVedrfolnir, cfg);
+}
+
+const char* test_name(ScenarioType type) {
+  switch (type) {
+    case ScenarioType::kFlowContention: return "Contention";
+    case ScenarioType::kIncast: return "Incast";
+    case ScenarioType::kPfcStorm: return "Storm";
+    case ScenarioType::kPfcBackpressure: return "Backpressure";
+  }
+  return "Unknown";
 }
 
 class ShardedInvariance : public ::testing::TestWithParam<ScenarioType> {};
@@ -95,14 +106,45 @@ INSTANTIATE_TEST_SUITE_P(AllScenarios, ShardedInvariance,
                                            ScenarioType::kPfcStorm,
                                            ScenarioType::kPfcBackpressure),
                          [](const ::testing::TestParamInfo<ScenarioType>& info) {
-                           switch (info.param) {
-                             case ScenarioType::kFlowContention: return "Contention";
-                             case ScenarioType::kIncast: return "Incast";
-                             case ScenarioType::kPfcStorm: return "Storm";
-                             case ScenarioType::kPfcBackpressure: return "Backpressure";
-                           }
-                           return "Unknown";
+                           return test_name(info.param);
                          });
+
+// Both digest lanes, pinned. The checks above compare runs of the same
+// build against each other, so a change that alters event order in every
+// run alike passes them; these literals fail it. Values are identical in
+// Release and default builds (GCC). Regenerate only for an intended
+// behavior change, together with the replay corpus (VEDR_UPDATE_CORPUS=1).
+struct PinnedDigests {
+  ScenarioType type;
+  std::uint64_t serial;    ///< shards 1: the one-domain lane
+  std::uint64_t parallel;  ///< shards 2: the pod-domain lane
+};
+
+// gtest names each case after its printed parameter; with no printer that is
+// the struct's raw bytes, whose padding differs from run to run.
+void PrintTo(const PinnedDigests& pin, std::ostream* os) { *os << test_name(pin.type); }
+
+class PinnedDigest : public ::testing::TestWithParam<PinnedDigests> {};
+
+TEST_P(PinnedDigest, DigestsMatchThePinnedValues) {
+  const PinnedDigests& pin = GetParam();
+  const ScenarioSpec spec = tiny_spec(pin.type);
+  const std::uint64_t serial = digest_with_shards(spec, 1);
+  const std::uint64_t parallel = digest_with_shards(spec, 2);
+  EXPECT_EQ(serial, pin.serial) << "serial lane drifted: 0x" << std::hex << serial;
+  EXPECT_EQ(parallel, pin.parallel) << "parallel lane drifted: 0x" << std::hex << parallel;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllScenarios, PinnedDigest,
+    ::testing::Values(
+        PinnedDigests{ScenarioType::kFlowContention, 0x903ff42805878c91, 0x59dc959822575733},
+        PinnedDigests{ScenarioType::kIncast, 0xc04bb52a6f98319c, 0x3936d6721f930bd7},
+        PinnedDigests{ScenarioType::kPfcStorm, 0xcde3e513f41d4cdf, 0x5f77afabc8a4fb66},
+        PinnedDigests{ScenarioType::kPfcBackpressure, 0xd036b03ee47fcc30, 0xef5456e9a393ce61}),
+    [](const ::testing::TestParamInfo<PinnedDigests>& info) {
+      return test_name(info.param.type);
+    });
 
 }  // namespace
 }  // namespace vedr::eval

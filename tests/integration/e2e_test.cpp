@@ -12,7 +12,7 @@
 #include "net/host.h"
 #include "net/network.h"
 #include "net/switch.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr {
 namespace {
@@ -82,9 +82,11 @@ TEST(E2E, OverheadOrderingAcrossSystems) {
 TEST(E2E, FabricStaysLosslessUnderIncast) {
   // PFC safety property: whatever the incast degree, no data drops.
   for (int senders : {2, 4, 8, 15}) {
-    sim::Simulator sim;
+    sim::ShardedEngine engine;
+    sim::Simulator& sim = engine.domain(0);
     net::NetConfig cfg;
-    net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+    const net::Topology topo = net::make_fat_tree(4, cfg);
+    net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
     for (int s = 0; s < senders; ++s) {
       const net::FlowKey key = anomaly::background_key(s, s, 15);
       network.host(15).expect_flow(key, 2 * 1024 * 1024);
@@ -99,9 +101,11 @@ TEST(E2E, FabricStaysLosslessUnderIncast) {
 TEST(E2E, HalvingDoublingDiagnosis) {
   // The paper's decomposition generalizes beyond Ring (§V); the whole
   // pipeline must work when destinations change per step.
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   const std::vector<net::NodeId> participants = {0, 2, 4, 6, 8, 10, 12, 14};
   auto plan = collective::CollectivePlan::halving_doubling(
       0, collective::OpType::kAllGather, participants, 1024 * 1024);
@@ -120,9 +124,11 @@ TEST(E2E, HalvingDoublingDiagnosis) {
 }
 
 TEST(E2E, AllReduceUnderStormRecovers) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   const auto hosts = network.topology().hosts();
   std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + 8);
   auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllReduce, participants,
@@ -158,9 +164,11 @@ TEST(E2E, AllReduceUnderStormRecovers) {
 TEST(E2E, NoAnomalyMeansNoFalsePositive) {
   // A clean run must not implicate any background flow (there are none) and
   // should collect almost nothing.
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   const auto hosts = network.topology().hosts();
   std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + 8);
   auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
@@ -180,9 +188,11 @@ class CollectiveSweep : public ::testing::TestWithParam<std::tuple<int, std::int
 
 TEST_P(CollectiveSweep, ContentionDetectedAcrossShapes) {
   const auto [n_participants, bytes] = GetParam();
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   const auto hosts = network.topology().hosts();
   std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + n_participants);
   auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,

@@ -9,15 +9,17 @@
 #include "net/host.h"
 #include "net/network.h"
 #include "net/switch.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr {
 namespace {
 
 TEST(RoutingLoop, PacketsDieByTtlAndAreCounted) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
 
   // Loop between host 15's edge switch and one of its aggs, for dst 15.
   const net::NodeId edge = network.topology().peer(15, 0).node;
@@ -36,9 +38,11 @@ TEST(RoutingLoop, PacketsDieByTtlAndAreCounted) {
 }
 
 TEST(RoutingLoop, VedrfolnirDiagnosesLoopOnCollectivePath) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
 
   const auto hosts = network.topology().hosts();
   std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + 8);
@@ -68,9 +72,11 @@ TEST(RoutingLoop, VedrfolnirDiagnosesLoopOnCollectivePath) {
 }
 
 TEST(Watchdog, FiresWhenFlowFullyStalled) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
 
   const auto hosts = network.topology().hosts();
   std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + 4);
@@ -97,9 +103,11 @@ TEST(Watchdog, FiresWhenFlowFullyStalled) {
 }
 
 TEST(Watchdog, DisabledViaConfig) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   const auto hosts = network.topology().hosts();
   std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + 4);
   auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,
@@ -122,11 +130,13 @@ TEST(Watchdog, DisabledViaConfig) {
 }
 
 TEST(Deadlock, CyclicPauseFormsAndIsDiagnosed) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
   cfg.ecn_kmin_bytes = 1 << 30;  // no ECN: nothing tames line-rate start
   cfg.ecn_kmax_bytes = 1 << 30;
-  net::Network network(sim, net::make_switch_ring(4, 1, cfg), cfg);
+  const net::Topology topo = net::make_switch_ring(4, 1, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   anomaly::pin_clockwise_routes(network, network.switches());
 
   const std::vector<net::NodeId> participants = {0, 2, 1, 3};
@@ -154,9 +164,11 @@ TEST(Deadlock, CyclicPauseFormsAndIsDiagnosed) {
 }
 
 TEST(LoadImbalance, EcmpCollisionBetweenCollectiveFlowsDiagnosed) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
 
   // Ring over 8 cross-pod hosts; then pin both of edge 16's uplinks onto
   // ONE agg (the ECMP misjudgment of §II-B anomaly 1) so the two flows
@@ -190,11 +202,13 @@ TEST(LoadImbalance, EcmpCollisionBetweenCollectiveFlowsDiagnosed) {
 }
 
 TEST(Deadlock, LosslessEvenWhileDeadlocked) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
   cfg.ecn_kmin_bytes = 1 << 30;
   cfg.ecn_kmax_bytes = 1 << 30;
-  net::Network network(sim, net::make_switch_ring(4, 1, cfg), cfg);
+  const net::Topology topo = net::make_switch_ring(4, 1, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   anomaly::pin_clockwise_routes(network, network.switches());
   const std::vector<net::NodeId> participants = {0, 2, 1, 3};
   auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,

@@ -10,15 +10,17 @@
 #include "net/host.h"
 #include "net/network.h"
 #include "net/switch.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr {
 namespace {
 
 TEST(Smoke, SingleFlowCompletesAtLineRate) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_chain(2, cfg));
+  const net::Topology topo = net::make_chain(2, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo);
 
   const auto hosts = network.hosts();
   const net::FlowKey key{hosts[0], hosts[1], 10, 20};
@@ -39,9 +41,11 @@ TEST(Smoke, SingleFlowCompletesAtLineRate) {
 }
 
 TEST(Smoke, RingAllGatherCompletesOnFatTree) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg));
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo);
 
   const auto hosts = network.hosts();
   std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + 8);
@@ -59,9 +63,11 @@ TEST(Smoke, RingAllGatherCompletesOnFatTree) {
 }
 
 TEST(Smoke, VedrfolnirDiagnosesInjectedContention) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg));
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo);
 
   const auto hosts = network.hosts();
   std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + 8);

@@ -10,7 +10,7 @@
 #include "core/vedrfolnir.h"
 #include "eval/workload.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr {
 namespace {
@@ -33,9 +33,11 @@ TEST(Workload, DeterministicAndDistributed) {
 }
 
 TEST(Workload, SequentialCollectivesOnOneFabric) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   net::NetConfig cfg;
-  net::Network network(sim, net::make_fat_tree(4, cfg), cfg);
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
   const auto hosts = network.topology().hosts();
   std::vector<net::NodeId> participants(hosts.begin(), hosts.begin() + 8);
 

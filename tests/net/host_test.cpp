@@ -4,19 +4,21 @@
 
 #include "net/network.h"
 #include "net/switch.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr::net {
 namespace {
 
 struct Fixture {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   NetConfig cfg;
   Topology topo;
   Network net;
 
   explicit Fixture(int switches = 1)
-      : topo(make_chain(switches, NetConfig{})), net(sim, topo, NetConfig{}) {}
+      : topo(make_chain(switches, NetConfig{})),
+        net(engine, ShardPlan::single(topo), topo, NetConfig{}) {}
 };
 
 TEST(Host, FlowCompletionTimeMatchesAnalytic) {

@@ -10,7 +10,7 @@
 #include "net/host.h"
 #include "net/network.h"
 #include "net/switch.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr::net {
 namespace {
@@ -20,12 +20,13 @@ using common::InvariantAuditor;
 using common::ScopedThrowOnCheckFailure;
 
 struct StarFixture {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   Topology topo;
   Network net;
 
   explicit StarFixture(int hosts = 3, NetConfig cfg = NetConfig{})
-      : topo(make_star(hosts, cfg)), net(sim, topo, cfg) {}
+      : topo(make_star(hosts, cfg)), net(engine, ShardPlan::single(topo), topo, cfg) {}
 
   NodeId sw() const { return topo.switches()[0]; }
 };

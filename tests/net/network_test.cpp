@@ -4,14 +4,15 @@
 
 #include "net/host.h"
 #include "net/switch.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr::net {
 namespace {
 
 TEST(Network, ConstructsDevicesMatchingTopology) {
-  sim::Simulator sim;
-  Network net(sim, make_fat_tree(4, NetConfig{}));
+  sim::ShardedEngine engine;
+  const Topology topo = make_fat_tree(4, NetConfig{});
+  Network net(engine, ShardPlan::single(topo), topo);
   EXPECT_EQ(net.hosts().size(), 16u);
   EXPECT_EQ(net.switches().size(), 20u);
   EXPECT_NO_THROW(net.host(0));
@@ -21,8 +22,9 @@ TEST(Network, ConstructsDevicesMatchingTopology) {
 }
 
 TEST(Network, BaseRttScalesWithHops) {
-  sim::Simulator sim;
-  Network net(sim, make_fat_tree(4, NetConfig{}));
+  sim::ShardedEngine engine;
+  const Topology topo = make_fat_tree(4, NetConfig{});
+  Network net(engine, ShardPlan::single(topo), topo);
   const Tick same_edge = net.base_rtt(FlowKey{0, 1, 1, 1});    // 2 links
   const Tick same_pod = net.base_rtt(FlowKey{0, 2, 1, 1});     // 4 links
   const Tick cross_pod = net.base_rtt(FlowKey{0, 15, 1, 1});   // 6 links
@@ -34,8 +36,9 @@ TEST(Network, BaseRttScalesWithHops) {
 }
 
 TEST(Network, IdealFctMonotonicInSize) {
-  sim::Simulator sim;
-  Network net(sim, make_fat_tree(4, NetConfig{}));
+  sim::ShardedEngine engine;
+  const Topology topo = make_fat_tree(4, NetConfig{});
+  Network net(engine, ShardPlan::single(topo), topo);
   const FlowKey f{0, 15, 1, 1};
   Tick prev = 0;
   for (std::int64_t b = 1 << 12; b <= 1 << 24; b <<= 2) {
@@ -46,8 +49,9 @@ TEST(Network, IdealFctMonotonicInSize) {
 }
 
 TEST(Network, IdealFctDominatedBySerializationForLargeFlows) {
-  sim::Simulator sim;
-  Network net(sim, make_fat_tree(4, NetConfig{}));
+  sim::ShardedEngine engine;
+  const Topology topo = make_fat_tree(4, NetConfig{});
+  Network net(engine, ShardPlan::single(topo), topo);
   const FlowKey f{0, 15, 1, 1};
   const std::int64_t bytes = 100 * 1024 * 1024;
   const Tick fct = net.ideal_fct(f, bytes);
@@ -57,10 +61,12 @@ TEST(Network, IdealFctDominatedBySerializationForLargeFlows) {
 }
 
 TEST(Network, DeliverHonorsPropagationDelay) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   NetConfig cfg;
   cfg.link_delay = 7 * sim::kMicrosecond;
-  Network net(sim, make_chain(1, cfg), cfg);
+  const Topology topo = make_chain(1, cfg);
+  Network net(engine, ShardPlan::single(topo), topo, cfg);
   // Host 0's uplink: deliver a PFC frame and observe the host pauses only
   // after the link delay.
   const NodeId edge = net.topology().peer(0, 0).node;
@@ -73,8 +79,9 @@ TEST(Network, DeliverHonorsPropagationDelay) {
 }
 
 TEST(Network, StatsSharedAcrossDevices) {
-  sim::Simulator sim;
-  Network net(sim, make_star(4, NetConfig{}));
+  sim::ShardedEngine engine;
+  const Topology topo = make_star(4, NetConfig{});
+  Network net(engine, ShardPlan::single(topo), topo);
   net.stats().add_counter("test", 3);
   EXPECT_EQ(net.stats().counter("test"), 3);
 }

@@ -6,7 +6,7 @@
 #include "net/host.h"
 #include "net/network.h"
 #include "net/switch.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr::net {
 namespace {
@@ -87,10 +87,12 @@ TEST(Swift, FactorySelectsAlgorithm) {
 }
 
 TEST(Swift, IncastUnderSwiftStaysLossless) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   NetConfig cfg;
   cfg.cc_algorithm = CcAlgorithm::kSwift;
-  Network net(sim, make_star(5, cfg), cfg);
+  const Topology topo = make_star(5, cfg);
+  Network net(engine, ShardPlan::single(topo), topo, cfg);
   int done = 0;
   for (NodeId s = 0; s < 4; ++s) {
     const FlowKey key{s, 4, static_cast<std::uint16_t>(10 + s), 20};
@@ -107,10 +109,12 @@ TEST(Swift, IncastUnderSwiftStaysLossless) {
 }
 
 TEST(Swift, CollectiveCompletesUnderSwift) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   NetConfig cfg;
   cfg.cc_algorithm = CcAlgorithm::kSwift;
-  Network net(sim, make_fat_tree(4, cfg), cfg);
+  const Topology topo = make_fat_tree(4, cfg);
+  Network net(engine, ShardPlan::single(topo), topo, cfg);
   const auto hosts = net.topology().hosts();
   std::vector<NodeId> participants(hosts.begin(), hosts.begin() + 8);
   auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather, participants,

@@ -4,7 +4,7 @@
 
 #include "net/host.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr::net {
 namespace {
@@ -12,12 +12,13 @@ namespace {
 /// Star fabric: N senders into one switch makes queueing/PFC/ECN easy to
 /// provoke deterministically.
 struct StarFixture {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   Topology topo;
   Network net;
 
   explicit StarFixture(int hosts = 5, NetConfig cfg = NetConfig{})
-      : topo(make_star(hosts, cfg)), net(sim, topo, cfg) {}
+      : topo(make_star(hosts, cfg)), net(engine, ShardPlan::single(topo), topo, cfg) {}
 
   NodeId sw() const { return topo.switches()[0]; }
 };

@@ -2,28 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/host.h"
 #include "net/network.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr::net {
 namespace {
 
 TEST(Tracer, RecordsPacketJourneyAcrossFabric) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   NetConfig cfg;
-  Network net(sim, make_fat_tree(4, cfg), cfg);
-  PacketTracer tracer;
-  net.set_tracer(&tracer);
-
+  const Topology topo = make_fat_tree(4, cfg);
+  Network net(engine, ShardPlan::single(topo), topo, cfg);
   const FlowKey key{0, 15, 10, 20};  // cross-pod: 6 links
+  std::vector<TraceEvent> journey;   // data packet 0, every hop
+  PacketTracer tracer;
+  tracer.set_sink([&](const TraceEvent& ev) {
+    if (ev.flow == key && ev.seq == 0 && ev.pkt_type == PacketType::kData)
+      journey.push_back(ev);
+  });
+  net.set_domain_tracer(0, &tracer);
+
   net.host(15).expect_flow(key, 4 * 4096);
   net.host(0).start_flow(key, 4 * 4096);
   sim.run();
 
   // Packet 0 journey: host tx, then enqueue+dequeue at each of 5 switches,
   // then host rx.
-  const auto journey = tracer.journey(key, 0);
   ASSERT_FALSE(journey.empty());
   EXPECT_EQ(journey.front().kind, TraceEvent::Kind::kHostTx);
   EXPECT_EQ(journey.front().node, 0);
@@ -42,14 +50,26 @@ TEST(Tracer, RecordsPacketJourneyAcrossFabric) {
 }
 
 TEST(Tracer, FlowFilterExcludesOthers) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   NetConfig cfg;
-  Network net(sim, make_star(4, cfg), cfg);
-  PacketTracer tracer;
+  const Topology topo = make_star(4, cfg);
+  Network net(engine, ShardPlan::single(topo), topo, cfg);
   const FlowKey watched{0, 3, 10, 20};
   const FlowKey other{1, 3, 11, 21};
-  tracer.filter({watched});
-  net.set_tracer(&tracer);
+  // The filter lives in the sink: keep the watched flow, count the rest
+  // (the other flow, and both flows' reverse-keyed ACKs).
+  std::vector<TraceEvent> kept;
+  int skipped = 0;
+  PacketTracer tracer;
+  tracer.set_sink([&](const TraceEvent& ev) {
+    if (ev.flow == watched) {
+      kept.push_back(ev);
+    } else {
+      ++skipped;
+    }
+  });
+  net.set_domain_tracer(0, &tracer);
 
   net.host(3).expect_flow(watched, 4096);
   net.host(3).expect_flow(other, 4096);
@@ -57,52 +77,44 @@ TEST(Tracer, FlowFilterExcludesOthers) {
   net.host(1).start_flow(other, 4096);
   sim.run();
 
-  EXPECT_FALSE(tracer.events().empty());
-  for (const auto& ev : tracer.events()) EXPECT_EQ(ev.flow, watched);
+  EXPECT_FALSE(kept.empty());
+  EXPECT_GT(skipped, 0);
+  for (const auto& ev : kept) EXPECT_EQ(ev.flow, watched);
 }
 
 TEST(Tracer, DataOnlySkipsAcks) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   NetConfig cfg;
-  Network net(sim, make_star(3, cfg), cfg);
+  const Topology topo = make_star(3, cfg);
+  Network net(engine, ShardPlan::single(topo), topo, cfg);
+  std::vector<TraceEvent> data;
+  int control = 0;
   PacketTracer tracer;
-  tracer.data_only(true);
-  net.set_tracer(&tracer);
+  tracer.set_sink([&](const TraceEvent& ev) {
+    if (ev.pkt_type == PacketType::kData) {
+      data.push_back(ev);
+    } else {
+      ++control;  // ACKs and the like
+    }
+  });
+  net.set_domain_tracer(0, &tracer);
 
   const FlowKey key{0, 2, 10, 20};
   net.host(2).expect_flow(key, 4 * 4096);
   net.host(0).start_flow(key, 4 * 4096);
   sim.run();
-  for (const auto& ev : tracer.events()) EXPECT_EQ(ev.pkt_type, PacketType::kData);
-}
-
-TEST(Tracer, BoundedCapacityEvicts) {
-  PacketTracer tracer(4);
-  for (std::uint32_t i = 0; i < 10; ++i)
-    tracer.record(TraceEvent{TraceEvent::Kind::kHostTx, static_cast<Tick>(i), 0, 0,
-                             PacketType::kData, FlowKey{0, 1, 2, 3}, i, 64});
-  EXPECT_EQ(tracer.events().size(), 4u);
-  EXPECT_EQ(tracer.dropped_events(), 6u);
-  EXPECT_EQ(tracer.events().front().seq, 6u);  // oldest evicted
-  tracer.clear();
-  EXPECT_TRUE(tracer.events().empty());
-  EXPECT_EQ(tracer.dropped_events(), 0u);
-}
-
-TEST(Tracer, DumpIsTabSeparated) {
-  PacketTracer tracer;
-  tracer.record(TraceEvent{TraceEvent::Kind::kDrop, 42, 5, 1, PacketType::kData,
-                           FlowKey{0, 1, 2, 3}, 7, 4096});
-  const std::string dump = tracer.dump();
-  EXPECT_NE(dump.find("drop"), std::string::npos);
-  EXPECT_NE(dump.find("42\t"), std::string::npos);
-  EXPECT_NE(dump.find("# time"), std::string::npos);
+  EXPECT_FALSE(data.empty());
+  EXPECT_GT(control, 0);
+  for (const auto& ev : data) EXPECT_EQ(ev.pkt_type, PacketType::kData);
 }
 
 TEST(Tracer, DetachedCostsNothing) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   NetConfig cfg;
-  Network net(sim, make_star(3, cfg), cfg);
+  const Topology topo = make_star(3, cfg);
+  Network net(engine, ShardPlan::single(topo), topo, cfg);
   EXPECT_EQ(net.tracer(), nullptr);
   const FlowKey key{0, 2, 10, 20};
   net.host(2).expect_flow(key, 4096);

@@ -23,8 +23,6 @@ std::size_t count_occurrences(const std::string& haystack, const std::string& ne
 void fill_registry(sim::StatsRegistry& stats) {
   stats.add_counter("overhead.poll_bytes", 1200);
   stats.add_counter("replay.frames", 56);
-  stats.add_sample("queue.depth", 4.0);
-  stats.add_sample("queue.depth", 8.0);
   stats.observe("diag.latency_ns", 900);     // bucket 10 (512..1023)
   stats.observe("diag.latency_ns", 1000);    // bucket 10
   stats.observe("diag.latency_ns", 70000);   // bucket 17 (65536..131071)
@@ -41,8 +39,6 @@ TEST(MetricsSnapshot, CapturesAllThreeKinds) {
   EXPECT_FALSE(snap.empty());
   EXPECT_EQ(snap.counters.at("overhead.poll_bytes"), 1200);
   EXPECT_EQ(snap.counters.at("replay.frames"), 56);
-  EXPECT_EQ(snap.summaries.at("queue.depth").count(), 2u);
-  EXPECT_DOUBLE_EQ(snap.summaries.at("queue.depth").mean(), 6.0);
   EXPECT_EQ(snap.hists.at("diag.latency_ns").count(), 3u);
 }
 
@@ -60,11 +56,6 @@ TEST(PrometheusExport, SanitizesNamesAndTypesSeries) {
   const std::string text = to_prometheus(filled_snapshot());
   EXPECT_NE(text.find("# TYPE vedr_overhead_poll_bytes counter\n"), std::string::npos) << text;
   EXPECT_NE(text.find("vedr_overhead_poll_bytes 1200\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE vedr_queue_depth gauge\n"), std::string::npos);
-  EXPECT_NE(text.find("vedr_queue_depth_count 2\n"), std::string::npos);
-  EXPECT_NE(text.find("vedr_queue_depth_mean 6\n"), std::string::npos);
-  EXPECT_NE(text.find("vedr_queue_depth_min 4\n"), std::string::npos);
-  EXPECT_NE(text.find("vedr_queue_depth_max 8\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE vedr_diag_latency_ns histogram\n"), std::string::npos);
   EXPECT_EQ(text.find('.'), std::string::npos) << "dotted names must not leak: " << text;
 }
@@ -106,8 +97,6 @@ TEST(JsonExport, RendersCountersSummariesAndHistograms) {
   const std::string json = to_json(filled_snapshot());
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"overhead.poll_bytes\":1200"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"summaries\""), std::string::npos);
-  EXPECT_NE(json.find("\"queue.depth\""), std::string::npos);
   EXPECT_NE(json.find("\"hists\""), std::string::npos);
   // Histogram buckets render as [upper_edge, count] pairs.
   EXPECT_NE(json.find("\"buckets\":[[1023,2],[131071,1]]"), std::string::npos) << json;
@@ -116,7 +105,7 @@ TEST(JsonExport, RendersCountersSummariesAndHistograms) {
 
 TEST(JsonExport, EmptySnapshotIsStillAnObject) {
   const std::string json = to_json(MetricsSnapshot{});
-  EXPECT_EQ(json, "{\"counters\":{},\"summaries\":{},\"hists\":{},\"gauges\":[]}");
+  EXPECT_EQ(json, "{\"counters\":{},\"hists\":{},\"gauges\":[]}");
 }
 
 TEST(PrometheusExport, LabelValuesAreEscaped) {

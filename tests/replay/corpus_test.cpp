@@ -1,14 +1,19 @@
 // Golden-trace corpus: one recorded case per scenario, checked into
 // tests/replay/corpus/ alongside the live run's diagnosis JSON. Replaying a
 // stored trace must reproduce the stored diagnosis byte-for-byte — this
-// pins the analyzer's behavior across refactors (an intended behavior change
-// shows up as a corpus diff, regenerated with VEDR_UPDATE_CORPUS=1).
+// pins the analyzer's behavior across refactors — and recording the case
+// live must reproduce the stored trace byte-for-byte, which pins the
+// simulator (an intended behavior change shows up as a corpus diff,
+// regenerated with VEDR_UPDATE_CORPUS=1).
 //
 //   VEDR_UPDATE_CORPUS=1 ./replay_tests --gtest_filter='Corpus*'
 //
 // re-records every trace and expectation in the source tree.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <fstream>
 #include <string>
 
@@ -30,8 +35,10 @@ namespace {
 constexpr double kCorpusScale = 1.0 / 256.0;
 constexpr int kCorpusCase = 0;
 
+// The name is held inline, not as a pointer: gtest names each case after its
+// parameter's bytes, and a pointer's bytes change with every build and run.
 struct CorpusEntry {
-  const char* name;
+  char name[15];
   eval::ScenarioType type;
 };
 
@@ -47,6 +54,14 @@ std::string read_file(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
+eval::ScenarioSpec corpus_spec(const CorpusEntry& entry, const eval::RunConfig& cfg) {
+  eval::ScenarioParams params;
+  params.scale = kCorpusScale;
+  const net::Topology topo = net::make_fat_tree(4, cfg.netcfg);
+  const auto routing = net::RoutingTable::shortest_paths(topo);
+  return eval::make_scenario(entry.type, kCorpusCase, topo, routing, params);
+}
+
 class CorpusTest : public ::testing::TestWithParam<CorpusEntry> {};
 
 TEST_P(CorpusTest, ReplayedDiagnosisMatchesStoredExpectation) {
@@ -56,12 +71,8 @@ TEST_P(CorpusTest, ReplayedDiagnosisMatchesStoredExpectation) {
   const std::string json_path = dir + "/" + entry.name + ".expected.json";
 
   if (common::env_str("VEDR_UPDATE_CORPUS")) {
-    eval::RunConfig cfg;
-    eval::ScenarioParams params;
-    params.scale = kCorpusScale;
-    const net::Topology topo = net::make_fat_tree(4, cfg.netcfg);
-    const auto routing = net::RoutingTable::shortest_paths(topo);
-    const auto spec = eval::make_scenario(entry.type, kCorpusCase, topo, routing, params);
+    const eval::RunConfig cfg;
+    const auto spec = corpus_spec(entry, cfg);
     std::string error;
     const eval::CaseResult live =
         eval::record_case(spec, eval::SystemKind::kVedrfolnir, cfg, trace_path, &error);
@@ -85,6 +96,38 @@ TEST_P(CorpusTest, ReplayedDiagnosisMatchesStoredExpectation) {
   EXPECT_EQ(replayed.diagnosis_json, expected) << entry.name;
   EXPECT_TRUE(replayed.digest_matches) << entry.name;
   EXPECT_EQ(replayed.diagnosis_digest, replayed.footer.diagnosis_digest);
+}
+
+// The live path, pinned: recording the corpus case afresh must reproduce the
+// stored trace and expectation byte for byte. Replay alone cannot catch an
+// engine change that reorders events — the stored trace would still replay
+// cleanly — so this is the check that fails when the simulator drifts.
+TEST_P(CorpusTest, LiveRecordingMatchesStoredTrace) {
+  const CorpusEntry& entry = GetParam();
+  if (common::env_str("VEDR_UPDATE_CORPUS")) GTEST_SKIP() << "regeneration pass";
+  const std::string dir = VEDR_REPLAY_CORPUS_DIR;
+  // ctest runs every case as its own process, in parallel; a per-process
+  // suffix keeps concurrent recordings apart.
+  const std::string live_path = ::testing::TempDir() + "/live_" + entry.name + "." +
+                                std::to_string(::getpid()) + ".vtrc";
+
+  const eval::RunConfig cfg;
+  std::string error;
+  const eval::CaseResult live = eval::record_case(corpus_spec(entry, cfg),
+                                                  eval::SystemKind::kVedrfolnir, cfg,
+                                                  live_path, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const std::string live_trace = read_file(live_path);
+  std::remove(live_path.c_str());
+
+  const std::string stored_trace = read_file(dir + "/" + entry.name + ".vtrc");
+  ASSERT_FALSE(stored_trace.empty()) << "missing stored trace for " << entry.name;
+  EXPECT_TRUE(live_trace == stored_trace)
+      << entry.name << ": live recording (" << live_trace.size()
+      << " bytes) differs from the stored trace (" << stored_trace.size() << " bytes)";
+  EXPECT_EQ(core::json::diagnosis_to_json(live.diagnosis),
+            read_file(dir + "/" + entry.name + ".expected.json"))
+      << entry.name;
 }
 
 // Sketch-lane agreement over the same golden corpus: replaying each trace

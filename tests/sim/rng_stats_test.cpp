@@ -67,23 +67,6 @@ TEST(Rng, MixAvalanche) {
   EXPECT_LT(popcount, 48);
 }
 
-TEST(Summary, BasicMoments) {
-  Summary s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.stddev(), 1.118, 1e-3);
-}
-
-TEST(Summary, EmptyIsZero) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
 TEST(StatsRegistry, CountersAccumulate) {
   StatsRegistry reg;
   reg.add_counter("a");
@@ -92,17 +75,8 @@ TEST(StatsRegistry, CountersAccumulate) {
   EXPECT_EQ(reg.counter("a"), 6);
   EXPECT_EQ(reg.counter("b"), -2);
   EXPECT_EQ(reg.counter("missing"), 0);
-}
-
-TEST(StatsRegistry, SummariesAndReset) {
-  StatsRegistry reg;
-  reg.add_sample("x", 1.0);
-  reg.add_sample("x", 3.0);
-  EXPECT_DOUBLE_EQ(reg.summary("x").mean(), 2.0);
-  EXPECT_EQ(reg.summary("missing").count(), 0u);
   reg.reset();
   EXPECT_EQ(reg.counter("a"), 0);
-  EXPECT_EQ(reg.summary("x").count(), 0u);
 }
 
 }  // namespace

@@ -36,6 +36,45 @@ TEST(ShardedEngine, SingleDomainExecutesInTimeOrder) {
   EXPECT_EQ(engine.events_executed(), 3u);
 }
 
+TEST(ShardedEngine, OneDomainUnboundedMatchesBareSimulator) {
+  // The serial lane: one domain, unbounded lookahead, run to the end of time.
+  // It must execute exactly what a bare Simulator::run does, in the same
+  // (time, seq) order — same-time ties included — as one window, and its
+  // window arithmetic must not overflow at kForever.
+  struct Log {
+    std::vector<std::pair<Tick, int>> fired;
+  };
+  const auto seed = [](Simulator& sim, Log& log) {
+    for (int i = 0; i < 6; ++i) {
+      const Tick at = (i % 3) * 100;  // three ties per time
+      sim.schedule_at(at, [&sim, &log, i] {
+        log.fired.emplace_back(sim.now(), i);
+        // Chains scheduled mid-run, some landing on an existing tie.
+        if (i < 3)
+          sim.schedule_in(100, [&sim, &log, i] { log.fired.emplace_back(sim.now(), 10 + i); });
+      });
+    }
+    sim.schedule_at(kForever, [&sim, &log] { log.fired.emplace_back(sim.now(), 99); });
+  };
+
+  Simulator bare;
+  Log bare_log;
+  seed(bare, bare_log);
+  const std::uint64_t bare_n = bare.run();
+
+  ShardedEngine engine;
+  EXPECT_EQ(engine.num_domains(), 1);
+  EXPECT_EQ(engine.lookahead(), kForever);
+  Log engine_log;
+  seed(engine.domain(0), engine_log);
+  const std::uint64_t engine_n = engine.run();
+
+  EXPECT_EQ(engine_n, bare_n);
+  EXPECT_EQ(engine_log.fired, bare_log.fired);
+  EXPECT_EQ(engine_log.fired.back(), (std::pair<Tick, int>{kForever, 99}));
+  EXPECT_EQ(engine.windows(), 1u);
+}
+
 TEST(ShardedEngine, UntilBoundIsInclusive) {
   // Matches Simulator::run(until): an event AT the bound executes, one past
   // it stays queued.

@@ -19,7 +19,7 @@
 #include "collective/runner.h"
 #include "net/network.h"
 #include "net/topology.h"
-#include "sim/simulator.h"
+#include "sim/sharded_engine.h"
 
 // The override must not exist under sanitizers: their runtimes interpose the
 // allocator themselves, and GCC's -Wmismatched-new-delete flags our
@@ -67,13 +67,14 @@ namespace vedr {
 namespace {
 
 TEST(SteadyStateAlloc, CongestedDcqcnWorkloadAllocatesNothing) {
-  sim::Simulator sim;
+  sim::ShardedEngine engine;
+  sim::Simulator& sim = engine.domain(0);
   // A 2-tier fat-tree with an incast-prone ring AllGather: enough ECN
   // marking and CNP traffic to keep every hot path (host tx, switch queues,
   // PFC accounting, DCQCN timers, ACK/CNP control packets) exercised.
   net::NetConfig cfg;
   const net::Topology topo = net::make_fat_tree(4, cfg);
-  net::Network network(sim, topo, cfg);
+  net::Network network(engine, net::ShardPlan::single(topo), topo, cfg);
 
   const auto hosts = network.hosts();
   ASSERT_GE(hosts.size(), 8u);

@@ -20,7 +20,7 @@ Metrics checks (Prometheus text exposition):
   * histogram series end with a le="+Inf" bucket equal to _count, and
     cumulative bucket counts never decrease.
 
-Metrics-JSON checks: object with counters/summaries/hists maps plus an
+Metrics-JSON checks: object with counters/hists maps plus an
 optional gauges series list ({name, labels, value} objects).
 
 Serve-metrics checks (--serve-metrics, a /metrics or --metrics-out body):
@@ -163,7 +163,7 @@ def check_metrics(path: str) -> None:
 def check_metrics_json(path: str) -> None:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    for key in ("counters", "summaries", "hists"):
+    for key in ("counters", "hists"):
         if not isinstance(doc.get(key), dict):
             fail(f"{path}: top-level '{key}' object missing")
     for name, h in doc.get("hists", {}).items():

@@ -5,10 +5,11 @@
 //                    [--scale F] [--runs N] [--shards N] [--k K]
 //                    [--obs-trace FILE.json]
 //
-// --shards 1 (default) runs the serial engine: its four scenario digests are
-// pinned and must never change. --shards N>1 runs the conservative sharded
-// engine (Vedrfolnir only) — a separate digest lane whose value is identical
-// for every N>=2, which CI checks by diffing --shards 2 against --shards 4.
+// --shards 1 (default) runs the serial lane (one domain): its four scenario
+// digests are pinned and must never change. --shards N>1 runs the fabric's
+// pod domains on the conservative parallel engine (Vedrfolnir only) — a
+// separate digest lane whose value is identical for every N>=2, which CI
+// checks by diffing --shards 2 against --shards 4.
 //
 // Each run folds the complete packet-event stream plus every diagnosis-visible
 // output into a 64-bit digest (eval::run_case_digest). All runs of the same

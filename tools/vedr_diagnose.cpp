@@ -17,10 +17,10 @@
 // JSON when the path ends in .json). Both are taps: the diagnosis and its
 // exit code are identical with or without them.
 //
-// --shard-report (requires --shards >= 2) prints the parallel engine's
-// end-of-run introspection table to stderr: per-worker barrier-wait ratios,
-// per-domain event distributions, and handoff-lane occupancy/spills
-// (DESIGN.md §15). Also a tap — digests stay byte-identical with it on.
+// --shard-report prints the engine's end-of-run introspection table to
+// stderr: per-worker barrier-wait ratios, per-domain event distributions,
+// and handoff-lane occupancy/spills (DESIGN.md §15). Also a tap — digests
+// stay byte-identical with it on.
 //
 // --telemetry sketch runs the fabric's collection plane on the bounded
 // count-min/top-k backend instead of the exact per-flow tables; the sketch
@@ -135,11 +135,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (shards > 1 && !record_path.empty()) {
-    std::fprintf(stderr, "error: --record is serial-only; drop --shards\n");
-    return 2;
-  }
-  if (shard_report && shards < 2) {
-    std::fprintf(stderr, "error: --shard-report requires --shards >= 2\n");
+    std::fprintf(stderr, "error: --record is single-domain only; drop --shards\n");
     return 2;
   }
 
@@ -196,13 +192,8 @@ int main(int argc, char** argv) {
     std::printf("\n%s", result.diagnosis.summary().c_str());
   }
 
-  if (shard_report) {
-    // stderr, like all taps: stdout stays parseable (--json pipelines).
-    if (result.shard_report != nullptr)
-      std::fprintf(stderr, "%s", result.shard_report->table().c_str());
-    else
-      std::fprintf(stderr, "shard report: unavailable (fabric ran serial)\n");
-  }
+  // stderr, like all taps: stdout stays parseable (--json pipelines).
+  if (shard_report) std::fprintf(stderr, "%s", result.shard_report->table().c_str());
 
   if (!dot_prefix.empty()) {
     // Re-deriving graphs needs the analyzer; run_case returns only the
