@@ -31,6 +31,7 @@ struct MonitorHarness {
   std::vector<net::NodeId> participants;
   collective::CollectivePlan plan;
   core::Analyzer analyzer;
+  core::DomainIngestBuffer ingest{sim, 0, nullptr};
   core::Monitor monitor;
   collective::StepRecord rec;
 
@@ -39,7 +40,7 @@ struct MonitorHarness {
         plan(collective::CollectivePlan::ring(0, collective::OpType::kAllGather,
                                               {0, 1, 2, 3}, 1 << 20)),
         analyzer(&topo, &plan),
-        monitor(net, plan, analyzer, 0, core::DetectionConfig{}) {
+        monitor(net, plan, ingest, 0, core::DetectionConfig{}) {
     rec.flow_index = 0;
     rec.step = 0;
     rec.src = 0;

@@ -88,12 +88,8 @@ int main() {
   // (b) Provenance graph of the step where the bottleneck flow ran.
   vedr.analyzer().global_graph().finalize();
   {
-    std::unordered_set<net::FlowKey, net::FlowKeyHash> cc_keys;
-    for (int f = 0; f < runner.plan().num_flows(); ++f)
-      for (const auto& s : runner.plan().steps_of_flow(f))
-        cc_keys.insert(runner.plan().key_for(f, s.step));
     std::ofstream out("fig14_provenance.dot");
-    out << vedr.analyzer().global_graph().to_dot(cc_keys);
+    out << vedr.analyzer().global_graph().to_dot(runner.plan().flow_keys());
   }
   std::printf("provenance graph -> fig14_provenance.dot\n");
 

@@ -16,10 +16,7 @@ FullPolling::FullPolling(net::Network& net, const collective::CollectivePlan& pl
                          sim::Tick interval)
     : net_(net), analyzer_(&net.topology(), nullptr), interval_(interval) {
   net_.sim().set_handler(sim::EventKind::kPollSweep, &on_poll_sweep);
-  std::unordered_set<net::FlowKey, net::FlowKeyHash> cc;
-  for (int f = 0; f < plan.num_flows(); ++f)
-    for (const auto& s : plan.steps_of_flow(f)) cc.insert(plan.key_for(f, s.step));
-  analyzer_.set_cc_flows(std::move(cc));
+  analyzer_.set_cc_flows(plan.flow_keys());
   analyzer_.set_stats(&net_.stats());
 }
 

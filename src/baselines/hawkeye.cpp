@@ -11,14 +11,11 @@ Hawkeye::Hawkeye(net::Network& net, const collective::CollectivePlan& plan, Hawk
     : net_(net), plan_(plan), cfg_(cfg), analyzer_(&net.topology(), nullptr) {
   // Hawkeye has no collective awareness: the analyzer gets the monitored
   // flow set but no plan (no waiting graph, no per-step grouping).
-  std::unordered_set<net::FlowKey, net::FlowKeyHash> cc;
   Tick max_rtt = 0, min_rtt = 0;
   bool first = true;
   for (int f = 0; f < plan_.num_flows(); ++f) {
     for (const auto& s : plan_.steps_of_flow(f)) {
-      const net::FlowKey key = plan_.key_for(f, s.step);
-      cc.insert(key);
-      const Tick rtt = net_.base_rtt(key);
+      const Tick rtt = net_.base_rtt(plan_.key_for(f, s.step));
       if (first) {
         max_rtt = min_rtt = rtt;
         first = false;
@@ -28,7 +25,7 @@ Hawkeye::Hawkeye(net::Network& net, const collective::CollectivePlan& plan, Hawk
       }
     }
   }
-  analyzer_.set_cc_flows(std::move(cc));
+  analyzer_.set_cc_flows(plan_.flow_keys());
   analyzer_.set_stats(&net_.stats());
   threshold_ = static_cast<Tick>(static_cast<double>(cfg_.use_max_rtt ? max_rtt : min_rtt) *
                                  cfg_.rtt_multiplier);

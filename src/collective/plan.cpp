@@ -225,6 +225,13 @@ FlowKey CollectivePlan::key_for(int flow_index, int step) const {
   return k;
 }
 
+std::unordered_set<FlowKey, net::FlowKeyHash> CollectivePlan::flow_keys() const {
+  std::unordered_set<FlowKey, net::FlowKeyHash> keys;
+  for (int f = 0; f < num_flows(); ++f)
+    for (const StepSpec& s : steps_of_flow(f)) keys.insert(key_for(f, s.step));
+  return keys;
+}
+
 std::pair<int, int> CollectivePlan::locate(const FlowKey& key) const {
   if (key.sport < kSportBase || key.dport < kDportBase) return {-1, -1};
   const int flow = key.sport - kSportBase;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -88,6 +89,11 @@ class CollectivePlan {
   /// flow, the destination port the (collective, step), so switch telemetry
   /// keyed by 5-tuple maps back to waiting-graph vertices.
   FlowKey key_for(int flow_index, int step) const;
+
+  /// Every transfer's 5-tuple: the collective flow set that telemetry
+  /// membership tests run against. For lookups only — iterating it would
+  /// leak hash order.
+  std::unordered_set<FlowKey, net::FlowKeyHash> flow_keys() const;
 
   /// Reverse lookup from a telemetry 5-tuple; returns {-1,-1} if the key is
   /// not one of this plan's transfers.

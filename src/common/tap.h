@@ -11,14 +11,27 @@ namespace vedr::collective {
 struct StepRecord;
 }
 
-/// Observation-only tap interfaces, merged into one header so there is a
-/// single place that defines what "observation-only" means: a tap must not
-/// perturb the simulation — no event scheduling, no RNG draws, no mutation
-/// of observed objects. A recorded run stays bit-identical to an unrecorded
-/// one. The classes keep their historical namespaces (telemetry::, core::)
-/// so implementations and wiring are unchanged.
+/// Observation-only tap interfaces and the records they carry, merged into
+/// one header so there is a single place that defines what
+/// "observation-only" means: a tap must not perturb the simulation — no
+/// event scheduling, no RNG draws, no mutation of observed objects. A
+/// recorded run stays bit-identical to an unrecorded one. The records are
+/// defined once here, below both the diagnosis plane (core) and the trace
+/// codec (replay, which names them through aliases).
 
 namespace vedr::telemetry {
+
+/// A switch sent a PAUSE (informational; polls may never cover it).
+struct PauseCauseRecord {
+  net::NodeId switch_id = net::kInvalidNode;
+  PauseCauseReport cause;
+};
+
+/// A TTL-expiry drop was recorded at a switch (informational).
+struct TtlDropRecord {
+  net::NodeId switch_id = net::kInvalidNode;
+  DropEntry drop;
+};
 
 /// Tap for switch-local telemetry events that may never be carried by any
 /// poll response: PAUSE causes and TTL-expiry drops are only reported when a
@@ -26,13 +39,41 @@ namespace vedr::telemetry {
 class TelemetryTap {
  public:
   virtual ~TelemetryTap() = default;
-  virtual void on_pause_cause(net::NodeId switch_id, const PauseCauseReport& cause) = 0;
-  virtual void on_ttl_drop(net::NodeId switch_id, const DropEntry& drop) = 0;
+  virtual void on_pause_cause(const PauseCauseRecord& r) = 0;
+  virtual void on_ttl_drop(const TtlDropRecord& r) = 0;
 };
 
 }  // namespace vedr::telemetry
 
 namespace vedr::core {
+
+/// Mirror of Analyzer::register_poll.
+struct PollRegistration {
+  std::uint64_t poll_id = 0;
+  std::int32_t flow = -1;
+  std::int32_t step = -1;
+};
+
+/// A host monitor fired a detection trigger (budgeted, watchdog, or
+/// baseline-threshold) and sent a poll packet (informational; replay does
+/// not need it, offline tooling does).
+struct PollTriggerRecord {
+  net::Tick time = 0;
+  net::NodeId host = net::kInvalidNode;
+  net::FlowKey flow;
+  std::uint64_t poll_id = 0;
+  std::int32_t step = -1;
+};
+
+/// A host monitor transferred leftover detection budget downstream
+/// (informational).
+struct NotificationRecord {
+  net::Tick time = 0;
+  net::NodeId from = net::kInvalidNode;
+  net::NodeId to = net::kInvalidNode;
+  std::int32_t step = -1;
+  std::int32_t budget = 0;
+};
 
 /// Tap over the diagnosis plane's complete input stream: everything the
 /// Analyzer ingests (step records, poll registrations, switch reports) plus
@@ -48,17 +89,12 @@ class TraceTap : public telemetry::TelemetryTap {
   /// Mirror of Analyzer::add_step_record.
   virtual void on_step_record(const collective::StepRecord& r) = 0;
   /// Mirror of Analyzer::register_poll.
-  virtual void on_poll_registered(std::uint64_t poll_id, int flow, int step) = 0;
+  virtual void on_poll_registered(const PollRegistration& r) = 0;
   /// Mirror of Analyzer::on_switch_report (post-retention for baselines that
   /// filter, so replay sees exactly what the analyzer saw).
   virtual void on_switch_report_in(const telemetry::SwitchReport& report) = 0;
-  /// A host monitor fired a detection trigger (budgeted, watchdog, or
-  /// baseline-threshold) and sent a poll packet.
-  virtual void on_poll_trigger(net::Tick time, net::NodeId host, const net::FlowKey& flow,
-                               std::uint64_t poll_id, int step) = 0;
-  /// A host monitor transferred leftover detection budget downstream.
-  virtual void on_notification_sent(net::Tick time, net::NodeId from, net::NodeId to, int step,
-                                    int budget) = 0;
+  virtual void on_poll_trigger(const PollTriggerRecord& r) = 0;
+  virtual void on_notification_sent(const NotificationRecord& r) = 0;
 };
 
 }  // namespace vedr::core

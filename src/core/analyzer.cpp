@@ -11,10 +11,7 @@ namespace vedr::core {
 
 Analyzer::Analyzer(const net::Topology* topo, const collective::CollectivePlan* plan)
     : topo_(topo), plan_(plan), global_(topo, &tables_) {
-  if (plan_ != nullptr) {
-    for (int f = 0; f < plan_->num_flows(); ++f)
-      for (const auto& s : plan_->steps_of_flow(f)) cc_flows_.insert(plan_->key_for(f, s.step));
-  }
+  if (plan_ != nullptr) cc_flows_ = plan_->flow_keys();
 }
 
 void Analyzer::set_stats(sim::StatsRegistry* stats) {
@@ -28,7 +25,7 @@ void Analyzer::add_step_record(const collective::StepRecord& r) {
 }
 
 void Analyzer::register_poll(std::uint64_t poll_id, int flow, int step) {
-  if (tap_ != nullptr) tap_->on_poll_registered(poll_id, flow, step);
+  if (tap_ != nullptr) tap_->on_poll_registered({poll_id, flow, step});
   // The monitor only emits polls for a live step; a negative identity would
   // corrupt the packed registry entry.
   VEDR_CHECK(flow >= 0 && step >= 0, "poll registered with invalid identity F", flow, "S",

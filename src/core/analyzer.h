@@ -9,7 +9,6 @@
 #include "common/dense_map.h"
 #include "common/thread_annotations.h"
 #include "core/diagnosis.h"
-#include "core/ingest.h"
 #include "core/intern.h"
 #include "core/provenance_graph.h"
 #include "common/tap.h"
@@ -48,7 +47,7 @@ namespace vedr::core {
 /// intern tables, and scratch buffers are unsynchronized by design). The
 /// streaming daemon (ROADMAP item 3) runs one Analyzer per tenant shard;
 /// concurrency lives in the shard executor, never inside the analyzer.
-class VEDR_SINGLE_THREADED Analyzer : public IngestSink, public telemetry::ReportSink {
+class VEDR_SINGLE_THREADED Analyzer {
  public:
   Analyzer(const net::Topology* topo, const collective::CollectivePlan* plan);
 
@@ -61,11 +60,11 @@ class VEDR_SINGLE_THREADED Analyzer : public IngestSink, public telemetry::Repor
 
   // --- ingestion -------------------------------------------------------------
 
-  void add_step_record(const collective::StepRecord& r) override;
+  void add_step_record(const collective::StepRecord& r);
   /// Associates a poll id with (flow, step) so the triggered switch reports
   /// land in the right per-step provenance graph.
-  void register_poll(std::uint64_t poll_id, int flow, int step) override;
-  void on_switch_report(const telemetry::SwitchReport& report) override;
+  void register_poll(std::uint64_t poll_id, int flow, int step);
+  void on_switch_report(const telemetry::SwitchReport& report);
 
   /// Drops all ingested state (records, polls, graphs) but keeps the intern
   /// tables and every warmed buffer, ready for the next case.

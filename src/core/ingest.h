@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "collective/runner.h"
+#include "common/tap.h"
 #include "sim/simulator.h"
 #include "telemetry/records.h"
 
@@ -13,65 +14,67 @@ namespace vedr::core {
 
 class Analyzer;
 
-/// The host-monitor half of the analyzer's ingestion surface: step records
-/// and poll registrations. The Analyzer implements it directly (the
-/// one-domain wiring); multi-domain runs interpose a DomainIngestBuffer so
-/// monitors on worker threads never touch the single-threaded analyzer.
-class IngestSink {
- public:
-  virtual ~IngestSink() = default;
-  virtual void add_step_record(const collective::StepRecord& r) = 0;
-  virtual void register_poll(std::uint64_t poll_id, int flow, int step) = 0;
-};
-
-/// Per-domain staging buffer for everything a domain produces toward the
-/// analyzer — step records, poll registrations, switch telemetry reports —
-/// each stamped with (domain-local time, arrival sequence). One buffer per
-/// domain, written only by that domain's worker (no synchronization needed);
-/// after the engine joins, replay_into() merges every buffer in
-/// (time, domain, seq) order, so the analyzer sees one deterministic stream
-/// independent of worker count and thread scheduling.
+/// Per-domain staging buffer: the one path by which a Vedrfolnir run's
+/// diagnosis-plane records reach the analyzer, at any domain count. It holds
+/// everything a domain produces — step records and poll registrations from
+/// its monitors, switch reports from its controllers, and, when a trace tap
+/// is attached, the tap-only records: poll triggers and notifications from
+/// the monitors, pause causes and TTL drops as every switch recorder's tap.
+/// Each item is stamped with (domain-local time, arrival sequence). One
+/// buffer per domain, written only by that domain's worker (no
+/// synchronization needed).
 ///
-/// The ordering mirrors the serial wiring closely enough for the diagnosis
-/// to be scheduling-independent: within a domain the stream is exactly the
-/// serial arrival order, and cross-domain ties at equal time resolve by
-/// domain id — the parallel lane's documented contract (DESIGN.md §14).
-class DomainIngestBuffer final : public IngestSink, public telemetry::ReportSink {
+/// replay_into() merges every buffer in (time, domain, seq) order: analyzer
+/// inputs go to the analyzer (which mirrors them to the tap), tap-only
+/// records straight to the tap. Within a domain that is exactly the live
+/// arrival order, so a one-domain merge replays the run's stream unchanged;
+/// cross-domain ties at equal time resolve by domain id — the parallel
+/// lane's documented contract (DESIGN.md §14). The merged stream, and so a
+/// recorded trace, is independent of worker count and thread scheduling.
+class DomainIngestBuffer final : public telemetry::ReportSink, public telemetry::TelemetryTap {
  public:
-  DomainIngestBuffer(sim::Simulator& sim, int domain) : sim_(sim), domain_(domain) {}
+  /// `tap` is the run's trace tap, or nullptr: tap-only records are staged
+  /// only when there is a tap to forward them to.
+  DomainIngestBuffer(sim::Simulator& sim, int domain, TraceTap* tap)
+      : sim_(sim), domain_(domain), tap_(tap) {}
 
-  void add_step_record(const collective::StepRecord& r) override {
-    items_.push_back({sim_.now(), ++seq_, r});
-  }
-  void register_poll(std::uint64_t poll_id, int flow, int step) override {
-    items_.push_back({sim_.now(), ++seq_, PollReg{poll_id, flow, step}});
-  }
-  void on_switch_report(const telemetry::SwitchReport& report) override {
-    items_.push_back({sim_.now(), ++seq_, report});
-  }
+  void add_step_record(const collective::StepRecord& r) { stage(r); }
+  void register_poll(const PollRegistration& r) { stage(r); }
+  void on_switch_report(const telemetry::SwitchReport& report) override { stage(report); }
 
-  int domain() const { return domain_; }
-  std::size_t size() const { return items_.size(); }
+  void on_poll_trigger(const PollTriggerRecord& r) {
+    if (tap_ != nullptr) stage(r);
+  }
+  void on_notification_sent(const NotificationRecord& r) {
+    if (tap_ != nullptr) stage(r);
+  }
+  void on_pause_cause(const telemetry::PauseCauseRecord& r) override { stage(r); }
+  void on_ttl_drop(const telemetry::TtlDropRecord& r) override { stage(r); }
 
-  /// Merges every buffer's items into `analyzer` in (time, domain, seq)
-  /// order, then clears the buffers. Main thread, post-join only.
+  /// Merges every buffer's items into `analyzer` and the tap in (time,
+  /// domain, seq) order, then clears the buffers. Main thread, with the
+  /// engine's workers joined.
   static void replay_into(const std::vector<std::unique_ptr<DomainIngestBuffer>>& buffers,
                           Analyzer& analyzer);
 
  private:
-  struct PollReg {
-    std::uint64_t poll_id = 0;
-    int flow = -1;
-    int step = -1;
-  };
+  using Payload = std::variant<collective::StepRecord, PollRegistration, telemetry::SwitchReport,
+                               PollTriggerRecord, NotificationRecord, telemetry::PauseCauseRecord,
+                               telemetry::TtlDropRecord>;
   struct Item {
     sim::Tick time = 0;
     std::uint64_t seq = 0;
-    std::variant<collective::StepRecord, PollReg, telemetry::SwitchReport> payload;
+    Payload payload;
   };
+
+  template <class T>
+  void stage(const T& r) {
+    items_.push_back({sim_.now(), ++seq_, r});
+  }
 
   sim::Simulator& sim_;
   int domain_;
+  TraceTap* tap_;
   std::uint64_t seq_ = 0;
   std::vector<Item> items_;
 };

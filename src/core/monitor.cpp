@@ -17,8 +17,8 @@ void on_step_poll(const sim::EventPayload& p) {
 
 }  // namespace
 
-Monitor::Monitor(net::Network& net, const collective::CollectivePlan& plan, IngestSink& ingest,
-                 net::NodeId host, DetectionConfig cfg)
+Monitor::Monitor(net::Network& net, const collective::CollectivePlan& plan,
+                 DomainIngestBuffer& ingest, net::NodeId host, DetectionConfig cfg)
     : net_(net), plan_(plan), ingest_(ingest), host_(host), cfg_(cfg) {
   net_.set_handler_all(sim::EventKind::kStepPoll, &on_step_poll);
   flow_index_ = plan_.flow_of_host(host);
@@ -114,8 +114,7 @@ void Monitor::send_notification(const collective::StepRecord& r) {
     if (remainder > 0) --remainder;
     if (share <= 0) continue;
     const net::NodeId to = plan_.participants()[static_cast<std::size_t>(waiter)];
-    if (tap_ != nullptr)
-      tap_->on_notification_sent(net_.sim().now(), host_, to, r.step, share);
+    ingest_.on_notification_sent({net_.sim().now(), host_, to, r.step, share});
     net::Packet pkt;
     pkt.type = net::PacketType::kNotification;
     pkt.flow = net::FlowKey{host_, to, 777, 777};
@@ -142,9 +141,8 @@ void Monitor::trigger_poll(const net::FlowKey& key) {
   const std::uint64_t poll_id = sim::Rng::mix(
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(host_)) << 20, ++poll_seq_);
   VEDR_INSTANT("diag", "poll_trigger", net_.sim().now(), poll_id);
-  if (tap_ != nullptr)
-    tap_->on_poll_trigger(net_.sim().now(), host_, key, poll_id, current_step_);
-  ingest_.register_poll(poll_id, flow_index_, current_step_);
+  ingest_.on_poll_trigger({net_.sim().now(), host_, key, poll_id, current_step_});
+  ingest_.register_poll({poll_id, flow_index_, current_step_});
 
   net::Packet pkt;
   pkt.type = net::PacketType::kPoll;

@@ -6,7 +6,6 @@
 #include "collective/runner.h"
 #include "core/detection.h"
 #include "core/ingest.h"
-#include "common/tap.h"
 #include "net/network.h"
 #include "net/packet.h"
 
@@ -18,12 +17,13 @@ namespace vedr::core {
 /// to the waiting host via notification packets on step completion, and
 /// reports step performance records to the analyzer.
 ///
-/// Reports flow through an IngestSink: the analyzer itself in one-domain
-/// runs, or the host's domain staging buffer in multi-domain runs
-/// (DESIGN.md §14).
+/// Everything the monitor reports — step records and poll registrations,
+/// plus poll triggers and notifications for a trace tap — goes to its
+/// host's domain staging buffer, which the Vedrfolnir facade merges into
+/// the analyzer (DESIGN.md §14).
 class Monitor {
  public:
-  Monitor(net::Network& net, const collective::CollectivePlan& plan, IngestSink& ingest,
+  Monitor(net::Network& net, const collective::CollectivePlan& plan, DomainIngestBuffer& ingest,
           net::NodeId host, DetectionConfig cfg);
 
   /// Runner fan-in (wired by the Vedrfolnir facade).
@@ -32,10 +32,6 @@ class Monitor {
   /// NIC fan-in.
   void on_rtt_sample(const net::FlowKey& flow, Tick rtt, std::uint32_t seq);
   void on_control_packet(const net::Packet& pkt, Tick now);
-
-  /// Observation-only trace tap for poll triggers and budget notifications
-  /// (set by the Vedrfolnir facade when the run is being recorded).
-  void set_trace_tap(TraceTap* tap) { tap_ = tap; }
 
   net::NodeId host() const { return host_; }
   int flow_index() const { return flow_index_; }
@@ -58,11 +54,10 @@ class Monitor {
 
   net::Network& net_;
   const collective::CollectivePlan& plan_;
-  IngestSink& ingest_;
+  DomainIngestBuffer& ingest_;
   net::NodeId host_;
   int flow_index_ = -1;
   DetectionConfig cfg_;
-  TraceTap* tap_ = nullptr;
 
   StepTrigger trigger_;
   int current_step_ = -1;

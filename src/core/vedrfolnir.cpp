@@ -1,7 +1,7 @@
 #include "core/vedrfolnir.h"
 
-#include "common/check.h"
 #include "net/host.h"
+#include "net/switch.h"
 #include "sim/shard.h"
 
 namespace vedr::core {
@@ -11,31 +11,25 @@ Vedrfolnir::Vedrfolnir(net::Network& net, collective::CollectiveRunner& runner,
     : net_(net), runner_(runner), analyzer_(&net.topology(), &runner.plan()) {
   analyzer_.set_trace_tap(cfg.trace);
   analyzer_.set_stats(&net_.stats());
-  const bool staged = net_.num_domains() > 1;
-  if (staged) {
-    // A trace tap writes inline from whichever worker produced the record,
-    // and every domain's worker would write it at once.
-    VEDR_CHECK(cfg.trace == nullptr, "trace taps are single-domain only; run with --shards 1");
-    buffers_.reserve(static_cast<std::size_t>(net_.num_domains()));
-    for (int d = 0; d < net_.num_domains(); ++d) {
-      buffers_.push_back(std::make_unique<DomainIngestBuffer>(net_.domain_sim(d), d));
-      net_.set_domain_report_sink(d, buffers_.back().get());
-    }
-  } else {
-    net_.set_report_sink(&analyzer_);
+  buffers_.reserve(static_cast<std::size_t>(net_.num_domains()));
+  for (int d = 0; d < net_.num_domains(); ++d) {
+    buffers_.push_back(std::make_unique<DomainIngestBuffer>(net_.domain_sim(d), d, cfg.trace));
+    net_.set_domain_report_sink(d, buffers_.back().get());
   }
+  auto buffer_of = [this](net::NodeId node) -> DomainIngestBuffer& {
+    return *buffers_[static_cast<std::size_t>(net_.domain_of(node))];
+  };
+  // Pause causes and TTL drops exist only for the tap.
+  if (cfg.trace != nullptr)
+    for (const net::NodeId sw : net_.switches()) net_.switch_at(sw).telem().set_tap(&buffer_of(sw));
 
   for (net::NodeId host : runner_.plan().participants()) {
     // Scope construction to the host's domain: the monitor interns its stats
     // cells into the domain-local registry it will write from the domain's
     // worker.
     sim::ShardScope scope(net_.domain_of(host));
-    IngestSink& sink = staged
-                           ? static_cast<IngestSink&>(
-                                 *buffers_[static_cast<std::size_t>(net_.domain_of(host))])
-                           : static_cast<IngestSink&>(analyzer_);
-    auto mon = std::make_unique<Monitor>(net_, runner_.plan(), sink, host, cfg.detection);
-    mon->set_trace_tap(cfg.trace);
+    auto mon =
+        std::make_unique<Monitor>(net_, runner_.plan(), buffer_of(host), host, cfg.detection);
     Monitor* m = mon.get();
     net_.host(host).set_rtt_listener(
         [m](const net::FlowKey& f, net::Tick rtt, std::uint32_t seq) {
@@ -56,14 +50,11 @@ Vedrfolnir::Vedrfolnir(net::Network& net, collective::CollectiveRunner& runner,
   });
 }
 
-Diagnosis Vedrfolnir::diagnose() {
-  if (!buffers_.empty() && !ingest_merged_) {
-    // One-shot merge: the engine has joined its workers by the time the
-    // caller asks for a diagnosis, so the buffers are quiescent.
-    DomainIngestBuffer::replay_into(buffers_, analyzer_);
-    ingest_merged_ = true;
-  }
-  return analyzer_.diagnose();
+Diagnosis Vedrfolnir::diagnose() { return analyzer().diagnose(); }
+
+Analyzer& Vedrfolnir::analyzer() {
+  DomainIngestBuffer::replay_into(buffers_, analyzer_);
+  return analyzer_;
 }
 
 int Vedrfolnir::total_polls() const {

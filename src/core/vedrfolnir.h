@@ -14,8 +14,9 @@ namespace vedr::core {
 
 struct VedrfolnirConfig {
   DetectionConfig detection;
-  /// Optional observation-only trace tap wired into the analyzer fan-in and
-  /// every host monitor (see common/tap.h). Must not perturb the run.
+  /// Optional observation-only trace tap (see common/tap.h), fed from the
+  /// domain buffers' merge: analyzer inputs through the analyzer, tap-only
+  /// records directly. Must not perturb the run.
   TraceTap* trace = nullptr;
 };
 
@@ -29,21 +30,19 @@ struct VedrfolnirConfig {
 ///   engine.run();
 ///   Diagnosis d = v.diagnose();
 ///
-/// The ingest wiring depends on the domain count (DESIGN.md §14). With one
-/// domain, monitors and switches feed the analyzer directly. With several,
-/// each domain's monitors and switches feed a per-domain DomainIngestBuffer
-/// instead, and diagnose() first merges the buffers in (time, domain, seq)
-/// order into the single-threaded analyzer. The one-domain run does not
-/// stage through a buffer: the analyzer's trace tap would then record the
-/// ingest stream at diagnose() time, after every record the monitors tapped
-/// live, which reorders the .vtrc. Trace taps are single-domain only.
+/// One ingest wiring at every domain count (DESIGN.md §14): each domain's
+/// monitors, switch controllers and (with a trace tap) switch recorders
+/// write into that domain's DomainIngestBuffer, and diagnose() and
+/// analyzer() merge whatever is pending into the single-threaded analyzer in
+/// (time, domain, seq) order. Call them only while the engine is not
+/// running; a later call merges the records staged since the last one.
 class Vedrfolnir {
  public:
   Vedrfolnir(net::Network& net, collective::CollectiveRunner& runner,
              VedrfolnirConfig cfg = {});
 
   Diagnosis diagnose();
-  Analyzer& analyzer() { return analyzer_; }
+  Analyzer& analyzer();
   Monitor& monitor_of(net::NodeId host) { return *monitors_.at(host); }
 
   int total_polls() const;
@@ -53,10 +52,8 @@ class Vedrfolnir {
   net::Network& net_;
   collective::CollectiveRunner& runner_;
   Analyzer analyzer_;
-  /// Multi-domain runs only: one staging buffer per domain, merged at
-  /// diagnose().
+  /// One staging buffer per domain, indexed by domain id.
   std::vector<std::unique_ptr<DomainIngestBuffer>> buffers_;
-  bool ingest_merged_ = false;
   std::unordered_map<net::NodeId, std::unique_ptr<Monitor>> monitors_;
 };
 

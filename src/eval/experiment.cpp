@@ -32,9 +32,7 @@ std::vector<net::FlowKey> verified_contenders(net::Network& network,
                                               const collective::CollectivePlan& plan,
                                               const ScenarioSpec& spec,
                                               double min_weight = 8.0) {
-  std::unordered_set<net::FlowKey, net::FlowKeyHash> cc;
-  for (int f = 0; f < plan.num_flows(); ++f)
-    for (const auto& s : plan.steps_of_flow(f)) cc.insert(plan.key_for(f, s.step));
+  const auto cc = plan.flow_keys();
 
   std::unordered_set<net::FlowKey, net::FlowKeyHash> found;
   // latest_now(): each domain's clock stops at its own last event, so the
@@ -65,9 +63,7 @@ std::vector<net::FlowKey> verified_contenders(net::Network& network,
 /// verified_contenders.
 bool pfc_impacted_collective(net::Network& network, const collective::CollectivePlan& plan,
                              const ScenarioSpec& spec) {
-  std::unordered_set<net::FlowKey, net::FlowKeyHash> cc;
-  for (int f = 0; f < plan.num_flows(); ++f)
-    for (const auto& s : plan.steps_of_flow(f)) cc.insert(plan.key_for(f, s.step));
+  const auto cc = plan.flow_keys();
   const sim::Tick now = network.latest_now();
   const sim::Tick slack = 100 * sim::kMicrosecond;
 
@@ -165,8 +161,6 @@ CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig
     // analyzer is every switch's report sink.
     VEDR_CHECK(system == SystemKind::kVedrfolnir,
                "the baselines are single-domain only; run with --shards 1");
-    // A trace tap writes inline from every domain's worker at once.
-    VEDR_CHECK(cfg.trace_writer == nullptr, "--record is single-domain only; run with --shards 1");
   }
   sim::ShardedEngine engine(shard_plan.num_domains, shard_plan.lookahead, cfg.shards);
   if (cfg.capture_shard_report) engine.set_collect_timing(true);
@@ -175,7 +169,10 @@ CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig
     for (int d = 0; d < shard_plan.num_domains; ++d)
       network.set_domain_tracer(d, cfg.domain_tracer_factory(d, shard_plan.num_domains));
   }
-  if (cfg.trace_writer != nullptr) network.set_telemetry_tap(cfg.trace_writer);
+  // Vedrfolnir stages the switch-local tap records through its domain
+  // buffers; the baselines, always one domain, tap the switches directly.
+  if (cfg.trace_writer != nullptr && system != SystemKind::kVedrfolnir)
+    network.set_telemetry_tap(cfg.trace_writer);
 
   auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather,
                                                spec.participants, spec.cc_step_bytes);

@@ -49,7 +49,9 @@ struct RunConfig {
   /// diagnosis plane's full input stream to a .vtrc file. Observation only:
   /// a recorded run must produce the same determinism digest as an
   /// unrecorded one. Prefer record_case(), which also writes the
-  /// envelope/footer frames. Single-domain only (shards == 1).
+  /// envelope/footer frames. Works at any shard count: Vedrfolnir writes
+  /// the stream when its domain buffers merge, in (time, domain, seq)
+  /// order, so a sharded trace is the same bytes for every N >= 2.
   core::TraceTap* trace_writer = nullptr;
   /// Copies the case's complete StatsRegistry (counters and histograms)
   /// into CaseResult::metrics when the run finishes. Each case
@@ -59,10 +61,9 @@ struct RunConfig {
   /// Worker threads for the sharded engine (DESIGN.md §14). 1 (default)
   /// runs the serial lane: one domain, one window, the pinned serial
   /// digests. N > 1 runs the fabric's pod domains on the conservative
-  /// parallel engine: Vedrfolnir system only, and incompatible with
-  /// `trace_writer`. Results are identical for any N >= 2 — the domain
-  /// decomposition is fixed by the topology; N only picks how many threads
-  /// execute it.
+  /// parallel engine: Vedrfolnir system only. Results, recorded traces
+  /// included, are identical for any N >= 2 — the domain decomposition is
+  /// fixed by the topology; N only picks how many threads execute it.
   int shards = 1;
   /// Radix of the fat-tree fabric run_case builds (the paper's K).
   int fat_tree_k = 4;

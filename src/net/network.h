@@ -116,9 +116,10 @@ class Network {
   PacketTracer* tracer() { return ctxs_[ctx_index()]->tracer; }
 
   /// Attaches an observation-only telemetry tap to every switch's recorder
-  /// (pause causes, TTL drops) — the switch-side leg of trace recording.
-  /// Single-domain only (run_case checks): the tap writes inline, so every
-  /// domain's worker would write it at once.
+  /// (pause causes, TTL drops) — the switch-side leg of trace recording for
+  /// the baselines, which run one domain. The tap is called inline from the
+  /// recording switch's worker; Vedrfolnir instead taps each switch with its
+  /// domain's ingest buffer.
   void set_telemetry_tap(telemetry::TelemetryTap* tap);
 
   /// Link-level delivery: schedules arrival of `pkt` at the peer of

@@ -14,9 +14,7 @@ void StreamingCollector::build_from_envelope(const TraceEnvelope& env) {
   plan_ = std::make_unique<collective::CollectivePlan>(collective::CollectivePlan::ring(
       0, collective::OpType::kAllGather, env.participants, env.cc_step_bytes));
 
-  cc_flows_.clear();
-  for (int f = 0; f < plan_->num_flows(); ++f)
-    for (const auto& s : plan_->steps_of_flow(f)) cc_flows_.insert(plan_->key_for(f, s.step));
+  cc_flows_ = plan_->flow_keys();
 
   // Mirror the live construction exactly: Vedrfolnir's analyzer knows the
   // plan (per-step graphs, waiting graph, contributor rating); the baselines'

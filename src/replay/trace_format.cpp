@@ -1,5 +1,8 @@
 #include "replay/trace_format.h"
 
+#include <type_traits>
+#include <utility>
+
 namespace vedr::replay {
 
 const char* to_string(RecordType t) {
@@ -19,407 +22,328 @@ const char* to_string(RecordType t) {
 
 namespace {
 
-void put(ByteWriter& w, const net::FlowKey& k) {
-  w.i32(k.src);
-  w.i32(k.dst);
-  w.u16(k.sport);
-  w.u16(k.dport);
-}
+// --- archives ----------------------------------------------------------------
+//
+// Three walks over the same field lists: the encoder writes each field, the
+// decoder reads it back, and the sizer adds up a type's minimum encoded size
+// (every sequence empty). Wire widths follow the C++ field types: integers
+// by size, doubles as f64, enums as one range-checked byte; sequences are a
+// u32 count followed by the elements.
 
-void get(ByteReader& r, net::FlowKey& k) {
-  k.src = r.i32();
-  k.dst = r.i32();
-  k.sport = r.u16();
-  k.dport = r.u16();
-}
+static_assert(sizeof(bool) == 1, "a bool field is one wire byte");
 
-void put(ByteWriter& w, const net::PortRef& p) {
-  w.i32(p.node);
-  w.i32(p.port);
-}
+template <class T>
+std::size_t min_size();
 
-void get(ByteReader& r, net::PortRef& p) {
-  p.node = r.i32();
-  p.port = r.i32();
-}
-
-void put(ByteWriter& w, const net::NetConfig& c) {
-  w.u8(static_cast<std::uint8_t>(c.cc_algorithm));
-  w.f64(c.link_gbps);
-  w.i64(c.link_delay);
-  w.i32(c.mtu_bytes);
-  w.i32(c.header_bytes);
-  w.i32(c.control_pkt_bytes);
-  w.i64(c.pfc_xoff_bytes);
-  w.i64(c.pfc_xon_bytes);
-  w.i64(c.ecn_kmin_bytes);
-  w.i64(c.ecn_kmax_bytes);
-  w.f64(c.ecn_pmax);
-  w.i64(c.queue_cap_bytes);
-  w.u8(c.initial_ttl);
-  w.i64(c.telemetry_window);
-  w.i64(c.controller_delay);
-  w.i32(c.pfc_chase_hops);
-}
-
-bool get(ByteReader& r, net::NetConfig& c) {
-  const std::uint8_t cc = r.u8();
-  if (cc > static_cast<std::uint8_t>(net::CcAlgorithm::kSwift)) return false;
-  c.cc_algorithm = static_cast<net::CcAlgorithm>(cc);
-  c.link_gbps = r.f64();
-  c.link_delay = r.i64();
-  c.mtu_bytes = r.i32();
-  c.header_bytes = r.i32();
-  c.control_pkt_bytes = r.i32();
-  c.pfc_xoff_bytes = r.i64();
-  c.pfc_xon_bytes = r.i64();
-  c.ecn_kmin_bytes = r.i64();
-  c.ecn_kmax_bytes = r.i64();
-  c.ecn_pmax = r.f64();
-  c.queue_cap_bytes = r.i64();
-  c.initial_ttl = r.u8();
-  c.telemetry_window = r.i64();
-  c.controller_delay = r.i64();
-  c.pfc_chase_hops = r.i32();
-  return r.ok();
-}
-
-void put(ByteWriter& w, const telemetry::FlowEntry& e) {
-  put(w, e.flow);
-  w.i64(e.pkts);
-  w.i64(e.bytes);
-  w.i64(e.first_seen);
-  w.i64(e.last_seen);
-}
-
-void get(ByteReader& r, telemetry::FlowEntry& e) {
-  get(r, e.flow);
-  e.pkts = r.i64();
-  e.bytes = r.i64();
-  e.first_seen = r.i64();
-  e.last_seen = r.i64();
-}
-
-void put(ByteWriter& w, const telemetry::PauseCauseReport& c) {
-  put(w, c.ingress_port);
-  w.i64(c.time);
-  w.boolean(c.injected);
-  w.count(c.contributions.size());
-  for (const auto& [egress, bytes] : c.contributions) {
-    w.i32(egress);
-    w.i64(bytes);
+/// Dispatch shared by the archives: scalars to scalar(), vectors to
+/// sequence(), fixed arrays to array(), anything else to its io().
+template <class Self>
+class Archive {
+ public:
+  template <class... T>
+  void operator()(T&... fields) {
+    (field(fields), ...);
   }
+
+ private:
+  Self& self() { return static_cast<Self&>(*this); }
+
+  template <class T>
+  void field(T& v) {
+    if constexpr (std::is_arithmetic_v<T>) {
+      static_assert(std::is_integral_v<T> || std::is_same_v<T, double>);
+      self().scalar(v);
+    } else {
+      io(self(), v);
+    }
+  }
+  template <class T>
+  void field(std::vector<T>& v) {
+    self().sequence(v);
+  }
+  template <class T, std::size_t N>
+  void field(T (&v)[N]) {
+    self().array(v);
+  }
+};
+
+class Encoder : public Archive<Encoder> {
+ public:
+  explicit Encoder(ByteWriter& w) : w_(w) {}
+
+  template <class S>
+  void scalar(S v) {
+    if constexpr (std::is_same_v<S, double>) {
+      w_.f64(v);
+    } else if constexpr (sizeof(S) == 1) {
+      w_.u8(static_cast<std::uint8_t>(v));
+    } else if constexpr (sizeof(S) == 2) {
+      w_.u16(static_cast<std::uint16_t>(v));
+    } else if constexpr (sizeof(S) == 4) {
+      w_.u32(static_cast<std::uint32_t>(v));
+    } else {
+      w_.u64(static_cast<std::uint64_t>(v));
+    }
+  }
+  template <class E>
+  void enumeration(E v, E /*max*/) {
+    w_.u8(static_cast<std::uint8_t>(v));
+  }
+  template <class T>
+  void sequence(std::vector<T>& v) {
+    w_.count(v.size());
+    for (T& e : v) (*this)(e);
+  }
+  template <class T, std::size_t N>
+  void array(T (&v)[N]) {
+    w_.count(N);
+    for (T& e : v) (*this)(e);
+  }
+  void check(bool /*ok*/) {}
+
+ private:
+  ByteWriter& w_;
+};
+
+class Decoder : public Archive<Decoder> {
+ public:
+  explicit Decoder(ByteReader& r) : r_(r) {}
+
+  template <class S>
+  void scalar(S& v) {
+    if constexpr (std::is_same_v<S, double>) {
+      v = r_.f64();
+    } else if constexpr (sizeof(S) == 1) {
+      v = static_cast<S>(r_.u8());
+    } else if constexpr (sizeof(S) == 2) {
+      v = static_cast<S>(r_.u16());
+    } else if constexpr (sizeof(S) == 4) {
+      v = static_cast<S>(r_.u32());
+    } else {
+      v = static_cast<S>(r_.u64());
+    }
+  }
+  template <class E>
+  void enumeration(E& v, E max) {
+    const std::uint8_t raw = r_.u8();
+    if (raw > static_cast<std::uint8_t>(max)) return r_.fail();
+    v = static_cast<E>(raw);
+  }
+  /// The count is checked against the element's minimum size before the
+  /// resize, so a corrupt count cannot trigger a huge allocation.
+  template <class T>
+  void sequence(std::vector<T>& v) {
+    v.resize(r_.count(min_size<T>()));
+    for (T& e : v) (*this)(e);
+  }
+  template <class T, std::size_t N>
+  void array(T (&v)[N]) {
+    check(r_.count(min_size<T>()) == N);
+    for (T& e : v) (*this)(e);
+  }
+  void check(bool ok) {
+    if (!ok) r_.fail();
+  }
+
+ private:
+  ByteReader& r_;
+};
+
+class Sizer : public Archive<Sizer> {
+ public:
+  std::size_t bytes = 0;
+
+  template <class S>
+  void scalar(S& /*v*/) {
+    bytes += sizeof(S);
+  }
+  template <class E>
+  void enumeration(E& /*v*/, E /*max*/) {
+    bytes += 1;
+  }
+  template <class T>
+  void sequence(std::vector<T>& /*v*/) {
+    bytes += sizeof(std::uint32_t);
+  }
+  template <class T, std::size_t N>
+  void array(T (&/*v*/)[N]) {
+    bytes += sizeof(std::uint32_t) + N * min_size<T>();
+  }
+  void check(bool /*ok*/) {}
+};
+
+/// Computed once per type, on first use.
+template <class T>
+std::size_t min_size() {
+  static const std::size_t bytes = [] {
+    Sizer s;
+    T v{};
+    s(v);
+    return s.bytes;
+  }();
+  return bytes;
 }
 
-bool get(ByteReader& r, telemetry::PauseCauseReport& c) {
-  get(r, c.ingress_port);
-  c.time = r.i64();
-  c.injected = r.boolean();
-  const std::size_t n = r.count(12);
-  c.contributions.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const net::PortId egress = r.i32();
-    const std::int64_t bytes = r.i64();
-    c.contributions.emplace_back(egress, bytes);
-  }
-  return r.ok();
+// --- field lists, in wire order -----------------------------------------------
+
+template <class A>
+void io(A& a, net::FlowKey& k) {
+  a(k.src, k.dst, k.sport, k.dport);
 }
 
-void put(ByteWriter& w, const telemetry::DropEntry& d) {
-  put(w, d.flow);
-  put(w, d.port);
-  w.i64(d.count);
-  w.i64(d.last_drop);
+template <class A>
+void io(A& a, net::PortRef& p) {
+  a(p.node, p.port);
 }
 
-void get(ByteReader& r, telemetry::DropEntry& d) {
-  get(r, d.flow);
-  get(r, d.port);
-  d.count = r.i64();
-  d.last_drop = r.i64();
+template <class A, class X, class Y>
+void io(A& a, std::pair<X, Y>& p) {
+  a(p.first, p.second);
 }
 
-void put(ByteWriter& w, const telemetry::PortReport& p) {
-  put(w, p.port);
-  w.i64(p.poll_time);
-  w.i64(p.qdepth_bytes);
-  w.i64(p.qdepth_pkts);
-  w.boolean(p.currently_paused);
-  w.i64(p.total_pause_time);
-  w.count(p.flows.size());
-  for (const auto& f : p.flows) put(w, f);
-  w.count(p.waits.size());
-  for (const auto& e : p.waits) {
-    put(w, e.waiter);
-    put(w, e.ahead);
-    w.i64(e.weight);
-  }
-  w.count(p.meters.size());
-  for (const auto& m : p.meters) {
-    w.i32(m.in_port);
-    w.i64(m.bytes);
-  }
-  w.count(p.pauses.size());
-  for (const auto& ev : p.pauses) {
-    w.i64(ev.start);
-    w.i64(ev.end);
-  }
+template <class A>
+void io(A& a, net::NetConfig& c) {
+  a.enumeration(c.cc_algorithm, net::CcAlgorithm::kSwift);
+  a(c.link_gbps, c.link_delay, c.mtu_bytes, c.header_bytes, c.control_pkt_bytes,
+    c.pfc_xoff_bytes, c.pfc_xon_bytes, c.ecn_kmin_bytes, c.ecn_kmax_bytes, c.ecn_pmax,
+    c.queue_cap_bytes, c.initial_ttl, c.telemetry_window, c.controller_delay, c.pfc_chase_hops);
 }
 
-bool get(ByteReader& r, telemetry::PortReport& p) {
-  get(r, p.port);
-  p.poll_time = r.i64();
-  p.qdepth_bytes = r.i64();
-  p.qdepth_pkts = r.i64();
-  p.currently_paused = r.boolean();
-  p.total_pause_time = r.i64();
-  const std::size_t nf = r.count(44);
-  p.flows.resize(nf);
-  for (auto& f : p.flows) get(r, f);
-  const std::size_t nw = r.count(32);
-  p.waits.resize(nw);
-  for (auto& e : p.waits) {
-    get(r, e.waiter);
-    get(r, e.ahead);
-    e.weight = r.i64();
-  }
-  const std::size_t nm = r.count(12);
-  p.meters.resize(nm);
-  for (auto& m : p.meters) {
-    m.in_port = r.i32();
-    m.bytes = r.i64();
-  }
-  const std::size_t np = r.count(16);
-  p.pauses.resize(np);
-  for (auto& ev : p.pauses) {
-    ev.start = r.i64();
-    ev.end = r.i64();
-  }
-  return r.ok();
+template <class A>
+void io(A& a, anomaly::InjectedFlow& f) {
+  a(f.key, f.bytes, f.start);
+}
+
+template <class A>
+void io(A& a, anomaly::StormSpec& s) {
+  a(s.port, s.start, s.duration);
+}
+
+template <class A>
+void io(A& a, TraceEnvelope& v) {
+  a.enumeration(v.system, RecordedSystem::kFullPolling);
+  a.enumeration(v.scenario, RecordedScenario::kPfcBackpressure);
+  a(v.case_id, v.seed, v.fat_tree_k, v.plan_kind);
+  a.check(v.plan_kind == 0);  // only ring all-gather exists in v1
+  a(v.horizon, v.participants, v.cc_step_bytes, v.netcfg, v.bg_flows, v.storms,
+    v.expected_root);
+}
+
+template <class A>
+void io(A& a, collective::StepRecord& v) {
+  a(v.key, v.flow_index, v.step, v.bytes, v.src, v.dst, v.wait_src, v.dep_flow, v.dep_step,
+    v.dep_ready_time, v.prev_done_time, v.start_time, v.end_time, v.expected_duration);
+}
+
+template <class A>
+void io(A& a, PollRegistration& v) {
+  a(v.poll_id, v.flow, v.step);
+}
+
+template <class A>
+void io(A& a, telemetry::FlowEntry& e) {
+  a(e.flow, e.pkts, e.bytes, e.first_seen, e.last_seen);
+}
+
+template <class A>
+void io(A& a, telemetry::WaitEntry& e) {
+  a(e.waiter, e.ahead, e.weight);
+}
+
+template <class A>
+void io(A& a, telemetry::MeterEntry& m) {
+  a(m.in_port, m.bytes);
+}
+
+template <class A>
+void io(A& a, telemetry::PauseEvent& e) {
+  a(e.start, e.end);
+}
+
+template <class A>
+void io(A& a, telemetry::PortReport& p) {
+  a(p.port, p.poll_time, p.qdepth_bytes, p.qdepth_pkts, p.currently_paused, p.total_pause_time,
+    p.flows, p.waits, p.meters, p.pauses);
+}
+
+template <class A>
+void io(A& a, telemetry::PauseCauseReport& c) {
+  a(c.ingress_port, c.time, c.injected, c.contributions);
+}
+
+template <class A>
+void io(A& a, telemetry::DropEntry& d) {
+  a(d.flow, d.port, d.count, d.last_drop);
+}
+
+template <class A>
+void io(A& a, telemetry::SwitchReport& v) {
+  a(v.switch_id, v.poll_id, v.time, v.ports, v.causes, v.drops);
+}
+
+template <class A>
+void io(A& a, PollTriggerRecord& v) {
+  a(v.time, v.host, v.flow, v.poll_id, v.step);
+}
+
+template <class A>
+void io(A& a, NotificationRecord& v) {
+  a(v.time, v.from, v.to, v.step, v.budget);
+}
+
+template <class A>
+void io(A& a, PauseCauseRecord& v) {
+  a(v.switch_id, v.cause);
+}
+
+template <class A>
+void io(A& a, TtlDropRecord& v) {
+  a(v.switch_id, v.drop);
+}
+
+template <class A>
+void io(A& a, TraceFooter& v) {
+  a(v.diagnosis_digest, v.diagnosis_json_bytes);
+  a.enumeration(v.outcome, RecordedOutcome::kTruePositive);
+  a(v.cc_completed, v.cc_time, v.record_counts);
+}
+
+template <class T>
+void write(ByteWriter& w, const T& v) {
+  Encoder e(w);
+  e(const_cast<T&>(v));  // the encoder only reads the fields
+}
+
+/// A payload decodes only if every read was in bounds and valid and the
+/// payload is consumed exactly.
+template <class T>
+bool read(ByteReader& r, T& v) {
+  Decoder d(r);
+  d(v);
+  return r.ok() && r.remaining() == 0;
 }
 
 }  // namespace
 
-void encode(ByteWriter& w, const TraceEnvelope& v) {
-  w.u8(static_cast<std::uint8_t>(v.system));
-  w.u8(static_cast<std::uint8_t>(v.scenario));
-  w.i32(v.case_id);
-  w.u64(v.seed);
-  w.i32(v.fat_tree_k);
-  w.u8(v.plan_kind);
-  w.i64(v.horizon);
-  w.count(v.participants.size());
-  for (const net::NodeId p : v.participants) w.i32(p);
-  w.i64(v.cc_step_bytes);
-  put(w, v.netcfg);
-  w.count(v.bg_flows.size());
-  for (const auto& f : v.bg_flows) {
-    put(w, f.key);
-    w.i64(f.bytes);
-    w.i64(f.start);
-  }
-  w.count(v.storms.size());
-  for (const auto& s : v.storms) {
-    put(w, s.port);
-    w.i64(s.start);
-    w.i64(s.duration);
-  }
-  put(w, v.expected_root);
-}
+void encode(ByteWriter& w, const TraceEnvelope& v) { write(w, v); }
+void encode(ByteWriter& w, const collective::StepRecord& v) { write(w, v); }
+void encode(ByteWriter& w, const PollRegistration& v) { write(w, v); }
+void encode(ByteWriter& w, const telemetry::SwitchReport& v) { write(w, v); }
+void encode(ByteWriter& w, const PollTriggerRecord& v) { write(w, v); }
+void encode(ByteWriter& w, const NotificationRecord& v) { write(w, v); }
+void encode(ByteWriter& w, const PauseCauseRecord& v) { write(w, v); }
+void encode(ByteWriter& w, const TtlDropRecord& v) { write(w, v); }
+void encode(ByteWriter& w, const TraceFooter& v) { write(w, v); }
 
-bool decode(ByteReader& r, TraceEnvelope& v) {
-  const std::uint8_t system = r.u8();
-  const std::uint8_t scenario = r.u8();
-  if (system > static_cast<std::uint8_t>(RecordedSystem::kFullPolling)) return false;
-  if (scenario > static_cast<std::uint8_t>(RecordedScenario::kPfcBackpressure)) return false;
-  v.system = static_cast<RecordedSystem>(system);
-  v.scenario = static_cast<RecordedScenario>(scenario);
-  v.case_id = r.i32();
-  v.seed = r.u64();
-  v.fat_tree_k = r.i32();
-  v.plan_kind = r.u8();
-  if (v.plan_kind != 0) return false;  // only ring all-gather exists in v1
-  v.horizon = r.i64();
-  const std::size_t np = r.count(4);
-  v.participants.resize(np);
-  for (auto& p : v.participants) p = r.i32();
-  v.cc_step_bytes = r.i64();
-  if (!get(r, v.netcfg)) return false;
-  const std::size_t nf = r.count(28);
-  v.bg_flows.resize(nf);
-  for (auto& f : v.bg_flows) {
-    get(r, f.key);
-    f.bytes = r.i64();
-    f.start = r.i64();
-  }
-  const std::size_t ns = r.count(24);
-  v.storms.resize(ns);
-  for (auto& s : v.storms) {
-    get(r, s.port);
-    s.start = r.i64();
-    s.duration = r.i64();
-  }
-  get(r, v.expected_root);
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode(ByteWriter& w, const collective::StepRecord& v) {
-  put(w, v.key);
-  w.i32(v.flow_index);
-  w.i32(v.step);
-  w.i64(v.bytes);
-  w.i32(v.src);
-  w.i32(v.dst);
-  w.i32(v.wait_src);
-  w.i32(v.dep_flow);
-  w.i32(v.dep_step);
-  w.i64(v.dep_ready_time);
-  w.i64(v.prev_done_time);
-  w.i64(v.start_time);
-  w.i64(v.end_time);
-  w.i64(v.expected_duration);
-}
-
-bool decode(ByteReader& r, collective::StepRecord& v) {
-  get(r, v.key);
-  v.flow_index = r.i32();
-  v.step = r.i32();
-  v.bytes = r.i64();
-  v.src = r.i32();
-  v.dst = r.i32();
-  v.wait_src = r.i32();
-  v.dep_flow = r.i32();
-  v.dep_step = r.i32();
-  v.dep_ready_time = r.i64();
-  v.prev_done_time = r.i64();
-  v.start_time = r.i64();
-  v.end_time = r.i64();
-  v.expected_duration = r.i64();
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode(ByteWriter& w, const PollRegistration& v) {
-  w.u64(v.poll_id);
-  w.i32(v.flow);
-  w.i32(v.step);
-}
-
-bool decode(ByteReader& r, PollRegistration& v) {
-  v.poll_id = r.u64();
-  v.flow = r.i32();
-  v.step = r.i32();
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode(ByteWriter& w, const telemetry::SwitchReport& v) {
-  w.i32(v.switch_id);
-  w.u64(v.poll_id);
-  w.i64(v.time);
-  w.count(v.ports.size());
-  for (const auto& p : v.ports) put(w, p);
-  w.count(v.causes.size());
-  for (const auto& c : v.causes) put(w, c);
-  w.count(v.drops.size());
-  for (const auto& d : v.drops) put(w, d);
-}
-
-bool decode(ByteReader& r, telemetry::SwitchReport& v) {
-  v.switch_id = r.i32();
-  v.poll_id = r.u64();
-  v.time = r.i64();
-  const std::size_t np = r.count(49);  // fixed PortReport prefix + 4 counts
-  v.ports.resize(np);
-  for (auto& p : v.ports)
-    if (!get(r, p)) return false;
-  const std::size_t nc = r.count(21);
-  v.causes.resize(nc);
-  for (auto& c : v.causes)
-    if (!get(r, c)) return false;
-  const std::size_t nd = r.count(36);
-  v.drops.resize(nd);
-  for (auto& d : v.drops) get(r, d);
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode(ByteWriter& w, const PollTriggerRecord& v) {
-  w.i64(v.time);
-  w.i32(v.host);
-  put(w, v.flow);
-  w.u64(v.poll_id);
-  w.i32(v.step);
-}
-
-bool decode(ByteReader& r, PollTriggerRecord& v) {
-  v.time = r.i64();
-  v.host = r.i32();
-  get(r, v.flow);
-  v.poll_id = r.u64();
-  v.step = r.i32();
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode(ByteWriter& w, const NotificationRecord& v) {
-  w.i64(v.time);
-  w.i32(v.from);
-  w.i32(v.to);
-  w.i32(v.step);
-  w.i32(v.budget);
-}
-
-bool decode(ByteReader& r, NotificationRecord& v) {
-  v.time = r.i64();
-  v.from = r.i32();
-  v.to = r.i32();
-  v.step = r.i32();
-  v.budget = r.i32();
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode(ByteWriter& w, const PauseCauseRecord& v) {
-  w.i32(v.switch_id);
-  put(w, v.cause);
-}
-
-bool decode(ByteReader& r, PauseCauseRecord& v) {
-  v.switch_id = r.i32();
-  if (!get(r, v.cause)) return false;
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode(ByteWriter& w, const TtlDropRecord& v) {
-  w.i32(v.switch_id);
-  put(w, v.drop);
-}
-
-bool decode(ByteReader& r, TtlDropRecord& v) {
-  v.switch_id = r.i32();
-  get(r, v.drop);
-  return r.ok() && r.remaining() == 0;
-}
-
-void encode(ByteWriter& w, const TraceFooter& v) {
-  w.u64(v.diagnosis_digest);
-  w.u64(v.diagnosis_json_bytes);
-  w.u8(static_cast<std::uint8_t>(v.outcome));
-  w.boolean(v.cc_completed);
-  w.i64(v.cc_time);
-  w.count(kNumRecordSlots);
-  for (const std::uint64_t c : v.record_counts) w.u64(c);
-}
-
-bool decode(ByteReader& r, TraceFooter& v) {
-  v.diagnosis_digest = r.u64();
-  v.diagnosis_json_bytes = r.u64();
-  const std::uint8_t outcome = r.u8();
-  if (outcome > static_cast<std::uint8_t>(RecordedOutcome::kTruePositive)) return false;
-  v.outcome = static_cast<RecordedOutcome>(outcome);
-  v.cc_completed = r.boolean();
-  v.cc_time = r.i64();
-  const std::size_t n = r.count(8);
-  if (n != kNumRecordSlots) return false;
-  for (auto& c : v.record_counts) c = r.u64();
-  return r.ok() && r.remaining() == 0;
-}
+bool decode(ByteReader& r, TraceEnvelope& v) { return read(r, v); }
+bool decode(ByteReader& r, collective::StepRecord& v) { return read(r, v); }
+bool decode(ByteReader& r, PollRegistration& v) { return read(r, v); }
+bool decode(ByteReader& r, telemetry::SwitchReport& v) { return read(r, v); }
+bool decode(ByteReader& r, PollTriggerRecord& v) { return read(r, v); }
+bool decode(ByteReader& r, NotificationRecord& v) { return read(r, v); }
+bool decode(ByteReader& r, PauseCauseRecord& v) { return read(r, v); }
+bool decode(ByteReader& r, TtlDropRecord& v) { return read(r, v); }
+bool decode(ByteReader& r, TraceFooter& v) { return read(r, v); }
 
 std::string encode_file_header(std::uint16_t version) {
   ByteWriter w;

@@ -23,6 +23,7 @@
 
 #include "anomaly/injectors.h"
 #include "collective/runner.h"
+#include "common/tap.h"
 #include "net/types.h"
 #include "replay/wire.h"
 #include "telemetry/records.h"
@@ -104,43 +105,13 @@ struct TraceFooter {
   std::uint64_t record_counts[kNumRecordSlots] = {};  ///< frames written before the footer
 };
 
-/// Mirror of Analyzer::register_poll.
-struct PollRegistration {
-  std::uint64_t poll_id = 0;
-  std::int32_t flow = -1;
-  std::int32_t step = -1;
-};
-
-/// A host monitor fired a detection trigger (informational; replay does not
-/// need it, offline tooling does).
-struct PollTriggerRecord {
-  sim::Tick time = 0;
-  net::NodeId host = net::kInvalidNode;
-  net::FlowKey flow;
-  std::uint64_t poll_id = 0;
-  std::int32_t step = -1;
-};
-
-/// A budget-transfer notification left a host monitor (informational).
-struct NotificationRecord {
-  sim::Tick time = 0;
-  net::NodeId from = net::kInvalidNode;
-  net::NodeId to = net::kInvalidNode;
-  std::int32_t step = -1;
-  std::int32_t budget = 0;
-};
-
-/// A switch sent a PAUSE (informational; polls may never cover it).
-struct PauseCauseRecord {
-  net::NodeId switch_id = net::kInvalidNode;
-  telemetry::PauseCauseReport cause;
-};
-
-/// A TTL-expiry drop was recorded at a switch (informational).
-struct TtlDropRecord {
-  net::NodeId switch_id = net::kInvalidNode;
-  telemetry::DropEntry drop;
-};
+// The monitor and switch-local records are defined once, next to the tap
+// interfaces that carry them (common/tap.h); the trace names them here.
+using core::NotificationRecord;
+using core::PollRegistration;
+using core::PollTriggerRecord;
+using telemetry::PauseCauseRecord;
+using telemetry::TtlDropRecord;
 
 /// One decoded frame.
 struct TraceRecord {
@@ -152,6 +123,10 @@ struct TraceRecord {
 };
 
 // --- payload codec (exposed for the round-trip tests) -----------------------
+//
+// Each payload's field list is written once (trace_format.cpp), and the
+// encoder, the decoder and the per-element minimum sizes the decoder checks
+// counts against are all derived from it.
 
 void encode(ByteWriter& w, const TraceEnvelope& v);
 void encode(ByteWriter& w, const collective::StepRecord& v);

@@ -75,9 +75,7 @@ void TraceWriter::write_frame(RecordType type, const std::string& payload) {
 void TraceWriter::write_envelope(const TraceEnvelope& env) {
   VEDR_CHECK(!envelope_written_, "trace envelope written twice");
   envelope_written_ = true;
-  ByteWriter w;
-  encode(w, env);
-  write_frame(RecordType::kEnvelope, w.data());
+  append(RecordType::kEnvelope, env);
 }
 
 void TraceWriter::write_footer(TraceFooter footer) {
@@ -85,54 +83,7 @@ void TraceWriter::write_footer(TraceFooter footer) {
   VEDR_CHECK(!footer_written_, "trace footer written twice");
   footer_written_ = true;
   for (std::size_t i = 0; i < kNumRecordSlots; ++i) footer.record_counts[i] = counts_[i];
-  ByteWriter w;
-  encode(w, footer);
-  write_frame(RecordType::kFooter, w.data());
-}
-
-void TraceWriter::on_step_record(const collective::StepRecord& r) {
-  ByteWriter w;
-  encode(w, r);
-  write_frame(RecordType::kStepRecord, w.data());
-}
-
-void TraceWriter::on_poll_registered(std::uint64_t poll_id, int flow, int step) {
-  ByteWriter w;
-  encode(w, PollRegistration{poll_id, flow, step});
-  write_frame(RecordType::kPollRegistration, w.data());
-}
-
-void TraceWriter::on_switch_report_in(const telemetry::SwitchReport& report) {
-  ByteWriter w;
-  encode(w, report);
-  write_frame(RecordType::kSwitchReport, w.data());
-}
-
-void TraceWriter::on_poll_trigger(net::Tick time, net::NodeId host, const net::FlowKey& flow,
-                                  std::uint64_t poll_id, int step) {
-  ByteWriter w;
-  encode(w, PollTriggerRecord{time, host, flow, poll_id, step});
-  write_frame(RecordType::kPollTrigger, w.data());
-}
-
-void TraceWriter::on_notification_sent(net::Tick time, net::NodeId from, net::NodeId to,
-                                       int step, int budget) {
-  ByteWriter w;
-  encode(w, NotificationRecord{time, from, to, step, budget});
-  write_frame(RecordType::kNotification, w.data());
-}
-
-void TraceWriter::on_pause_cause(net::NodeId switch_id,
-                                 const telemetry::PauseCauseReport& cause) {
-  ByteWriter w;
-  encode(w, PauseCauseRecord{switch_id, cause});
-  write_frame(RecordType::kPauseCause, w.data());
-}
-
-void TraceWriter::on_ttl_drop(net::NodeId switch_id, const telemetry::DropEntry& drop) {
-  ByteWriter w;
-  encode(w, TtlDropRecord{switch_id, drop});
-  write_frame(RecordType::kTtlDrop, w.data());
+  append(RecordType::kFooter, footer);
 }
 
 }  // namespace vedr::replay

@@ -43,17 +43,32 @@ class VEDR_SINGLE_THREADED TraceWriter final : public core::TraceTap {
   std::uint64_t bytes_written() const { return bytes_; }
 
   // --- core::TraceTap (observation only) -------------------------------------
-  void on_step_record(const collective::StepRecord& r) override;
-  void on_poll_registered(std::uint64_t poll_id, int flow, int step) override;
-  void on_switch_report_in(const telemetry::SwitchReport& report) override;
-  void on_poll_trigger(net::Tick time, net::NodeId host, const net::FlowKey& flow,
-                       std::uint64_t poll_id, int step) override;
-  void on_notification_sent(net::Tick time, net::NodeId from, net::NodeId to, int step,
-                            int budget) override;
-  void on_pause_cause(net::NodeId switch_id, const telemetry::PauseCauseReport& cause) override;
-  void on_ttl_drop(net::NodeId switch_id, const telemetry::DropEntry& drop) override;
+  void on_step_record(const collective::StepRecord& r) override {
+    append(RecordType::kStepRecord, r);
+  }
+  void on_poll_registered(const PollRegistration& r) override {
+    append(RecordType::kPollRegistration, r);
+  }
+  void on_switch_report_in(const telemetry::SwitchReport& report) override {
+    append(RecordType::kSwitchReport, report);
+  }
+  void on_poll_trigger(const PollTriggerRecord& r) override {
+    append(RecordType::kPollTrigger, r);
+  }
+  void on_notification_sent(const NotificationRecord& r) override {
+    append(RecordType::kNotification, r);
+  }
+  void on_pause_cause(const PauseCauseRecord& r) override { append(RecordType::kPauseCause, r); }
+  void on_ttl_drop(const TtlDropRecord& r) override { append(RecordType::kTtlDrop, r); }
 
  private:
+  /// Encodes `v` and appends it as one `type` frame.
+  template <class T>
+  void append(RecordType type, const T& v) {
+    ByteWriter w;
+    encode(w, v);
+    write_frame(type, w.data());
+  }
   void write_frame(RecordType type, const std::string& payload);
   void fail(const std::string& what);
 

@@ -73,20 +73,9 @@ class ByteReader {
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
 
-  std::uint16_t u16() {
-    const std::uint16_t lo = u8();
-    return static_cast<std::uint16_t>(lo | (static_cast<std::uint16_t>(u8()) << 8));
-  }
-
-  std::uint32_t u32() {
-    const std::uint32_t lo = u16();
-    return lo | (static_cast<std::uint32_t>(u16()) << 16);
-  }
-
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    return lo | (static_cast<std::uint64_t>(u32()) << 32);
-  }
+  std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
+  std::uint64_t u64() { return le(8); }
 
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
@@ -107,11 +96,28 @@ class ByteReader {
   std::size_t remaining() const { return data_.size() - pos_; }
   bool ok() const { return ok_; }
 
- private:
-  std::uint8_t fail8() {
+  /// Latches failure for a value the decoder rejects (an out-of-range enum,
+  /// a wrong fixed count): every later read returns zeros.
+  void fail() {
     ok_ = false;
     pos_ = data_.size();
+  }
+
+ private:
+  std::uint8_t fail8() {
+    fail();
     return 0;
+  }
+
+  /// Little-endian read of `n` <= 8 bytes behind one bounds check, not one
+  /// per byte: the payload codec inlines every read into its element loops.
+  std::uint64_t le(std::size_t n) {
+    if (n > data_.size() - pos_) return fail8();
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_ + i])) << (8 * i);
+    pos_ += n;
+    return v;
   }
 
   std::string_view data_;

@@ -118,7 +118,7 @@ void SwitchTelemetry::record_ttl_drop(const FlowKey& flow, PortId egress, Tick n
   d.count += 1;
   d.last_drop = now;
   ++total_drops_;
-  if (tap_ != nullptr) tap_->on_ttl_drop(switch_id_, d);
+  if (tap_ != nullptr) tap_->on_ttl_drop({switch_id_, d});
 }
 
 std::vector<DropEntry> SwitchTelemetry::drops_since(Tick since) const {

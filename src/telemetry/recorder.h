@@ -92,7 +92,7 @@ class SwitchTelemetry {
   }
 
   void record_pause_cause(PauseCauseReport cause) {
-    if (tap_ != nullptr) tap_->on_pause_cause(switch_id_, cause);
+    if (tap_ != nullptr) tap_->on_pause_cause({switch_id_, cause});
     causes_.push_back(std::move(cause));
   }
 

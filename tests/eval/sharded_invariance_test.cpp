@@ -10,11 +10,23 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <ostream>
+#include <string>
 #include <vector>
 
+#include "anomaly/injectors.h"
+#include "collective/runner.h"
+#include "core/json_export.h"
+#include "core/vedrfolnir.h"
 #include "eval/experiment.h"
+#include "net/network.h"
 #include "net/routing.h"
+#include "replay/collector.h"
+#include "replay/trace_reader.h"
+#include "sim/sharded_engine.h"
 
 namespace vedr::eval {
 namespace {
@@ -99,6 +111,86 @@ TEST_P(ShardedInvariance, ShardedRunMatchesSerialOutcome) {
   // PFC scenarios amplify tie divergence (a pause landing one event earlier
   // shifts whole stall intervals), so completion time gets a wider band.
   EXPECT_TRUE(near(p.cc_time, s.cc_time, 0.15)) << p.cc_time << " vs " << s.cc_time;
+}
+
+/// A Vedrfolnir run on the pod-domain plan, assembled as run_case assembles
+/// it, so a test can stop the engine part-way and diagnose.
+struct PodDomainRun {
+  explicit PodDomainRun(const ScenarioSpec& spec)
+      : topo(net::make_fat_tree(4, net::NetConfig{})),
+        shard_plan(net::ShardPlan::for_topology(topo)),
+        engine(shard_plan.num_domains, shard_plan.lookahead, /*num_workers=*/2),
+        network(engine, shard_plan, topo, net::NetConfig{}),
+        runner(network, collective::CollectivePlan::ring(0, collective::OpType::kAllGather,
+                                                         spec.participants, spec.cc_step_bytes)),
+        vedr(network, runner) {
+    for (const auto& f : spec.bg_flows) anomaly::inject_flow(network, f);
+    for (const auto& s : spec.storms) anomaly::inject_storm(network, s);
+    runner.start(0);
+  }
+
+  net::Topology topo;
+  net::ShardPlan shard_plan;
+  sim::ShardedEngine engine;
+  net::Network network;
+  collective::CollectiveRunner runner;
+  core::Vedrfolnir vedr;
+};
+
+TEST_P(ShardedInvariance, RepeatedDiagnoseSeesRecordsStagedAfterTheFirst) {
+  // Both runs stop at the same mid-collective tick, so their physics are
+  // identical; only one of them diagnoses there. The records staged after
+  // that first diagnose() must still reach the analyzer.
+  const ScenarioSpec spec = tiny_spec(GetParam());
+  RunConfig cfg;
+  cfg.shards = 2;
+  const CaseResult full = run_case(spec, SystemKind::kVedrfolnir, cfg);
+  ASSERT_TRUE(full.cc_completed);
+  const sim::Tick midway = full.cc_time / 2;
+
+  PodDomainRun once(spec);
+  once.engine.run(midway);
+  once.engine.run(spec.horizon * 4);
+
+  PodDomainRun twice(spec);
+  twice.engine.run(midway);
+  (void)twice.vedr.diagnose();
+  twice.engine.run(spec.horizon * 4);
+
+  EXPECT_EQ(core::json::diagnosis_to_json(twice.vedr.diagnose()),
+            core::json::diagnosis_to_json(once.vedr.diagnose()));
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST_P(ShardedInvariance, ShardedRecordingIsShardCountInvariantAndReplays) {
+  const ScenarioSpec spec = tiny_spec(GetParam());
+  const std::string base = ::testing::TempDir() + "/sharded_" + test_name(GetParam());
+  std::string error;
+  RunConfig two;
+  two.shards = 2;
+  record_case(spec, SystemKind::kVedrfolnir, two, base + "_2.vtrc", &error);
+  ASSERT_TRUE(error.empty()) << error;
+  RunConfig four;
+  four.shards = 4;
+  record_case(spec, SystemKind::kVedrfolnir, four, base + "_4.vtrc", &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const std::string bytes = read_file(base + "_2.vtrc");
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_TRUE(bytes == read_file(base + "_4.vtrc")) << "sharded trace depends on the worker count";
+
+  replay::TraceReader reader(base + "_2.vtrc");
+  replay::StreamingCollector collector;
+  const replay::ReplayResult replayed = collector.replay(reader);
+  EXPECT_TRUE(replayed.ok) << replayed.error.str();
+  EXPECT_TRUE(replayed.digest_matches);
+  const CaseResult plain = run_case(spec, SystemKind::kVedrfolnir, two);
+  EXPECT_EQ(replayed.diagnosis_json, core::json::diagnosis_to_json(plain.diagnosis));
+  std::remove((base + "_2.vtrc").c_str());
+  std::remove((base + "_4.vtrc").c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, ShardedInvariance,

@@ -59,7 +59,7 @@ std::string make_valid_trace(const std::string& path) {
   step.bytes = 1024;
   writer.on_step_record(step);
 
-  writer.on_poll_registered(1, 0, 0);
+  writer.on_poll_registered({1, 0, 0});
 
   telemetry::SwitchReport rep;
   rep.switch_id = 16;
@@ -71,21 +71,21 @@ std::string make_valid_trace(const std::string& path) {
   rep.ports.push_back(port);
   writer.on_switch_report_in(rep);
 
-  writer.on_poll_trigger(450, 0, {0, 1, 10, 20}, 1, 0);
-  writer.on_notification_sent(460, 0, 1, 0, 2);
+  writer.on_poll_trigger({450, 0, {0, 1, 10, 20}, 1, 0});
+  writer.on_notification_sent({460, 0, 1, 0, 2});
 
   telemetry::PauseCauseReport cause;
   cause.ingress_port = {16, 1};
   cause.time = 470;
   cause.contributions = {{0, 2048}};
-  writer.on_pause_cause(16, cause);
+  writer.on_pause_cause({16, cause});
 
   telemetry::DropEntry drop;
   drop.flow = {0, 1, 10, 20};
   drop.port = {16, 2};
   drop.count = 1;
   drop.last_drop = 480;
-  writer.on_ttl_drop(16, drop);
+  writer.on_ttl_drop({16, drop});
 
   TraceFooter footer;
   footer.diagnosis_digest = 1;

@@ -11,7 +11,7 @@
 // Runs one seeded case end to end and prints the diagnosis as text (default)
 // or JSON (--json); --dot writes the waiting-graph DOT file for rendering.
 // --record streams the diagnosis plane's complete input into a .vtrc trace
-// that tools/vedr_replay can re-diagnose offline. --obs-trace writes the
+// that tools/vedr_replay can re-diagnose offline, at any --shards. --obs-trace writes the
 // run's timeline spans as Chrome trace_event JSON (open in Perfetto);
 // --obs-metrics writes the case's metric snapshot as Prometheus text (or
 // JSON when the path ends in .json). Both are taps: the diagnosis and its
@@ -132,10 +132,6 @@ int main(int argc, char** argv) {
   }
   if (shards > 1 && system != eval::SystemKind::kVedrfolnir) {
     std::fprintf(stderr, "error: --shards > 1 supports --system vedrfolnir only\n");
-    return 2;
-  }
-  if (shards > 1 && !record_path.empty()) {
-    std::fprintf(stderr, "error: --record is single-domain only; drop --shards\n");
     return 2;
   }
 
