@@ -279,6 +279,8 @@ static_assert(static_cast<int>(ScenarioType::kPfcBackpressure) ==
 
 CaseResult record_case(const ScenarioSpec& spec, SystemKind system, const RunConfig& cfg,
                        const std::string& path, std::string* error) {
+  VEDR_CHECK(replay::valid_fat_tree_k(cfg.fat_tree_k), "a trace cannot record fat-tree k = ",
+             cfg.fat_tree_k, " (even, 4..", replay::kMaxFatTreeK, ")");
   replay::TraceWriter writer(path);
 
   replay::TraceEnvelope env;

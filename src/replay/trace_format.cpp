@@ -1,5 +1,6 @@
 #include "replay/trace_format.h"
 
+#include <algorithm>
 #include <type_traits>
 #include <utility>
 
@@ -89,6 +90,8 @@ class Encoder : public Archive<Encoder> {
   void enumeration(E v, E /*max*/) {
     w_.u8(static_cast<std::uint8_t>(v));
   }
+  template <class F>
+  void not_on_wire(F& /*v*/, const F& /*reset*/) {}
   template <class T>
   void sequence(std::vector<T>& v) {
     w_.count(v.size());
@@ -129,6 +132,12 @@ class Decoder : public Archive<Decoder> {
     if (raw > static_cast<std::uint8_t>(max)) return r_.fail();
     v = static_cast<E>(raw);
   }
+  /// The decoder may write into a value that held an earlier record, so a
+  /// field the wire does not carry is reset rather than left as it was.
+  template <class F>
+  void not_on_wire(F& v, const F& reset) {
+    v = reset;
+  }
   /// The count is checked against the element's minimum size before the
   /// resize, so a corrupt count cannot trigger a huge allocation.
   template <class T>
@@ -161,6 +170,8 @@ class Sizer : public Archive<Sizer> {
   void enumeration(E& /*v*/, E /*max*/) {
     bytes += 1;
   }
+  template <class F>
+  void not_on_wire(F& /*v*/, const F& /*reset*/) {}
   template <class T>
   void sequence(std::vector<T>& /*v*/) {
     bytes += sizeof(std::uint32_t);
@@ -207,6 +218,8 @@ void io(A& a, net::NetConfig& c) {
   a(c.link_gbps, c.link_delay, c.mtu_bytes, c.header_bytes, c.control_pkt_bytes,
     c.pfc_xoff_bytes, c.pfc_xon_bytes, c.ecn_kmin_bytes, c.ecn_kmax_bytes, c.ecn_pmax,
     c.queue_cap_bytes, c.initial_ttl, c.telemetry_window, c.controller_delay, c.pfc_chase_hops);
+  a.not_on_wire(c.telemetry, net::TelemetryParams{});
+  a.not_on_wire(c.telemetry_retention, net::NetConfig{}.telemetry_retention);
 }
 
 template <class A>
@@ -219,14 +232,30 @@ void io(A& a, anomaly::StormSpec& s) {
   a(s.port, s.start, s.duration);
 }
 
+/// Ring all-gather over at least two distinct hosts of the fabric (host ids
+/// are 0..k^3/4-1).
+bool valid_participants(const TraceEnvelope& v) {
+  if (!valid_fat_tree_k(v.fat_tree_k)) return false;
+  const std::int32_t hosts = v.fat_tree_k * v.fat_tree_k * v.fat_tree_k / 4;
+  std::vector<net::NodeId> ids = v.participants;
+  std::sort(ids.begin(), ids.end());
+  return ids.size() >= 2 && ids.front() >= 0 && ids.back() < hosts &&
+         std::adjacent_find(ids.begin(), ids.end()) == ids.end();
+}
+
 template <class A>
 void io(A& a, TraceEnvelope& v) {
   a.enumeration(v.system, RecordedSystem::kFullPolling);
   a.enumeration(v.scenario, RecordedScenario::kPfcBackpressure);
   a(v.case_id, v.seed, v.fat_tree_k, v.plan_kind);
+  // A CRC proves the bytes arrived intact, not that they make sense: the
+  // replay rebuilds the fabric and the plan from these fields, so values
+  // that the simulator never records are rejected here.
+  a.check(valid_fat_tree_k(v.fat_tree_k));
   a.check(v.plan_kind == 0);  // only ring all-gather exists in v1
-  a(v.horizon, v.participants, v.cc_step_bytes, v.netcfg, v.bg_flows, v.storms,
-    v.expected_root);
+  a(v.horizon, v.participants, v.cc_step_bytes);
+  a.check(valid_participants(v) && v.cc_step_bytes > 0);
+  a(v.netcfg, v.bg_flows, v.storms, v.expected_root);
 }
 
 template <class A>
@@ -264,6 +293,7 @@ template <class A>
 void io(A& a, telemetry::PortReport& p) {
   a(p.port, p.poll_time, p.qdepth_bytes, p.qdepth_pkts, p.currently_paused, p.total_pause_time,
     p.flows, p.waits, p.meters, p.pauses);
+  a.not_on_wire(p.truncated, false);  // recordings are exact-lane
 }
 
 template <class A>
@@ -279,6 +309,7 @@ void io(A& a, telemetry::DropEntry& d) {
 template <class A>
 void io(A& a, telemetry::SwitchReport& v) {
   a(v.switch_id, v.poll_id, v.time, v.ports, v.causes, v.drops);
+  a.not_on_wire(v.backend, net::TelemetryBackend::kExact);
 }
 
 template <class A>

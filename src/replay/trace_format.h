@@ -38,6 +38,12 @@ inline constexpr std::size_t kFrameCrcBytes = 4;
 /// Upper bound on a single frame payload; a corrupt length field must not
 /// trigger a multi-gigabyte allocation.
 inline constexpr std::uint32_t kMaxFramePayload = 64U * 1024 * 1024;
+/// Largest fat-tree radix a trace may name (k^3/4 = 8,192 hosts). Recording
+/// checks it too, so every trace that can be recorded can be replayed.
+inline constexpr std::int32_t kMaxFatTreeK = 32;
+inline constexpr bool valid_fat_tree_k(std::int32_t k) {
+  return k >= 4 && k <= kMaxFatTreeK && k % 2 == 0;
+}
 
 enum class RecordType : std::uint8_t {
   kEnvelope = 1,
@@ -139,7 +145,12 @@ void encode(ByteWriter& w, const TtlDropRecord& v);
 void encode(ByteWriter& w, const TraceFooter& v);
 
 /// Decoders return false on malformed payloads (short buffer, trailing
-/// garbage, out-of-range enum); the reader maps that to a typed kBadRecord.
+/// garbage, out-of-range enum, an envelope whose fabric or plan cannot be
+/// built); the reader maps that to a typed kBadRecord. A decoder overwrites
+/// every field of `v`, resetting the ones the wire does not carry
+/// (SwitchReport::backend, PortReport::truncated, the NetConfig telemetry
+/// knobs), so a value can be decoded into again and keeps its vectors'
+/// storage.
 bool decode(ByteReader& r, TraceEnvelope& v);
 bool decode(ByteReader& r, collective::StepRecord& v);
 bool decode(ByteReader& r, PollRegistration& v);

@@ -13,6 +13,15 @@ std::string errno_str() {
   return std::strerror(errno);
 }
 
+/// Decodes a T into `out`. When `out` already holds a T (the caller reuses
+/// one record, frame after frame), the decoder overwrites it in place and
+/// its vectors keep their storage; otherwise a fresh T is emplaced.
+template <class T>
+bool decode_into(ByteReader& r, TraceRecord& out) {
+  T* v = std::get_if<T>(&out.payload);
+  return decode(r, v != nullptr ? *v : out.payload.emplace<T>());
+}
+
 }  // namespace
 
 const char* to_string(TraceStatus s) {
@@ -152,22 +161,21 @@ TraceStatus TraceReader::next(TraceRecord& out) {
     return fail(TraceStatus::kBadRecord, frame_offset,
                 "frame payload length " + std::to_string(len) + " exceeds the format cap");
 
-  payload_.resize(len);
-  if (len > 0 && std::fread(payload_.data(), 1, len, file_) != len) {
+  // One read for the payload and the CRC behind it.
+  const std::size_t body_bytes = len + kFrameCrcBytes;
+  body_.resize(body_bytes);
+  const std::size_t got_body = std::fread(body_.data(), 1, body_bytes, file_);
+  if (got_body != body_bytes) {
     if (tail_ && std::ferror(file_) == 0) return need_more(frame_offset);
-    return fail(TraceStatus::kTruncated, frame_offset, "file ends inside a frame payload");
+    return fail(TraceStatus::kTruncated, frame_offset,
+                got_body < len ? "file ends inside a frame payload"
+                               : "file ends inside a frame CRC");
   }
-
-  char crc_buf[kFrameCrcBytes];
-  if (std::fread(crc_buf, 1, sizeof crc_buf, file_) != sizeof crc_buf) {
-    if (tail_ && std::ferror(file_) == 0) return need_more(frame_offset);
-    return fail(TraceStatus::kTruncated, frame_offset, "file ends inside a frame CRC");
-  }
-  ByteReader cr(std::string_view(crc_buf, sizeof crc_buf));
+  const std::string_view payload(body_.data(), len);
+  ByteReader cr(std::string_view(body_).substr(len));
   const std::uint32_t stored = cr.u32();
-  std::uint32_t state = crc32_update(kCrcInit, std::string_view(prefix, sizeof prefix));
-  state = crc32_update(state, payload_);
-  if (crc32_finish(state) != stored)
+  const std::uint32_t state = crc32_update(kCrcInit, std::string_view(prefix, sizeof prefix));
+  if (crc32_finish(crc32_update(state, payload)) != stored)
     return fail(TraceStatus::kCrcMismatch, frame_offset, "frame CRC mismatch");
 
   if (type_byte < static_cast<std::uint8_t>(RecordType::kEnvelope) ||
@@ -186,35 +194,35 @@ TraceStatus TraceReader::next(TraceRecord& out) {
                 std::string(to_string(type)) + " frame before the envelope");
 
   out.type = type;
-  ByteReader body(payload_);
+  ByteReader r(payload);
   bool decoded = false;
   switch (type) {
     case RecordType::kEnvelope:
-      decoded = decode(body, out.payload.emplace<TraceEnvelope>());
+      decoded = decode_into<TraceEnvelope>(r, out);
       break;
     case RecordType::kStepRecord:
-      decoded = decode(body, out.payload.emplace<collective::StepRecord>());
+      decoded = decode_into<collective::StepRecord>(r, out);
       break;
     case RecordType::kPollRegistration:
-      decoded = decode(body, out.payload.emplace<PollRegistration>());
+      decoded = decode_into<PollRegistration>(r, out);
       break;
     case RecordType::kSwitchReport:
-      decoded = decode(body, out.payload.emplace<telemetry::SwitchReport>());
+      decoded = decode_into<telemetry::SwitchReport>(r, out);
       break;
     case RecordType::kPollTrigger:
-      decoded = decode(body, out.payload.emplace<PollTriggerRecord>());
+      decoded = decode_into<PollTriggerRecord>(r, out);
       break;
     case RecordType::kNotification:
-      decoded = decode(body, out.payload.emplace<NotificationRecord>());
+      decoded = decode_into<NotificationRecord>(r, out);
       break;
     case RecordType::kPauseCause:
-      decoded = decode(body, out.payload.emplace<PauseCauseRecord>());
+      decoded = decode_into<PauseCauseRecord>(r, out);
       break;
     case RecordType::kTtlDrop:
-      decoded = decode(body, out.payload.emplace<TtlDropRecord>());
+      decoded = decode_into<TtlDropRecord>(r, out);
       break;
     case RecordType::kFooter:
-      decoded = decode(body, out.payload.emplace<TraceFooter>());
+      decoded = decode_into<TraceFooter>(r, out);
       break;
   }
   if (!decoded)

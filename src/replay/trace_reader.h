@@ -42,8 +42,11 @@ struct TraceError {
 
 /// Streaming .vtrc reader: validates the file header on construction, then
 /// yields one decoded record per next() call. Memory use is bounded by the
-/// largest single frame (the payload buffer is reused); there is no
-/// load-the-whole-file path.
+/// largest single frame (the frame body buffer is reused); there is no
+/// load-the-whole-file path. A frame costs two reads, its 5-byte prefix
+/// and then its payload with the CRC, and next() decodes into the caller's
+/// record in place, so a caller that passes the same record every time
+/// keeps its vectors' storage from frame to frame.
 ///
 /// Tail mode (`tail = true`) follows a file a writer is still appending to:
 /// a partial trailing frame (or a not-yet-complete header) is not corruption
@@ -68,10 +71,11 @@ class VEDR_SINGLE_THREADED TraceReader {
   const TraceError& error() const { return error_; }
   std::uint16_t version() const { return version_; }
 
-  /// Reads and decodes the next frame. Returns kOk with `out` filled, kEof
-  /// at a clean end of stream, kNeedMoreData in tail mode when the stream
-  /// currently ends mid-frame (retryable), or a terminal error (which
-  /// latches: further calls return the same error).
+  /// Reads and decodes the next frame. Returns kOk with `out` overwritten
+  /// (every field, also the ones that are not on the wire), kEof at a clean
+  /// end of stream, kNeedMoreData in tail mode when the stream currently
+  /// ends mid-frame (retryable), or a terminal error (which latches: further
+  /// calls return the same error).
   TraceStatus next(TraceRecord& out);
 
   bool tail() const { return tail_; }
@@ -99,7 +103,7 @@ class VEDR_SINGLE_THREADED TraceReader {
   std::uint64_t bytes_ = 0;
   bool seen_envelope_ = false;
   bool seen_footer_ = false;
-  std::string payload_;  ///< reused frame buffer (bounded by kMaxFramePayload)
+  std::string body_;  ///< reused frame body: payload + CRC (bounded by kMaxFramePayload)
 };
 
 }  // namespace vedr::replay

@@ -46,29 +46,20 @@ bool TraceWriter::close() {
   return ok_;
 }
 
-void TraceWriter::write_frame(RecordType type, const std::string& payload) {
-  if (!ok_ || file_ == nullptr) return;
-  VEDR_CHECK(payload.size() <= kMaxFramePayload, "trace frame payload too large");
-  ByteWriter prefix;
-  prefix.u8(static_cast<std::uint8_t>(type));
-  prefix.u32(static_cast<std::uint32_t>(payload.size()));
-
+void TraceWriter::write_frame(RecordType type) {
+  const std::size_t len = frame_.data().size() - kFramePrefixBytes;
+  VEDR_CHECK(len <= kMaxFramePayload, "trace frame payload too large");
+  frame_.u32_at(1, static_cast<std::uint32_t>(len));
   // The CRC covers type + length + payload, so a bit flip anywhere in the
   // frame (including the framing itself) is detected.
-  std::uint32_t state = crc32_update(kCrcInit, prefix.data());
-  state = crc32_update(state, payload);
-  ByteWriter tail;
-  tail.u32(crc32_finish(state));
-
-  if (std::fwrite(prefix.data().data(), 1, prefix.data().size(), file_) !=
-          prefix.data().size() ||
-      std::fwrite(payload.data(), 1, payload.size(), file_) != payload.size() ||
-      std::fwrite(tail.data().data(), 1, tail.data().size(), file_) != tail.data().size()) {
+  frame_.u32(crc32(frame_.data()));
+  const std::string& frame = frame_.data();
+  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
     fail("write frame: " + errno_str());
     return;
   }
   ++frames_;
-  bytes_ += kFramePrefixBytes + payload.size() + kFrameCrcBytes;
+  bytes_ += frame.size();
   ++counts_[static_cast<std::size_t>(type)];
 }
 

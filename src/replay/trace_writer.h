@@ -62,14 +62,18 @@ class VEDR_SINGLE_THREADED TraceWriter final : public core::TraceTap {
   void on_ttl_drop(const TtlDropRecord& r) override { append(RecordType::kTtlDrop, r); }
 
  private:
-  /// Encodes `v` and appends it as one `type` frame.
+  /// Encodes `v` as one `type` frame in `frame_` and writes it.
   template <class T>
   void append(RecordType type, const T& v) {
-    ByteWriter w;
-    encode(w, v);
-    write_frame(type, w.data());
+    if (!ok_ || file_ == nullptr) return;
+    frame_.clear();
+    frame_.u8(static_cast<std::uint8_t>(type));
+    frame_.u32(0);  // payload length, set by write_frame()
+    encode(frame_, v);
+    write_frame(type);
   }
-  void write_frame(RecordType type, const std::string& payload);
+  /// Sets the length, appends the CRC and writes `frame_` with one fwrite.
+  void write_frame(RecordType type);
   void fail(const std::string& what);
 
   std::FILE* file_ = nullptr;
@@ -80,6 +84,7 @@ class VEDR_SINGLE_THREADED TraceWriter final : public core::TraceTap {
   std::uint64_t counts_[kNumRecordSlots] = {};
   bool envelope_written_ = false;
   bool footer_written_ = false;
+  ByteWriter frame_;  ///< reused: prefix, payload and CRC of the frame being written
 };
 
 }  // namespace vedr::replay

@@ -12,8 +12,9 @@
 namespace vedr::replay {
 
 /// CRC-32 (reflected polynomial 0xEDB88320, init/xorout 0xFFFFFFFF) — the
-/// standard zlib/Ethernet CRC, table-driven. The streaming form lets a frame
-/// CRC cover several buffers without concatenating them:
+/// standard zlib/Ethernet CRC, slicing-by-8 over compile-time tables. The
+/// streaming form lets a frame CRC cover several buffers without
+/// concatenating them:
 ///   state = crc32_update(kCrcInit, a); state = crc32_update(state, b);
 ///   crc = crc32_finish(state);
 inline constexpr std::uint32_t kCrcInit = 0xFFFFFFFFU;
@@ -27,21 +28,9 @@ inline std::uint32_t crc32(std::string_view data) {
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v & 0xFF));
-    u8(static_cast<std::uint8_t>(v >> 8));
-  }
-
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v & 0xFFFF));
-    u16(static_cast<std::uint16_t>(v >> 16));
-  }
-
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v & 0xFFFFFFFFU));
-    u32(static_cast<std::uint32_t>(v >> 32));
-  }
+  void u16(std::uint16_t v) { le(v, 2); }
+  void u32(std::uint32_t v) { le(v, 4); }
+  void u64(std::uint64_t v) { le(v, 8); }
 
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -53,10 +42,25 @@ class ByteWriter {
 
   void bytes(std::string_view s) { buf_.append(s.data(), s.size()); }
 
+  /// Overwrites the u32 at byte `at`, e.g. a length written before its payload.
+  void u32_at(std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) buf_[at + i] = static_cast<char>(v >> (8 * i));
+  }
+
+  /// Empties the buffer and keeps its capacity, for a writer that reuses it.
+  void clear() { buf_.clear(); }
   const std::string& data() const { return buf_; }
   std::string take() { return std::move(buf_); }
 
  private:
+  /// Appends the low `n` <= 8 bytes of `v`, least significant first, with
+  /// one append rather than one push_back per byte.
+  void le(std::uint64_t v, std::size_t n) {
+    char b[8] = {};
+    for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<char>(v >> (8 * i));
+    buf_.append(b, n);
+  }
+
   std::string buf_;
 };
 

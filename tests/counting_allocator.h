@@ -1,0 +1,53 @@
+#pragma once
+
+// Counting global allocator for the allocation audits. Replacing operator
+// new/delete affects the whole program, so include this from one source
+// file of a test binary of its own. Only the counter is added; allocation
+// behavior is unchanged (malloc/free underneath, as libstdc++ does by
+// default). Count between `g_allocs.store(0); g_counting.store(true);` and
+// `g_counting.store(false);`.
+//
+// The override must not exist under sanitizers: their runtimes interpose the
+// allocator themselves, and an interposed allocator changes what "an
+// allocation" is (ASan's quarantine, TSan's shadow). There kSanitized is
+// true and nothing is counted; tests skip their bound but still run.
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define VEDR_ALLOC_OVERRIDE 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define VEDR_ALLOC_OVERRIDE 0
+#else
+#define VEDR_ALLOC_OVERRIDE 1
+#endif
+#else
+#define VEDR_ALLOC_OVERRIDE 1
+#endif
+
+inline std::atomic<bool> g_counting{false};
+inline std::atomic<std::uint64_t> g_allocs{0};
+constexpr bool kSanitized = VEDR_ALLOC_OVERRIDE == 0;
+
+#if VEDR_ALLOC_OVERRIDE
+void* operator new(std::size_t n) {
+  if (g_counting.load(std::memory_order_relaxed))
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc{};
+}
+
+void* operator new[](std::size_t n) { return ::operator new(n); }
+
+// Out of line: inlined into a `new T` site, GCC's -Wmismatched-new-delete
+// would flag the free() of memory from operator new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#endif  // VEDR_ALLOC_OVERRIDE

@@ -117,7 +117,15 @@ TEST(TraceRoundtrip, Envelope) {
 
 TEST(TraceRoundtrip, EnvelopeRejectsOutOfRangeEnums) {
   TraceEnvelope env;
+  env.participants = {0, 1};
+  env.cc_step_bytes = 1;
   std::string bytes = encoded(env);
+  {
+    // Valid as written, so the enum below is the only fault.
+    ByteReader r(bytes);
+    TraceEnvelope out;
+    ASSERT_TRUE(decode(r, out));
+  }
   // system is the first byte of the payload.
   bytes[0] = static_cast<char>(99);
   ByteReader r(bytes);

@@ -11,57 +11,12 @@
 // guarantee away; the assertion is skipped there but the scenario still runs.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "collective/plan.h"
 #include "collective/runner.h"
+#include "counting_allocator.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "sim/sharded_engine.h"
-
-// The override must not exist under sanitizers: their runtimes interpose the
-// allocator themselves, and GCC's -Wmismatched-new-delete flags our
-// free()-backed delete against their new.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define VEDR_ALLOC_OVERRIDE 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define VEDR_ALLOC_OVERRIDE 0
-#else
-#define VEDR_ALLOC_OVERRIDE 1
-#endif
-#else
-#define VEDR_ALLOC_OVERRIDE 1
-#endif
-
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::uint64_t> g_allocs{0};
-constexpr bool kSanitized = VEDR_ALLOC_OVERRIDE == 0;
-
-}  // namespace
-
-#if VEDR_ALLOC_OVERRIDE
-// Counting global allocator. Only the counter is added; allocation behavior
-// is unchanged (malloc/free underneath, as libstdc++ does by default).
-void* operator new(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed))
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t n) { return ::operator new(n); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif  // VEDR_ALLOC_OVERRIDE
 
 namespace vedr {
 namespace {

@@ -36,6 +36,7 @@
 #include "eval/experiment.h"
 #include "net/routing.h"
 #include "obs/cli.h"
+#include "replay/trace_format.h"
 #include "sim/shard_report.h"
 #include "telemetry_flags.h"
 
@@ -132,6 +133,11 @@ int main(int argc, char** argv) {
   }
   if (shards > 1 && system != eval::SystemKind::kVedrfolnir) {
     std::fprintf(stderr, "error: --shards > 1 supports --system vedrfolnir only\n");
+    return 2;
+  }
+  if (!record_path.empty() && !replay::valid_fat_tree_k(fat_tree_k)) {
+    std::fprintf(stderr, "error: --record supports --k up to %d, the largest a trace may name\n",
+                 replay::kMaxFatTreeK);
     return 2;
   }
 
