@@ -9,9 +9,11 @@
 //                  [--k K] [--sweep] [--smoke] [--json PATH]
 //                  [--obs-trace FILE.json] [--obs-metrics FILE]
 //
-// Prints events/sec, packets/sec, wall time, and peak RSS; --json also emits
-// a machine-readable record (CI writes it as BENCH_sim.json). --smoke shrinks
-// the case so the whole run fits in a CI smoke-test budget. The obs flags
+// Prints events/sec, packets/sec, wall time, peak RSS, and the engine's
+// heap pushes per delivered packet with the share of events that rode a
+// delivery lane instead (DESIGN.md §8); --json also emits a machine-readable
+// record (CI writes it as BENCH_sim.json). --smoke shrinks the case so the
+// whole run fits in a CI smoke-test budget. The obs flags
 // turn on the observability taps during the timed runs — that is the point:
 // comparing events/sec with and without them measures the enabled-tracing
 // overhead (EXPERIMENTS.md records the budget: <5%).
@@ -98,6 +100,8 @@ struct Measurement {
   double wall = 0.0;  ///< best-of-N seconds
   std::uint64_t events = 0;
   std::uint64_t packets = 0;
+  std::uint64_t heap_pushes = 0;
+  std::uint64_t lane_appends = 0;
   std::shared_ptr<const obs::MetricsSnapshot> metrics;
   std::shared_ptr<const sim::ShardReport> shard_report;  ///< last run's
 };
@@ -115,6 +119,8 @@ Measurement measure(const eval::ScenarioSpec& spec, eval::SystemKind system,
     if (r == 0 || wall < m.wall) m.wall = wall;
     m.events = result.sim_events;
     m.packets = result.packets_delivered;
+    m.heap_pushes = result.heap_pushes;
+    m.lane_appends = result.lane_appends;
     m.metrics = result.metrics;
     m.shard_report = result.shard_report;
     if (verbose) {
@@ -123,6 +129,18 @@ Measurement measure(const eval::ScenarioSpec& spec, eval::SystemKind system,
     }
   }
   return m;
+}
+
+/// Heap pushes per delivered packet: exact counts, so one run suffices.
+double pushes_per_packet(const Measurement& m) {
+  return m.packets > 0 ? static_cast<double>(m.heap_pushes) / static_cast<double>(m.packets) : 0;
+}
+
+/// Share of scheduled events appended behind a lane head (no heap push).
+double lane_share(const Measurement& m) {
+  const std::uint64_t scheduled = m.heap_pushes + m.lane_appends;
+  return scheduled > 0 ? static_cast<double>(m.lane_appends) / static_cast<double>(scheduled)
+                       : 0;
 }
 
 eval::ScenarioSpec spec_for(eval::ScenarioType scenario, int case_id, int k,
@@ -217,7 +235,8 @@ int main(int argc, char** argv) {
     std::printf("sweep: %s case %d, scale %g, %d run(s)/point, %d hw thread(s)%s\n",
                 scenario_slug(scenario), case_id, scale, runs, hw,
                 gate_enforced ? "" : " (speedup gate report-only)");
-    std::printf("%4s %7s %12s %14s %12s\n", "K", "shards", "wall_s", "events", "events/s");
+    std::printf("%4s %7s %12s %14s %12s %13s %10s\n", "K", "shards", "wall_s", "events",
+                "events/s", "pushes/packet", "lane_share");
 
     bench::BenchReport report("sim_throughput");
     report.field("sweep", true)
@@ -228,6 +247,7 @@ int main(int argc, char** argv) {
         .field("hw_threads", hw);
 
     double wall_k8_s1 = 0.0, wall_k8_s8 = 0.0;
+    Measurement k8_s1;
     for (const int k : radixes) {
       const eval::ScenarioSpec spec = spec_for(scenario, case_id, k, cfg, scale);
       for (const int s : shard_counts) {
@@ -236,15 +256,21 @@ int main(int argc, char** argv) {
         point_cfg.fat_tree_k = k;
         const Measurement m = measure(spec, system, point_cfg, runs, /*verbose=*/false);
         const double eps = m.wall > 0 ? static_cast<double>(m.events) / m.wall : 0;
-        std::printf("%4d %7d %12.3f %14llu %12.0f\n", k, s, m.wall,
-                    static_cast<unsigned long long>(m.events), eps);
+        std::printf("%4d %7d %12.3f %14llu %12.0f %13.3f %10.3f\n", k, s, m.wall,
+                    static_cast<unsigned long long>(m.events), eps, pushes_per_packet(m),
+                    lane_share(m));
         char prefix[32];
         std::snprintf(prefix, sizeof prefix, "k%d_s%d_", k, s);
         const std::string p(prefix);
         report.field_fixed(p + "wall_seconds", m.wall, 6)
             .field(p + "events", m.events)
-            .field_fixed(p + "events_per_sec", eps, 0);
-        if (k == 8 && s == 1) wall_k8_s1 = m.wall;
+            .field_fixed(p + "events_per_sec", eps, 0)
+            .field_fixed(p + "heap_pushes_per_packet", pushes_per_packet(m), 4)
+            .field_fixed(p + "lane_share", lane_share(m), 4);
+        if (k == 8 && s == 1) {
+          wall_k8_s1 = m.wall;
+          k8_s1 = m;
+        }
         if (k == 8 && s == 8) wall_k8_s8 = m.wall;
       }
     }
@@ -255,7 +281,10 @@ int main(int argc, char** argv) {
                 gate_enforced ? (sweep_ok ? "  (gate >= 3x: PASS)" : "  (gate >= 3x: FAIL)")
                               : "  (gate not enforced: < 8 hw threads)");
 
-    report.field_fixed("speedup_k8", speedup, 3)
+    // The unprefixed queue rows name the serial K=8 point (ROADMAP item 4).
+    report.field_fixed("heap_pushes_per_packet", pushes_per_packet(k8_s1), 4)
+        .field_fixed("lane_share", lane_share(k8_s1), 4)
+        .field_fixed("speedup_k8", speedup, 3)
         .field("gate_enforced", gate_enforced)
         .field("sweep_ok", sweep_ok)
         .field("peak_rss_kb", static_cast<std::int64_t>(peak_rss_kb()));
@@ -286,6 +315,8 @@ int main(int argc, char** argv) {
   const long rss_kb = peak_rss_kb();
   std::printf("events/sec:  %.0f\n", events_per_sec);
   std::printf("packets/sec: %.0f\n", packets_per_sec);
+  std::printf("heap pushes / delivered packet: %.4f\n", pushes_per_packet(m));
+  std::printf("lane share:  %.4f\n", lane_share(m));
   std::printf("wall:        %.3fs (best of %d)\n", m.wall, runs);
   std::printf("peak RSS:    %ld KiB\n", rss_kb);
   if (shard_report) std::printf("\n%s", m.shard_report->table().c_str());
@@ -304,6 +335,8 @@ int main(int argc, char** argv) {
         .field_fixed("wall_seconds", m.wall, 6)
         .field_fixed("events_per_sec", events_per_sec, 0)
         .field_fixed("packets_per_sec", packets_per_sec, 0)
+        .field_fixed("heap_pushes_per_packet", pushes_per_packet(m), 4)
+        .field_fixed("lane_share", lane_share(m), 4)
         .field("peak_rss_kb", static_cast<std::int64_t>(rss_kb));
     if (!report.write(json_path)) return 2;
     std::printf("wrote %s\n", json_path.c_str());

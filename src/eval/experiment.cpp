@@ -215,6 +215,10 @@ CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig
   result.cc_time = runner.done() ? runner.finish_time() - runner.start_time() : 0;
   result.sim_events = engine.events_executed();
   result.packets_delivered = network.packets_delivered();
+  for (int d = 0; d < engine.num_domains(); ++d) {
+    result.heap_pushes += engine.domain(d).heap_pushes();
+    result.lane_appends += engine.domain(d).lane_appends();
+  }
 
   switch (system) {
     case SystemKind::kVedrfolnir:

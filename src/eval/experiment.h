@@ -100,6 +100,11 @@ struct CaseResult {
   bool cc_completed = false;
   std::uint64_t sim_events = 0;
   std::uint64_t packets_delivered = 0;  ///< frames handed to the link layer
+  /// Engine schedule counters summed over domains (sim::EventQueue): events
+  /// that entered the heap with a sift-up, and events appended behind a
+  /// delivery-lane head. Not folded into run_case_digest.
+  std::uint64_t heap_pushes = 0;
+  std::uint64_t lane_appends = 0;
   core::Diagnosis diagnosis;
   /// Set iff RunConfig::capture_metrics: the case's full metric snapshot
   /// (shared so CaseResult stays cheap to copy through the suite plumbing).

@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <limits>
+#include <map>
 #include <stdexcept>
 
 #include "sim/rng.h"
@@ -11,7 +12,13 @@ namespace vedr::net {
 RoutingTable RoutingTable::shortest_paths(const Topology& topo) {
   RoutingTable rt;
   const auto n = topo.size();
-  rt.next_hops_.resize(n);
+  rt.host_index_.assign(n, -1);
+  for (std::size_t u = 0; u < n; ++u)
+    if (topo.is_host(static_cast<NodeId>(u)))
+      rt.host_index_[u] = static_cast<std::int32_t>(rt.num_hosts_++);
+  rt.next_hop_.assign(n * rt.num_hosts_, 0);
+  rt.sets_.emplace_back();  // set 0: no route
+  std::map<std::vector<PortId>, std::uint32_t> set_ids;
 
   // BFS from each destination host over the undirected link graph; a port at
   // `u` is a next hop toward `dst` when its peer is strictly closer.
@@ -46,19 +53,39 @@ RoutingTable RoutingTable::shortest_paths(const Topology& topo) {
             ports.push_back(static_cast<PortId>(p));
         }
       }
-      if (!ports.empty()) rt.next_hops_[u][dst] = std::move(ports);
+      if (ports.empty()) continue;
+      auto [it, fresh] = set_ids.try_emplace(ports, 0);
+      if (fresh) it->second = rt.add_set(std::move(ports));
+      rt.next_hop_[static_cast<std::size_t>(rt.entry_of(static_cast<NodeId>(u), dst))] =
+          it->second;
     }
   }
   return rt;
 }
 
+std::uint32_t RoutingTable::add_set(std::vector<PortId> ports) {
+  sets_.push_back(std::move(ports));
+  return static_cast<std::uint32_t>(sets_.size() - 1);
+}
+
+std::int64_t RoutingTable::entry_of(NodeId at, NodeId dst) const {
+  if (at < 0 || static_cast<std::size_t>(at) >= host_index_.size())
+    throw std::out_of_range("routing: node " + std::to_string(at) + " is not in the table");
+  if (dst < 0 || static_cast<std::size_t>(dst) >= host_index_.size()) return -1;
+  const std::int32_t h = host_index_[static_cast<std::size_t>(dst)];
+  if (h < 0) return -1;
+  return static_cast<std::int64_t>(static_cast<std::size_t>(at) * num_hosts_ +
+                                   static_cast<std::size_t>(h));
+}
+
 const std::vector<PortId>& RoutingTable::candidates(NodeId at, NodeId dst) const {
-  const auto& m = next_hops_.at(static_cast<std::size_t>(at));
-  auto it = m.find(dst);
-  if (it == m.end() || it->second.empty())
+  const std::int64_t e = entry_of(at, dst);
+  const std::vector<PortId>* c =
+      e < 0 ? &sets_[0] : &sets_[next_hop_[static_cast<std::size_t>(e)]];
+  if (c->empty())
     throw std::runtime_error("no route from node " + std::to_string(at) + " to host " +
                              std::to_string(dst));
-  return it->second;
+  return *c;
 }
 
 PortId RoutingTable::select(NodeId at, const FlowKey& flow) const {
@@ -70,7 +97,11 @@ PortId RoutingTable::select(NodeId at, const FlowKey& flow) const {
 }
 
 void RoutingTable::override_route(NodeId at, NodeId dst, std::vector<PortId> ports) {
-  next_hops_.at(static_cast<std::size_t>(at))[dst] = std::move(ports);
+  const std::int64_t e = entry_of(at, dst);
+  if (e < 0)
+    throw std::invalid_argument("override_route: node " + std::to_string(dst) +
+                                " is not a host");
+  next_hop_[static_cast<std::size_t>(e)] = ports.empty() ? 0 : add_set(std::move(ports));
 }
 
 std::vector<NodeId> RoutingTable::path_of(const Topology& topo, const FlowKey& flow) const {

@@ -1,10 +1,67 @@
 #include "replay/collector.h"
 
+#include <string>
 #include <utility>
 
 #include "core/json_export.h"
 
 namespace vedr::replay {
+
+namespace {
+
+/// Why `r` cannot have come from `topo`: the first field whose node or port
+/// id the analyzer would dereference out of range, or whose byte count an
+/// analyzer invariant assumes non-negative. Empty when the report fits; the
+/// detail string is built only for a misfit, so a valid report costs integer
+/// compares alone. A switch reports only its own ports, so every PortRef
+/// names `switch_id`.
+std::string report_misfit(const net::Topology& topo, const telemetry::SwitchReport& r) {
+  const net::NodeId sw = r.switch_id;
+  if (sw < 0 || static_cast<std::size_t>(sw) >= topo.size() || topo.is_host(sw))
+    return "switch_id " + std::to_string(sw) + " is not a switch of the fabric";
+  const auto num_ports = static_cast<net::PortId>(topo.node(sw).ports.size());
+  const auto port_ok = [&](net::PortId p) { return p >= 0 && p < num_ports; };
+  const auto own_port_ok = [&](const net::PortRef& p) { return p.node == sw && port_ok(p.port); };
+  const auto at = [](const char* list, std::size_t i) {
+    return std::string(list) + "[" + std::to_string(i) + "]";
+  };
+  const auto not_a_port = [&](const std::string& field, const std::string& value) {
+    return field + " " + value + " is not a port of switch " + std::to_string(sw);
+  };
+  const auto negative = [](const std::string& field, std::int64_t value) {
+    return field + " " + std::to_string(value) + " is negative";
+  };
+  for (std::size_t i = 0; i < r.ports.size(); ++i) {
+    const telemetry::PortReport& pr = r.ports[i];
+    if (!own_port_ok(pr.port)) return not_a_port(at("ports", i) + ".port", pr.port.str());
+    for (std::size_t j = 0; j < pr.meters.size(); ++j) {
+      const telemetry::MeterEntry& m = pr.meters[j];
+      if (!port_ok(m.in_port))
+        return not_a_port(at("ports", i) + at(".meters", j) + ".in_port",
+                          std::to_string(m.in_port));
+      if (m.bytes < 0) return negative(at("ports", i) + at(".meters", j) + ".bytes", m.bytes);
+    }
+  }
+  for (std::size_t i = 0; i < r.causes.size(); ++i) {
+    const telemetry::PauseCauseReport& c = r.causes[i];
+    if (!own_port_ok(c.ingress_port))
+      return not_a_port(at("causes", i) + ".ingress_port", c.ingress_port.str());
+    for (std::size_t j = 0; j < c.contributions.size(); ++j) {
+      const auto& [egress, bytes] = c.contributions[j];
+      if (!port_ok(egress))
+        return not_a_port(at("causes", i) + at(".contributions", j) + ".egress",
+                          std::to_string(egress));
+      if (bytes < 0) return negative(at("causes", i) + at(".contributions", j) + ".bytes", bytes);
+    }
+  }
+  for (std::size_t i = 0; i < r.drops.size(); ++i) {
+    if (!own_port_ok(r.drops[i].port))
+      return not_a_port(at("drops", i) + ".port", r.drops[i].port.str());
+  }
+  return {};
+}
+
+}  // namespace
 
 StreamingCollector::StreamingCollector() = default;
 StreamingCollector::~StreamingCollector() = default;
@@ -34,6 +91,9 @@ void StreamingCollector::ingest(const TraceRecord& rec, std::uint64_t frame_offs
   if (stats_in_.by_type[slot] == 0) stats_in_.first_offset[slot] = frame_offset;
   stats_in_.last_offset[slot] = frame_offset;
   stats_in_.by_type[slot] += 1;
+  // After a misfit only the footer still counts: it lets a streaming
+  // session finish, with the latched error as its final.
+  if (bad_record_.status != TraceStatus::kOk && rec.type != RecordType::kFooter) return;
   switch (rec.type) {
     case RecordType::kEnvelope:
       envelope_ = std::get<TraceEnvelope>(rec.payload);
@@ -56,15 +116,21 @@ void StreamingCollector::ingest(const TraceRecord& rec, std::uint64_t frame_offs
     }
     case RecordType::kSwitchReport:
       if (analyzer_ != nullptr) {
+        const auto& report = std::get<telemetry::SwitchReport>(rec.payload);
+        if (std::string why = report_misfit(*topo_, report); !why.empty()) {
+          bad_record_ = TraceError{TraceStatus::kBadRecord, frame_offset,
+                                   "switch report: " + why};
+          break;
+        }
         if (compressor_.has_value()) {
           // Sketch lane: re-encode the exact recorded report through the
           // bounded memory budget before the analyzer sees it.
-          telemetry::SwitchReport compressed = std::get<telemetry::SwitchReport>(rec.payload);
+          telemetry::SwitchReport compressed = report;
           compressor_->compress(compressed);
           stats_.add_counter("replay.sketched_reports");
           analyzer_->on_switch_report(compressed);
         } else {
-          analyzer_->on_switch_report(std::get<telemetry::SwitchReport>(rec.payload));
+          analyzer_->on_switch_report(report);
         }
       }
       break;
@@ -94,7 +160,9 @@ ReplayResult StreamingCollector::finalize(const TraceError& error, std::uint64_t
   stats_.add_counter("replay.frames", static_cast<std::int64_t>(result.stats.frames));
   stats_.add_counter("replay.bytes", static_cast<std::int64_t>(result.stats.bytes));
 
-  if (error.status != TraceStatus::kOk && error.status != TraceStatus::kEof) {
+  if (bad_record_.status != TraceStatus::kOk) {
+    result.error = bad_record_;  // the earliest fault in the stream
+  } else if (error.status != TraceStatus::kOk && error.status != TraceStatus::kEof) {
     result.error = error;
   } else if (result.have_footer) {
     // Frame-count cross-check: a frame-granular truncation that removed

@@ -59,6 +59,15 @@ struct ReplayResult {
 /// pause causes, TTL drops) are counted but not fed to the analyzer, which
 /// never sees them live either.
 ///
+/// A trace is outside input: its CRCs prove its bytes intact, not that its
+/// records fit the fabric its envelope names. Each switch report is checked
+/// against that fabric before the analyzer sees it (every node and port id
+/// the analyzer dereferences, and the byte counts its invariants assume
+/// non-negative). The first misfit latches a kBadRecord error naming the
+/// record type and field; the analyzer is fed nothing more, and finalize()
+/// reports the error. The live path never comes through here, so it keeps
+/// trusting its simulator.
+///
 /// Two driving shapes share the same dispatch:
 ///   * replay(reader) — one-shot: pump to end of stream, diagnose, verify.
 ///   * ingest()/diagnose()/finalize() — streaming: the serve daemon feeds
@@ -144,6 +153,7 @@ class VEDR_SINGLE_THREADED StreamingCollector {
   std::optional<telemetry::ReportCompressor> compressor_;
 
   // Streaming state (mirrors what replay() used to keep on its stack).
+  TraceError bad_record_;  ///< first record that does not fit the envelope (kOk: none)
   TraceEnvelope envelope_;
   bool have_footer_ = false;
   TraceFooter footer_;

@@ -1,6 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -56,6 +55,7 @@ EventId EventQueue::push(Tick at, std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.live = true;
   heap_.push_back(HeapItem{at, next_seq_++, slot});
+  ++heap_pushes_;
   sift_up(heap_.size() - 1);
   return make_id(slot, s.gen);
 }
@@ -66,6 +66,7 @@ EventId EventQueue::schedule_event(Tick at, EventKind kind, const EventPayload& 
   Slot& s = slots_[slot];
   s.kind = kind;
   s.payload = payload;
+  s.lane = kNoLane;
   return push(at, slot);
 }
 
@@ -74,7 +75,43 @@ EventId EventQueue::schedule_callback(Tick at, std::function<void()> fn) {
   Slot& s = slots_[slot];
   s.kind = EventKind::kCallback;
   s.fn = std::move(fn);
+  s.lane = kNoLane;
   return push(at, slot);
+}
+
+void EventQueue::set_lanes(std::size_t n) {
+  VEDR_CHECK(n < kNoLane, "too many delivery lanes: ", n);
+  if (n > lanes_.size()) lanes_.resize(n);
+}
+
+EventId EventQueue::schedule_lane_event(std::uint32_t lane, Tick at, EventKind kind,
+                                        const EventPayload& payload) {
+  VEDR_ASSERT(kind != EventKind::kCallback, "schedule_lane_event cannot carry a closure");
+  VEDR_CHECK_LT(lane, lanes_.size(), "delivery lane out of range");
+  Lane& l = lanes_[lane];
+  // The FIFO argument: each lane's (time, seq) keys must rise, so the lane
+  // head is always its earliest event.
+  VEDR_CHECK_GE(at, l.last_at, "delivery lane ", lane, " scheduled out of time order");
+  l.last_at = at;
+  const std::uint32_t slot = acquire_slot();
+  Slot& s = slots_[slot];
+  s.kind = kind;
+  s.payload = payload;
+  s.lane = lane;
+  if (!l.head_in_heap) {
+    l.head_in_heap = true;
+    return push(at, slot);
+  }
+  s.live = true;
+  l.pending.push_back(HeapItem{at, next_seq_++, slot});
+  ++lane_held_;
+  return make_id(slot, s.gen);
+}
+
+std::size_t EventQueue::lane_capacity() const {
+  std::size_t n = 0;
+  for (const Lane& l : lanes_) n += l.pending.capacity();
+  return n;
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -83,6 +120,10 @@ bool EventQueue::cancel(EventId id) {
   if (slot >= slots_.size()) return false;
   Slot& s = slots_[slot];
   if (!s.live || s.gen != gen) return false;  // already fired or cancelled
+  // A lane event may wait in its lane's ring, outside the heap; removing it
+  // would need a search of the ring. The lanes carry link deliveries, which
+  // nothing cancels.
+  VEDR_CHECK(s.lane == kNoLane, "lane events cannot be cancelled (lane ", s.lane, ")");
   heap_remove(s.heap_pos);
   reclaim_slot(slot);
   return true;
@@ -113,8 +154,18 @@ Tick EventQueue::run_next() {
   last_pop_time_ = top.at;
   last_pop_seq_ = top.seq;
 
-  heap_remove(0);
   Slot& s = slots_[top.slot];
+  if (s.lane == kNoLane) {
+    heap_remove(0);
+  } else if (Lane& l = lanes_[s.lane]; !l.pending.empty()) {
+    // The lane's next event takes the root: one sift-down, no sift-up.
+    heap_[0] = l.pending.pop_front();
+    --lane_held_;
+    sift_down(0);
+  } else {
+    l.head_in_heap = false;
+    heap_remove(0);
+  }
   const EventKind kind = s.kind;
   const EventPayload payload = s.payload;
   std::function<void()> fn;
@@ -150,22 +201,33 @@ void EventQueue::sift_up(std::size_t pos) {
 }
 
 void EventQueue::sift_down(std::size_t pos) {
-  const HeapItem item = heap_[pos];
+  HeapItem* const h = heap_.data();
+  const HeapItem item = h[pos];
   const std::size_t n = heap_.size();
   for (;;) {
     const std::size_t first = 4 * pos + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
+    std::size_t best;
+    if (first + 4 <= n) {
+      // A full set of four children: two pairwise selects and a final one,
+      // which compile to conditional moves rather than branches. Keys are
+      // unique (seq), so the minimum is the same whichever way ties would go.
+      const std::size_t a = first + static_cast<std::size_t>(earlier(h[first + 1], h[first]));
+      const std::size_t b =
+          first + 2 + static_cast<std::size_t>(earlier(h[first + 3], h[first + 2]));
+      best = earlier(h[b], h[a]) ? b : a;
+    } else {
+      if (first >= n) break;
+      best = first;
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (earlier(h[c], h[best])) best = c;
+      }
     }
-    if (!earlier(heap_[best], item)) break;
-    heap_[pos] = heap_[best];
-    slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
+    if (!earlier(h[best], item)) break;
+    h[pos] = h[best];
+    slots_[h[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
     pos = best;
   }
-  heap_[pos] = item;
+  h[pos] = item;
   slots_[item.slot].heap_pos = static_cast<std::uint32_t>(pos);
 }
 

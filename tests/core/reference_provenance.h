@@ -4,9 +4,8 @@
 // as they existed before the flat interned rewrite: nested unordered_map
 // storage, composite-key hashing on every query. Kept verbatim (modulo
 // inlining) as the behavioural oracle for the randomized property test in
-// provenance_property_test.cpp and as the baseline lane of
-// bench/diag_throughput. Do not "optimize" this file — its value is that it
-// computes the answers the slow, obviously-correct way.
+// provenance_property_test.cpp. Do not "optimize" this file — its value is
+// that it computes the answers the slow, obviously-correct way.
 
 #include <algorithm>
 #include <cmath>

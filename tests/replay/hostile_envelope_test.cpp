@@ -4,6 +4,11 @@
 // value the simulator never records. The reader must reject the envelope as
 // a typed kBadRecord, and a replay must end with that error instead of
 // building a fabric or a plan from it (which aborted the process).
+//
+// An envelope in range can still name a fabric its records do not fit, and
+// a record can name a port its switch does not have. The collector checks
+// every switch report against the envelope's fabric and ends the replay
+// with kBadRecord (which also aborted the process).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -11,12 +16,10 @@
 #include <fstream>
 #include <functional>
 #include <string>
-#include <type_traits>
-#include <variant>
 
 #include "replay/collector.h"
 #include "replay/trace_reader.h"
-#include "replay/trace_writer.h"
+#include "replay/trace_rewrite.h"
 
 #ifndef VEDR_REPLAY_CORPUS_DIR
 #error "VEDR_REPLAY_CORPUS_DIR must be defined by the build"
@@ -30,46 +33,6 @@ std::string read_file(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
-/// Copies `src` to `dst` record by record, passing the envelope through
-/// `mutate` on the way. The writer computes every CRC afresh.
-void rewrite(const std::string& src, const std::string& dst,
-             const std::function<void(TraceEnvelope&)>& mutate) {
-  TraceReader reader(src);
-  ASSERT_TRUE(reader.ok()) << reader.error().str();
-  TraceWriter writer(dst);
-  TraceRecord rec;
-  TraceStatus st = TraceStatus::kOk;
-  while ((st = reader.next(rec)) == TraceStatus::kOk) {
-    std::visit(
-        [&](auto& v) {
-          using T = std::decay_t<decltype(v)>;
-          if constexpr (std::is_same_v<T, TraceEnvelope>) {
-            mutate(v);
-            writer.write_envelope(v);
-          } else if constexpr (std::is_same_v<T, TraceFooter>) {
-            writer.write_footer(v);
-          } else if constexpr (std::is_same_v<T, collective::StepRecord>) {
-            writer.on_step_record(v);
-          } else if constexpr (std::is_same_v<T, PollRegistration>) {
-            writer.on_poll_registered(v);
-          } else if constexpr (std::is_same_v<T, telemetry::SwitchReport>) {
-            writer.on_switch_report_in(v);
-          } else if constexpr (std::is_same_v<T, PollTriggerRecord>) {
-            writer.on_poll_trigger(v);
-          } else if constexpr (std::is_same_v<T, NotificationRecord>) {
-            writer.on_notification_sent(v);
-          } else if constexpr (std::is_same_v<T, PauseCauseRecord>) {
-            writer.on_pause_cause(v);
-          } else if constexpr (std::is_same_v<T, TtlDropRecord>) {
-            writer.on_ttl_drop(v);
-          }
-        },
-        rec.payload);
-  }
-  ASSERT_EQ(st, TraceStatus::kEof) << reader.error().str();
-  ASSERT_TRUE(writer.close()) << writer.error();
-}
-
 class HostileEnvelope : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -81,7 +44,7 @@ class HostileEnvelope : public ::testing::Test {
   /// Rewrites the incast corpus trace with `mutate` applied to its envelope
   /// and checks that the reader and a replay both stop at the envelope.
   void expect_rejected(const std::function<void(TraceEnvelope&)>& mutate) {
-    rewrite(source_, path_, mutate);
+    rewrite_trace(source_, path_, mutate);
     {
       TraceReader reader(path_);
       ASSERT_TRUE(reader.ok()) << reader.error().str();
@@ -96,12 +59,37 @@ class HostileEnvelope : public ::testing::Test {
     EXPECT_EQ(result.error.status, TraceStatus::kBadRecord) << result.error.str();
   }
 
+  /// Rewrites the incast corpus trace with both edits and checks that the
+  /// replay ends in kBadRecord at a switch report whose detail names
+  /// `field`.
+  void expect_record_rejected(const std::function<void(TraceEnvelope&)>& mutate_envelope,
+                              const std::function<void(telemetry::SwitchReport&)>& mutate_report,
+                              const std::string& field) {
+    rewrite_trace(source_, path_, mutate_envelope, mutate_report);
+    TraceReader reader(path_);
+    StreamingCollector collector;
+    const ReplayResult result = collector.replay(reader);
+    EXPECT_FALSE(result.ok);
+    EXPECT_FALSE(result.digest_matches);
+    EXPECT_EQ(result.error.status, TraceStatus::kBadRecord) << result.error.str();
+    EXPECT_GT(result.error.offset, kFileHeaderBytes);
+    EXPECT_NE(result.error.detail.find("switch report: " + field), std::string::npos)
+        << result.error.detail;
+  }
+
+  /// The recorded k = 4 fabric numbers hosts 0..15 and switches 16..35; in a
+  /// larger fat-tree those switch ids are hosts, so the first report does
+  /// not fit.
+  void expect_larger_fabric_rejected(int k) {
+    expect_record_rejected([k](TraceEnvelope& env) { env.fat_tree_k = k; }, {}, "switch_id 16");
+  }
+
   const std::string source_ = std::string(VEDR_REPLAY_CORPUS_DIR) + "/incast.vtrc";
   std::string path_;
 };
 
 TEST_F(HostileEnvelope, UnchangedRewriteIsByteIdenticalAndReplays) {
-  rewrite(source_, path_, [](TraceEnvelope&) {});
+  rewrite_trace(source_, path_, [](TraceEnvelope&) {});
   EXPECT_EQ(read_file(path_), read_file(source_));
   TraceReader reader(path_);
   StreamingCollector collector;
@@ -121,7 +109,7 @@ TEST_F(HostileEnvelope, FatTreeKOdd) {
 TEST_F(HostileEnvelope, FatTreeKAboveTheCap) {
   // Only the reader: at a build without the cap, a replay would go on to
   // build this fabric.
-  rewrite(source_, path_, [](TraceEnvelope& env) { env.fat_tree_k = kMaxFatTreeK + 2; });
+  rewrite_trace(source_, path_, [](TraceEnvelope& env) { env.fat_tree_k = kMaxFatTreeK + 2; });
   TraceReader reader(path_);
   TraceRecord rec;
   EXPECT_EQ(reader.next(rec), TraceStatus::kBadRecord);
@@ -150,6 +138,36 @@ TEST_F(HostileEnvelope, CcStepBytesZero) {
 
 TEST_F(HostileEnvelope, CcStepBytesNegative) {
   expect_rejected([](TraceEnvelope& env) { env.cc_step_bytes = -5; });
+}
+
+TEST_F(HostileEnvelope, RecordsDoNotFitAK8Fabric) { expect_larger_fabric_rejected(8); }
+
+TEST_F(HostileEnvelope, RecordsDoNotFitAK16Fabric) { expect_larger_fabric_rejected(16); }
+
+TEST_F(HostileEnvelope, RecordsDoNotFitAK32Fabric) { expect_larger_fabric_rejected(32); }
+
+TEST_F(HostileEnvelope, SwitchReportPortOutOfRange) {
+  bool edited = false;
+  expect_record_rejected(
+      [](TraceEnvelope&) {},
+      [&](telemetry::SwitchReport& r) {
+        if (edited || r.ports.empty()) return;
+        r.ports[0].port.port = 999;
+        edited = true;
+      },
+      "ports[0].port p(");
+}
+
+TEST_F(HostileEnvelope, SwitchReportNegativeContribution) {
+  bool edited = false;
+  expect_record_rejected(
+      [](TraceEnvelope&) {},
+      [&](telemetry::SwitchReport& r) {
+        if (edited || r.causes.empty() || r.causes[0].contributions.empty()) return;
+        r.causes[0].contributions[0].second = -1;
+        edited = true;
+      },
+      "causes[0].contributions[0].bytes -1");
 }
 
 }  // namespace

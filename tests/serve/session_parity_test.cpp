@@ -2,7 +2,9 @@
 // on exactly the batch replay diagnosis for every golden corpus trace — same
 // JSON, and a footer digest match — no matter how the records were sliced.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "common/mutex.h"
 #include "replay/collector.h"
 #include "replay/trace_reader.h"
+#include "replay/trace_rewrite.h"
 #include "serve/server.h"
 #include "serve/tail_source.h"
 #include "serve/verdict.h"
@@ -227,6 +230,87 @@ TEST(SessionParity, DropPolicyAccountsDropsInFinalVerdict) {
   EXPECT_NE(lines.back().find("\"type\":\"final\""), std::string::npos);
   EXPECT_NE(lines.back().find("\"dropped\":" + std::to_string(rejected)),
             std::string::npos);
+  server.shutdown();
+}
+
+TEST(SessionParity, HostileTraceEndsOnlyItsOwnSession) {
+  // The incast trace rewritten for a k = 16 fabric: every CRC valid and the
+  // envelope in range, but its switch ids are hosts of that fabric. Fed
+  // beside a golden trace, it must end its own session with an error final
+  // while the daemon keeps running and the golden tenant still matches.
+  const std::string hostile =
+      ::testing::TempDir() + "/serve_hostile." + std::to_string(::getpid()) + ".vtrc";
+  replay::rewrite_trace(corpus_path("incast"), hostile,
+                        [](replay::TraceEnvelope& env) { env.fat_tree_k = 16; });
+  const replay::ReplayResult batch = batch_replay("storm");
+  ASSERT_TRUE(batch.ok) << batch.error.str();
+
+  CaptureSink sink;
+  ServerConfig cfg;
+  cfg.shards = 2;
+  Server server(cfg, &sink);
+  const std::uint64_t bad = server.open_session("hostile");
+  const std::uint64_t good = server.open_session("golden");
+  replay::TraceReader bad_reader(hostile);
+  replay::TraceReader good_reader(corpus_path("storm"));
+  ASSERT_TRUE(bad_reader.ok()) << bad_reader.error().str();
+  replay::TraceRecord rec;
+  bool bad_open = true;
+  bool good_open = true;
+  while (bad_open || good_open) {
+    // Interleave the two streams record by record.
+    if (bad_open) {
+      const std::uint64_t offset = bad_reader.bytes_read();
+      if (bad_reader.next(rec) == replay::TraceStatus::kOk) {
+        ASSERT_TRUE(server.offer(bad, rec, offset));
+      } else {
+        server.close_session(bad, replay::TraceError{}, bad_reader.bytes_read());
+        bad_open = false;
+      }
+    }
+    if (good_open) {
+      const std::uint64_t offset = good_reader.bytes_read();
+      if (good_reader.next(rec) == replay::TraceStatus::kOk) {
+        ASSERT_TRUE(server.offer(good, rec, offset));
+      } else {
+        server.close_session(good, replay::TraceError{}, good_reader.bytes_read());
+        good_open = false;
+      }
+    }
+  }
+  server.wait_all_finished();
+  std::remove(hostile.c_str());
+
+  const Session* bad_session = server.find_session(bad);
+  ASSERT_NE(bad_session, nullptr);
+  EXPECT_EQ(bad_session->state(), SessionState::kError);
+  EXPECT_FALSE(bad_session->digest_matched());
+  EXPECT_NE(bad_session->final_error().find("switch report: switch_id 16"), std::string::npos)
+      << bad_session->final_error();
+
+  const Session* good_session = server.find_session(good);
+  ASSERT_NE(good_session, nullptr);
+  EXPECT_EQ(good_session->state(), SessionState::kFinished);
+  EXPECT_TRUE(good_session->digest_matched());
+
+  const std::string bad_final = "{\"type\":\"final\",\"session\":" + std::to_string(bad) + ",";
+  const std::string good_final =
+      "{\"type\":\"final\",\"session\":" + std::to_string(good) + ",";
+  int finals = 0;
+  for (const std::string& line : sink.lines()) {
+    if (line.rfind(bad_final, 0) == 0) {
+      ++finals;
+      EXPECT_NE(line.find("\"state\":\"error\""), std::string::npos) << line;
+      EXPECT_NE(line.find("bad-record"), std::string::npos) << line;
+    } else if (line.rfind(good_final, 0) == 0) {
+      ++finals;
+      EXPECT_NE(line.find("\"digest_match\":true"), std::string::npos) << line;
+      const std::string expect_tail = ",\"diagnosis\":" + batch.diagnosis_json + "}";
+      ASSERT_GE(line.size(), expect_tail.size());
+      EXPECT_EQ(line.substr(line.size() - expect_tail.size()), expect_tail);
+    }
+  }
+  EXPECT_EQ(finals, 2);
   server.shutdown();
 }
 

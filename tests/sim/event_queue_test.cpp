@@ -274,5 +274,126 @@ TEST(EventQueue, ManyEventsStressOrdering) {
   EXPECT_TRUE(ordered);
 }
 
+// --- per-link FIFO delivery lanes ----------------------------------------
+
+TEST(EventQueue, LaneEventsKeepGlobalTimeAndScheduleOrder) {
+  // Lane events share the sequence counter with the other paths, so the
+  // (time, seq) order spans lanes, typed events and callbacks alike.
+  EventQueue q;
+  static std::vector<int>* order_sink = nullptr;
+  std::vector<int> order;
+  order_sink = &order;
+  q.set_handler(EventKind::kPacketDelivery,
+                [](const EventPayload& p) { order_sink->push_back(static_cast<int>(p.a)); });
+  q.set_lanes(2);
+  q.schedule_lane_event(0, 5, EventKind::kPacketDelivery, {nullptr, 0, 0});
+  q.schedule_lane_event(1, 3, EventKind::kPacketDelivery, {nullptr, 1, 0});
+  q.schedule_callback(5, [&] { order.push_back(2); });
+  q.schedule_lane_event(0, 5, EventKind::kPacketDelivery, {nullptr, 3, 0});
+  q.schedule_lane_event(0, 9, EventKind::kPacketDelivery, {nullptr, 4, 0});
+  q.schedule_lane_event(1, 4, EventKind::kPacketDelivery, {nullptr, 5, 0});
+  std::vector<Tick> times;
+  while (!q.empty()) times.push_back(q.run_next());
+  EXPECT_EQ(order, (std::vector<int>{1, 5, 0, 2, 3, 4}));
+  EXPECT_EQ(times, (std::vector<Tick>{3, 4, 5, 5, 5, 9}));
+}
+
+TEST(EventQueue, LaneOutOfOrderScheduleFiresCheck) {
+  EventQueue q;
+  q.set_lanes(1);
+  q.schedule_lane_event(0, 10, EventKind::kPacketDelivery, {});
+  q.schedule_lane_event(0, 10, EventKind::kPacketDelivery, {});  // equal time: fine
+  common::ScopedThrowOnCheckFailure guard;
+  EXPECT_THROW(q.schedule_lane_event(0, 9, EventKind::kPacketDelivery, {}),
+               common::CheckFailure);
+  EXPECT_EQ(q.size(), 2u) << "a rejected schedule must leave the queue as it was";
+}
+
+TEST(EventQueue, LaneOutOfRangeFiresCheck) {
+  EventQueue q;
+  q.set_lanes(2);
+  common::ScopedThrowOnCheckFailure guard;
+  EXPECT_THROW(q.schedule_lane_event(2, 1, EventKind::kPacketDelivery, {}),
+               common::CheckFailure);
+}
+
+TEST(EventQueue, CancellingALaneEventFiresCheck) {
+  // Both the lane head (in the heap) and an event waiting behind it.
+  EventQueue q;
+  q.set_lanes(1);
+  const EventId head = q.schedule_lane_event(0, 1, EventKind::kPacketDelivery, {});
+  const EventId behind = q.schedule_lane_event(0, 2, EventKind::kPacketDelivery, {});
+  common::ScopedThrowOnCheckFailure guard;
+  EXPECT_THROW(q.cancel(head), common::CheckFailure);
+  EXPECT_THROW(q.cancel(behind), common::CheckFailure);
+  EXPECT_EQ(q.size(), 2u);
+}
+
+TEST(EventQueue, SizeAndEmptyCountEventsHeldInLanes) {
+  EventQueue q;
+  q.set_handler(EventKind::kPacketDelivery, [](const EventPayload&) {});
+  q.set_lanes(3);
+  for (Tick t = 1; t <= 4; ++t) q.schedule_lane_event(1, t, EventKind::kPacketDelivery, {});
+  q.schedule_callback(2, [] {});
+  // One lane head and the callback are in the heap; three events wait.
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.next_time(), 1);
+  std::size_t expect = 5;
+  while (!q.empty()) {
+    q.run_next();
+    EXPECT_EQ(q.size(), --expect);
+  }
+  EXPECT_EQ(expect, 0u);
+  EXPECT_EQ(q.next_time(), kNever);
+  // A drained lane takes events again, in the heap at first.
+  q.schedule_lane_event(1, 7, EventKind::kPacketDelivery, {});
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.run_next(), 7);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, HeapPushesAndLaneAppendsPartitionSchedules) {
+  EventQueue q;
+  q.set_handler(EventKind::kPacketDelivery, [](const EventPayload&) {});
+  q.set_lanes(2);
+  q.schedule_lane_event(0, 1, EventKind::kPacketDelivery, {});  // head: pushed
+  q.schedule_lane_event(0, 2, EventKind::kPacketDelivery, {});  // appended
+  q.schedule_lane_event(0, 3, EventKind::kPacketDelivery, {});  // appended
+  q.schedule_lane_event(1, 1, EventKind::kPacketDelivery, {});  // head: pushed
+  q.schedule_callback(4, [] {});                                // pushed
+  EXPECT_EQ(q.heap_pushes(), 3u);
+  EXPECT_EQ(q.lane_appends(), 2u);
+  while (!q.empty()) q.run_next();
+  // Refilling the root from a lane is a sift-down, not a push.
+  EXPECT_EQ(q.heap_pushes(), 3u);
+  EXPECT_EQ(q.heap_pushes() + q.lane_appends(), q.total_scheduled());
+}
+
+TEST(EventQueue, LaneRingsStopGrowingUnderChurn) {
+  // Steady state must reuse ring slots: with at most 3 events outstanding
+  // per lane, the rings never grow past their warm-up size however many
+  // events flow.
+  EventQueue q;
+  q.set_handler(EventKind::kPacketDelivery, [](const EventPayload&) {});
+  constexpr std::uint32_t kLanes = 4;
+  q.set_lanes(kLanes);
+  Tick t = 0;
+  auto round = [&] {
+    for (std::uint32_t l = 0; l < kLanes; ++l)
+      for (int i = 0; i < 3; ++i)
+        q.schedule_lane_event(l, t + i, EventKind::kPacketDelivery, {});
+    while (!q.empty()) q.run_next();
+    t += 3;
+  };
+  round();
+  const std::size_t warm_lanes = q.lane_capacity();
+  const std::size_t warm_pool = q.pool_capacity();
+  EXPECT_GT(warm_lanes, 0u);
+  for (int i = 0; i < 10000; ++i) round();
+  EXPECT_EQ(q.lane_capacity(), warm_lanes);
+  EXPECT_EQ(q.pool_capacity(), warm_pool);
+}
+
 }  // namespace
 }  // namespace vedr::sim

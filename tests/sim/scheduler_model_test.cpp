@@ -1,8 +1,9 @@
 // Randomized model check of the typed-event engine against a naive reference
 // scheduler: thousands of interleaved schedule/cancel/pop operations, driven
 // by a seeded RNG, must produce the identical firing sequence (time AND
-// schedule order) and identical size() at every step. The reference is a
-// plain sorted vector — too slow to ship, trivially correct.
+// schedule order) and identical size() at every step, with and without
+// delivery lanes. The reference is a plain sorted vector — too slow to
+// ship, trivially correct.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -125,12 +126,98 @@ void run_model_check(std::uint64_t seed, int ops) {
   EXPECT_TRUE(q.empty());
 }
 
+/// The same model check with delivery lanes mixed in: each random lane is
+/// fed in non-decreasing time (often at equal times), interleaved with
+/// heap schedules, cancels of heap events and pops. Lane events cannot be
+/// cancelled, so only heap events are cancel candidates.
+void run_lane_model_check(std::uint64_t seed, int ops, std::uint32_t lanes) {
+  std::mt19937_64 rng(seed);
+  EventQueue q;
+  q.set_lanes(lanes);
+  ReferenceQueue ref;
+
+  std::vector<std::uint64_t> fired;
+  static std::vector<std::uint64_t>* fired_sink = nullptr;
+  fired_sink = &fired;
+  q.set_handler(EventKind::kPacketDelivery,
+                [](const EventPayload& p) { fired_sink->push_back(p.a); });
+  q.set_handler(EventKind::kStepPoll,
+                [](const EventPayload& p) { fired_sink->push_back(p.a); });
+
+  std::vector<LiveEvent> cancellable;
+  std::vector<Tick> lane_last(lanes, 0);
+  Tick clock = 0;
+
+  for (int op = 0; op < ops; ++op) {
+    const int dice = static_cast<int>(rng() % 100);
+    if (dice < 40) {
+      // Lane schedule: never before the lane's previous event or the clock.
+      const auto lane = static_cast<std::uint32_t>(rng() % lanes);
+      const Tick at = std::max(clock, lane_last[lane]) + static_cast<Tick>(rng() % 8);
+      lane_last[lane] = at;
+      const std::uint64_t seq = ref.schedule(at);
+      q.schedule_lane_event(lane, at, EventKind::kPacketDelivery, {nullptr, seq, 0});
+    } else if (dice < 60 || ref.empty()) {
+      const Tick at = clock + static_cast<Tick>(rng() % 64);
+      const std::uint64_t seq = ref.schedule(at);
+      EventId id;
+      if (rng() % 2 == 0) {
+        id = q.schedule_event(at, EventKind::kStepPoll, {nullptr, seq, 0});
+      } else {
+        id = q.schedule_callback(at, [seq] { fired_sink->push_back(seq); });
+      }
+      cancellable.push_back({id, seq});
+    } else if (dice < 70 && !cancellable.empty()) {
+      const std::size_t pick = rng() % cancellable.size();
+      const LiveEvent ev = cancellable[pick];
+      cancellable.erase(cancellable.begin() + static_cast<std::ptrdiff_t>(pick));
+      EXPECT_TRUE(q.cancel(ev.id));
+      EXPECT_TRUE(ref.cancel(ev.seq));
+    } else {
+      const Tick at = q.next_time();
+      const std::size_t before = fired.size();
+      const Tick ran_at = q.run_next();
+      EXPECT_EQ(ran_at, at);
+      clock = ran_at;
+      const std::uint64_t expect_seq = ref.pop();
+      ASSERT_EQ(fired.size(), before + 1);
+      ASSERT_EQ(fired.back(), expect_seq)
+          << "engine and reference popped different events at t=" << ran_at;
+      cancellable.erase(std::remove_if(cancellable.begin(), cancellable.end(),
+                                       [&](const LiveEvent& e) { return e.seq == expect_seq; }),
+                        cancellable.end());
+    }
+    ASSERT_EQ(q.size(), ref.size()) << "live-event count diverged after op " << op;
+    ASSERT_EQ(q.empty(), ref.empty());
+  }
+
+  while (!ref.empty()) {
+    const std::size_t before = fired.size();
+    q.run_next();
+    ASSERT_EQ(fired.size(), before + 1);
+    ASSERT_EQ(fired.back(), ref.pop());
+    ASSERT_EQ(q.size(), ref.size());
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(q.lane_appends(), 0u) << "the run never held an event behind a lane head";
+}
+
 TEST(SchedulerModelCheck, ThousandsOfInterleavedOpsMatchReference) {
   run_model_check(/*seed=*/0x5EEDBA5E, /*ops=*/4000);
 }
 
 TEST(SchedulerModelCheck, MultipleSeeds) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) run_model_check(seed * 7919, 1500);
+}
+
+TEST(SchedulerModelCheck, LanesMatchReference) {
+  run_lane_model_check(/*seed=*/0x1A4E5, /*ops=*/4000, /*lanes=*/6);
+}
+
+TEST(SchedulerModelCheck, LanesMatchReferenceOverSeeds) {
+  // From one lane (every delivery on one wire) to many (mostly idle lanes).
+  for (std::uint64_t seed = 1; seed <= 8; ++seed)
+    run_lane_model_check(seed * 104729, 1500, static_cast<std::uint32_t>(1 + (seed * 5) % 23));
 }
 
 TEST(SchedulerModelCheck, SameSeedSameFiringOrder) {
