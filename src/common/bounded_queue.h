@@ -3,8 +3,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/mutex.h"
@@ -14,17 +14,19 @@ namespace vedr::common {
 
 /// Counters a queue owner exposes as obs metrics (serve surfaces them per
 /// session as `serve.session.*`). Snapshot under the queue's lock, so the
-/// numbers are mutually consistent: pushed == popped + dropped + size.
+/// numbers are mutually consistent: pushed == popped + size (a dropped item
+/// was never pushed).
 struct QueueStats {
   std::uint64_t pushed = 0;       ///< items accepted into the queue
-  std::uint64_t popped = 0;       ///< items handed to a consumer
+  std::uint64_t popped = 0;       ///< items the consumer took and has since released
   std::uint64_t dropped = 0;      ///< try_push rejections (queue full)
   std::uint64_t blocked = 0;      ///< push() calls that had to wait for space
-  std::size_t size = 0;           ///< items currently queued
+  std::size_t size = 0;           ///< items held: queued, or in the consumer's batch
   std::size_t high_watermark = 0; ///< max size ever observed
 };
 
-/// Bounded multi-producer / single-consumer FIFO with explicit backpressure.
+/// Bounded multi-producer / single-consumer queue with explicit backpressure
+/// and a batch hand-off.
 ///
 /// The serve ingest plane puts one of these in front of every tenant session:
 /// transport threads produce decoded trace records, the session's shard
@@ -38,11 +40,14 @@ struct QueueStats {
 ///                  drop; for transports that must never stall (a live
 ///                  socket whose peer outruns the consumer).
 ///
-/// All state is guarded by one mutex (capability-checked); consumers block on
-/// a condition variable, so an idle queue costs nothing. The consumer side is
-/// written for a single consumer (the owning shard worker) but the lock makes
-/// concurrent pops safe too — FIFO order is only meaningful per producer and
-/// with one consumer.
+/// Producers append to a vector under one mutex (capability-checked). The
+/// consumer never takes the lock per item: take() swaps out everything
+/// queued in one O(1) critical section and hands back the storage of the
+/// batch it took before, so a steady stream allocates nothing. Until the
+/// consumer returns for its next batch, the items of the current one still
+/// count against the capacity: the bound is on everything the owner holds,
+/// so drop and block behaviour under overload are those of a per-item queue.
+/// A producer is woken only when one is blocked.
 template <typename T>
 class BoundedQueue {
  public:
@@ -59,17 +64,16 @@ class BoundedQueue {
   /// only when the queue was closed.
   bool push(T v) VEDR_EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    if (items_.size() >= capacity_ && !closed_) {
+    if (held() >= capacity_ && !closed_) {
       ++stats_.blocked;
+      ++blocked_producers_;
       // condition_variable_any unlocks/relocks mu_ itself (Mutex is
       // BasicLockable), so the guarded state below is always read held.
-      while (items_.size() >= capacity_ && !closed_) space_cv_.wait(mu_);
+      while (held() >= capacity_ && !closed_) space_cv_.wait(mu_);
+      --blocked_producers_;
     }
     if (closed_) return false;
-    items_.push_back(std::move(v));
-    ++stats_.pushed;
-    if (items_.size() > stats_.high_watermark) stats_.high_watermark = items_.size();
-    items_cv_.notify_one();
+    append(std::move(v));
     return true;
   }
 
@@ -79,69 +83,47 @@ class BoundedQueue {
   bool try_push(T v) VEDR_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     if (closed_) return false;
-    if (items_.size() >= capacity_) {
+    if (held() >= capacity_) {
       ++stats_.dropped;
       return false;
     }
-    items_.push_back(std::move(v));
-    ++stats_.pushed;
-    if (items_.size() > stats_.high_watermark) stats_.high_watermark = items_.size();
-    items_cv_.notify_one();
+    append(std::move(v));
     return true;
   }
 
-  /// Consumer: blocks until an item arrives or the queue is closed and
-  /// drained. Returns false exactly once per consumer at end of stream.
-  bool pop(T& out) VEDR_EXCLUDES(mu_) {
+  /// Consumer: releases `batch` — the items of the previous take, all
+  /// consumed; they are destroyed here, before the lock — and refills it
+  /// with everything queued since, in push order. Returns the number of
+  /// items taken; 0 when nothing was queued (after close(), 0 means the
+  /// stream is drained). Never blocks.
+  std::size_t take(std::vector<T>& batch) VEDR_EXCLUDES(mu_) {
+    batch.clear();
     MutexLock lock(mu_);
-    while (items_.empty() && !closed_) items_cv_.wait(mu_);
-    if (items_.empty()) return false;  // closed and drained
-    out = std::move(items_.front());
-    items_.pop_front();
-    ++stats_.popped;
-    space_cv_.notify_one();
-    return true;
+    stats_.popped += taken_;
+    items_.swap(batch);
+    taken_ = batch.size();
+    if (blocked_producers_ > 0 && taken_ < capacity_) space_cv_.notify_all();
+    return taken_;
   }
 
-  /// Non-blocking consumer; false when currently empty (closed or not).
-  bool try_pop(T& out) VEDR_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    ++stats_.popped;
-    space_cv_.notify_one();
-    return true;
-  }
-
-  /// Ends the stream: producers fail fast, blocked producers and consumers
-  /// wake. Items already queued stay poppable (close-then-drain shutdown).
+  /// Ends the stream: producers fail fast and blocked producers wake. Items
+  /// already queued stay takeable (close-then-drain shutdown).
   void close() VEDR_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     closed_ = true;
-    items_cv_.notify_all();
     space_cv_.notify_all();
   }
 
-  bool closed() const VEDR_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return closed_;
-  }
-
+  /// Items held: queued, or in the batch the consumer took last.
   std::size_t size() const VEDR_EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    return items_.size();
-  }
-
-  bool empty() const VEDR_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return items_.empty();
+    return held();
   }
 
   QueueStats stats() const VEDR_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     QueueStats s = stats_;
-    s.size = items_.size();
+    s.size = held();
     return s;
   }
 
@@ -154,18 +136,27 @@ class BoundedQueue {
   std::size_t take_high_watermark() VEDR_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     const std::size_t peak = stats_.high_watermark;
-    stats_.high_watermark = items_.size();
+    stats_.high_watermark = held();
     return peak;
   }
 
  private:
+  std::size_t held() const VEDR_REQUIRES(mu_) { return items_.size() + taken_; }
+
+  void append(T&& v) VEDR_REQUIRES(mu_) {
+    items_.push_back(std::move(v));
+    ++stats_.pushed;
+    if (held() > stats_.high_watermark) stats_.high_watermark = held();
+  }
+
   const std::size_t capacity_;
   mutable Mutex mu_;
   /// Waits on the annotated Mutex directly (it satisfies BasicLockable); the
   /// _any variant keeps the capability type visible to -Wthread-safety.
-  std::condition_variable_any items_cv_;
   std::condition_variable_any space_cv_;
-  std::deque<T> items_ VEDR_GUARDED_BY(mu_);
+  std::vector<T> items_ VEDR_GUARDED_BY(mu_);
+  std::size_t taken_ VEDR_GUARDED_BY(mu_) = 0;  ///< size of the consumer's batch
+  int blocked_producers_ VEDR_GUARDED_BY(mu_) = 0;
   bool closed_ VEDR_GUARDED_BY(mu_) = false;
   QueueStats stats_ VEDR_GUARDED_BY(mu_);
 };

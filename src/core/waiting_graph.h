@@ -21,7 +21,14 @@ struct WgVertex {
 
   friend bool operator==(const WgVertex&, const WgVertex&) = default;
   std::string str() const {
-    return "F" + std::to_string(flow) + "S" + std::to_string(step) + (is_end ? ".end" : ".start");
+    // Appended piece by piece: GCC 12 flags `"F" + std::to_string(flow)`
+    // with a -Wrestrict false positive in Release builds.
+    std::string s = "F";
+    s += std::to_string(flow);
+    s += 'S';
+    s += std::to_string(step);
+    s += is_end ? ".end" : ".start";
+    return s;
   }
 };
 

@@ -75,7 +75,9 @@ struct ScenarioSpec {
 
 /// Deterministically generates case `case_id` of `type` over `topo`
 /// (placement uses `routing` to guarantee the paper's "deliberately set to
-/// collide with collective communication flows").
+/// collide with collective communication flows"). Total over case ids: a
+/// draw that cannot place its anomaly is redrawn from a derived sub-seed
+/// (recorded in ScenarioSpec::seed).
 ScenarioSpec make_scenario(ScenarioType type, int case_id, const net::Topology& topo,
                            const net::RoutingTable& routing, const ScenarioParams& params = {});
 

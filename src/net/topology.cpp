@@ -1,10 +1,30 @@
 #include "net/topology.h"
 
 #include <cassert>
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace vedr::net {
+
+namespace {
+
+/// `prefix` followed by the indices joined with '.', e.g. ("h", {1, 0, 2})
+/// -> "h1.0.2". Built by appending: GCC 12 flags `"h" + std::to_string(i)`
+/// with a -Wrestrict false positive in Release builds.
+std::string node_name(const char* prefix, std::initializer_list<int> indices) {
+  std::string name = prefix;
+  const char* sep = "";
+  for (const int i : indices) {
+    name += sep;
+    name += std::to_string(i);
+    sep = ".";
+  }
+  return name;
+}
+
+}  // namespace
 
 NodeId Topology::add_host(std::string name) {
   nodes_.push_back(Node{true, std::move(name), {}});
@@ -65,21 +85,20 @@ Topology make_fat_tree(int k, const NetConfig& cfg) {
   for (int pod = 0; pod < n_pods; ++pod)
     for (int e = 0; e < half; ++e)
       for (int h = 0; h < half; ++h)
-        hosts.push_back(topo.add_host("h" + std::to_string(pod) + "." + std::to_string(e) +
-                                      "." + std::to_string(h)));
+        hosts.push_back(topo.add_host(node_name("h", {pod, e, h})));
 
   std::vector<std::vector<NodeId>> edge(static_cast<std::size_t>(n_pods));
   std::vector<std::vector<NodeId>> agg(static_cast<std::size_t>(n_pods));
   for (int pod = 0; pod < n_pods; ++pod) {
     for (int e = 0; e < half; ++e)
       edge[static_cast<std::size_t>(pod)].push_back(
-          topo.add_switch("edge" + std::to_string(pod) + "." + std::to_string(e)));
+          topo.add_switch(node_name("edge", {pod, e})));
     for (int a = 0; a < half; ++a)
       agg[static_cast<std::size_t>(pod)].push_back(
-          topo.add_switch("agg" + std::to_string(pod) + "." + std::to_string(a)));
+          topo.add_switch(node_name("agg", {pod, a})));
   }
   std::vector<NodeId> core;
-  for (int c = 0; c < n_core; ++c) core.push_back(topo.add_switch("core" + std::to_string(c)));
+  for (int c = 0; c < n_core; ++c) core.push_back(topo.add_switch(node_name("core", {c})));
 
   // Host <-> edge.
   int host_idx = 0;
@@ -112,10 +131,10 @@ Topology make_chain(int n_switches, const NetConfig& cfg, int hosts_per_end) {
   if (n_switches < 1) throw std::invalid_argument("chain needs >= 1 switch");
   Topology topo;
   std::vector<NodeId> left, right;
-  for (int i = 0; i < hosts_per_end; ++i) left.push_back(topo.add_host("hl" + std::to_string(i)));
-  for (int i = 0; i < hosts_per_end; ++i) right.push_back(topo.add_host("hr" + std::to_string(i)));
+  for (int i = 0; i < hosts_per_end; ++i) left.push_back(topo.add_host(node_name("hl", {i})));
+  for (int i = 0; i < hosts_per_end; ++i) right.push_back(topo.add_host(node_name("hr", {i})));
   std::vector<NodeId> sw;
-  for (int i = 0; i < n_switches; ++i) sw.push_back(topo.add_switch("s" + std::to_string(i)));
+  for (int i = 0; i < n_switches; ++i) sw.push_back(topo.add_switch(node_name("s", {i})));
   for (NodeId h : left) topo.link(h, sw.front(), cfg.link_gbps, cfg.link_delay);
   for (NodeId h : right) topo.link(h, sw.back(), cfg.link_gbps, cfg.link_delay);
   for (int i = 0; i + 1 < n_switches; ++i)
@@ -128,7 +147,7 @@ Topology make_star(int n_hosts, const NetConfig& cfg) {
   if (n_hosts < 2) throw std::invalid_argument("star needs >= 2 hosts");
   Topology topo;
   std::vector<NodeId> hosts;
-  for (int i = 0; i < n_hosts; ++i) hosts.push_back(topo.add_host("h" + std::to_string(i)));
+  for (int i = 0; i < n_hosts; ++i) hosts.push_back(topo.add_host(node_name("h", {i})));
   const NodeId sw = topo.add_switch("s0");
   for (NodeId h : hosts) topo.link(h, sw, cfg.link_gbps, cfg.link_delay);
   return topo;
@@ -141,10 +160,10 @@ Topology make_leaf_spine(int n_leaf, int n_spine, int hosts_per_leaf, const NetC
   std::vector<NodeId> hosts;
   for (int l = 0; l < n_leaf; ++l)
     for (int h = 0; h < hosts_per_leaf; ++h)
-      hosts.push_back(topo.add_host("h" + std::to_string(l) + "." + std::to_string(h)));
+      hosts.push_back(topo.add_host(node_name("h", {l, h})));
   std::vector<NodeId> leaf, spine;
-  for (int l = 0; l < n_leaf; ++l) leaf.push_back(topo.add_switch("leaf" + std::to_string(l)));
-  for (int s = 0; s < n_spine; ++s) spine.push_back(topo.add_switch("spine" + std::to_string(s)));
+  for (int l = 0; l < n_leaf; ++l) leaf.push_back(topo.add_switch(node_name("leaf", {l})));
+  for (int s = 0; s < n_spine; ++s) spine.push_back(topo.add_switch(node_name("spine", {s})));
   int hi = 0;
   for (int l = 0; l < n_leaf; ++l)
     for (int h = 0; h < hosts_per_leaf; ++h)
@@ -164,9 +183,9 @@ Topology make_switch_ring(int n_switches, int hosts_per_switch, const NetConfig&
   std::vector<NodeId> hosts;
   for (int s = 0; s < n_switches; ++s)
     for (int h = 0; h < hosts_per_switch; ++h)
-      hosts.push_back(topo.add_host("h" + std::to_string(s) + "." + std::to_string(h)));
+      hosts.push_back(topo.add_host(node_name("h", {s, h})));
   std::vector<NodeId> sw;
-  for (int s = 0; s < n_switches; ++s) sw.push_back(topo.add_switch("s" + std::to_string(s)));
+  for (int s = 0; s < n_switches; ++s) sw.push_back(topo.add_switch(node_name("s", {s})));
   int hi = 0;
   for (int s = 0; s < n_switches; ++s)
     for (int h = 0; h < hosts_per_switch; ++h)

@@ -14,12 +14,15 @@ namespace {
 /// dotted paths ("overhead.poll_bytes"); map everything else to '_'.
 std::string sanitize(const std::string& name) {
   std::string out;
-  out.reserve(name.size());
+  out.reserve(name.size() + 1);
+  // A leading '_' when the name would start with a digit (or be empty),
+  // written first rather than inserted after: GCC 12 flags the insert with
+  // a -Wrestrict false positive in Release builds.
+  if (name.empty() || std::isdigit(static_cast<unsigned char>(name[0])) != 0) out += '_';
   for (char c : name) {
     const bool ok = std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' || c == ':';
     out += ok ? c : '_';
   }
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0])) != 0) out.insert(0, "_");
   return out;
 }
 

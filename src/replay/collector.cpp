@@ -61,6 +61,40 @@ std::string report_misfit(const net::Topology& topo, const telemetry::SwitchRepo
   return {};
 }
 
+/// Why a step record cannot belong to `plan`: the first field naming a flow
+/// or step outside the plan, a dependency on itself, or a send that ended
+/// before it started (both times set). Empty when the record fits. Every
+/// index is one the analyzer uses to size or address per-step state.
+std::string step_record_misfit(const collective::CollectivePlan& plan,
+                               const collective::StepRecord& r) {
+  const auto flow_ok = [&](int f) { return f >= 0 && f < plan.num_flows(); };
+  const auto step_ok = [&](int s) { return s >= 0 && s < plan.num_steps(); };
+  const auto not_a = [](const char* field, std::int64_t value, const char* what) {
+    return std::string(field) + " " + std::to_string(value) + " is not a " + what + " of the plan";
+  };
+  if (!flow_ok(r.flow_index)) return not_a("flow_index", r.flow_index, "flow");
+  if (!step_ok(r.step)) return not_a("step", r.step, "step");
+  if (r.dep_flow != -1 && !flow_ok(r.dep_flow)) return not_a("dep_flow", r.dep_flow, "flow");
+  if (r.dep_step != -1 && !step_ok(r.dep_step)) return not_a("dep_step", r.dep_step, "step");
+  if (r.dep_flow == r.flow_index && r.dep_step == r.step)
+    return "flow " + std::to_string(r.flow_index) + " step " + std::to_string(r.step) +
+           " waits on itself";
+  if (r.start_time != sim::kNever && r.end_time != sim::kNever && r.end_time < r.start_time)
+    return "end_time " + std::to_string(r.end_time) + " is before start_time " +
+           std::to_string(r.start_time);
+  return {};
+}
+
+/// Why a poll registration cannot belong to `plan`: its flow or step is
+/// outside it. Empty when the registration fits.
+std::string poll_misfit(const collective::CollectivePlan& plan, const PollRegistration& p) {
+  if (p.flow < 0 || p.flow >= plan.num_flows())
+    return "flow " + std::to_string(p.flow) + " is not a flow of the plan";
+  if (p.step < 0 || p.step >= plan.num_steps())
+    return "step " + std::to_string(p.step) + " is not a step of the plan";
+  return {};
+}
+
 }  // namespace
 
 StreamingCollector::StreamingCollector() = default;
@@ -100,18 +134,29 @@ void StreamingCollector::ingest(const TraceRecord& rec, std::uint64_t frame_offs
       build_from_envelope(envelope_);
       break;
     case RecordType::kStepRecord: {
-      const auto& r = std::get<collective::StepRecord>(rec.payload);
-      if (r.step > max_step_seen_) max_step_seen_ = r.step;
       // A reader-fed stream always leads with the envelope, but a lossy
-      // serve ingest queue can shed it — then there is no analyzer to feed
-      // and the records are counted only (finalize() reports the loss via
-      // the footer cross-check).
-      if (analyzer_ != nullptr) analyzer_->add_step_record(r);
+      // serve ingest queue can shed it — then there is no plan to check
+      // against and no analyzer to feed, and the records are counted only
+      // (finalize() reports the loss via the footer cross-check).
+      if (analyzer_ == nullptr) break;
+      const auto& r = std::get<collective::StepRecord>(rec.payload);
+      if (std::string why = step_record_misfit(*plan_, r); !why.empty()) {
+        bad_record_ = TraceError{TraceStatus::kBadRecord, frame_offset, "step record: " + why};
+        break;
+      }
+      if (r.step > max_step_seen_) max_step_seen_ = r.step;
+      analyzer_->add_step_record(r);
       break;
     }
     case RecordType::kPollRegistration: {
+      if (analyzer_ == nullptr) break;
       const auto& p = std::get<PollRegistration>(rec.payload);
-      if (analyzer_ != nullptr) analyzer_->register_poll(p.poll_id, p.flow, p.step);
+      if (std::string why = poll_misfit(*plan_, p); !why.empty()) {
+        bad_record_ =
+            TraceError{TraceStatus::kBadRecord, frame_offset, "poll registration: " + why};
+        break;
+      }
+      analyzer_->register_poll(p.poll_id, p.flow, p.step);
       break;
     }
     case RecordType::kSwitchReport:

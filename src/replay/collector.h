@@ -60,13 +60,15 @@ struct ReplayResult {
 /// never sees them live either.
 ///
 /// A trace is outside input: its CRCs prove its bytes intact, not that its
-/// records fit the fabric its envelope names. Each switch report is checked
-/// against that fabric before the analyzer sees it (every node and port id
-/// the analyzer dereferences, and the byte counts its invariants assume
-/// non-negative). The first misfit latches a kBadRecord error naming the
-/// record type and field; the analyzer is fed nothing more, and finalize()
-/// reports the error. The live path never comes through here, so it keeps
-/// trusting its simulator.
+/// records fit the fabric and plan its envelope names. Each record is
+/// checked before the analyzer sees it: a switch report against the fabric
+/// (every node and port id the analyzer dereferences, and the byte counts
+/// its invariants assume non-negative); a step record and a poll
+/// registration against the plan (flow and step indices, dependencies, no
+/// self-wait, no send that ends before it starts). The first misfit latches
+/// a kBadRecord error naming the record type and field; the analyzer is fed
+/// nothing more, and finalize() reports the error. The live path never
+/// comes through here, so it keeps trusting its simulator.
 ///
 /// Two driving shapes share the same dispatch:
 ///   * replay(reader) — one-shot: pump to end of stream, diagnose, verify.
@@ -113,9 +115,6 @@ class VEDR_SINGLE_THREADED StreamingCollector {
   const TraceEnvelope& envelope() const { return envelope_; }
   bool have_footer() const { return have_footer_; }
   const TraceFooter& footer() const { return footer_; }
-  /// Frame/byte accounting over everything ingested so far (bytes is
-  /// maintained by finalize(); frames/offsets by ingest()).
-  const ReplayStats& ingest_stats() const { return stats_in_; }
   /// Highest StepRecord step ingested so far (-1: none). The serve session
   /// treats step s as closed once a record for a step > s arrives.
   int max_step_seen() const { return max_step_seen_; }

@@ -19,34 +19,42 @@ const char* to_string(SessionState s) {
 
 PumpResult Session::pump(VerdictSink& sink, sim::StatsRegistry& stats) {
   if (state() != SessionState::kActive) return PumpResult::kIdle;
+  // Read before taking: every record offered before close_input() is then
+  // in a batch taken below, so a closed input finalizes only a session that
+  // has ingested all of it.
+  const bool input_closed = input_closed_.load(std::memory_order_acquire);
 
-  IngestItem item;
   int n = 0;
-  while (n < cfg_.pump_batch && queue_.try_pop(item)) {
-    collector_.ingest(item.rec, item.offset);
+  bool drained = false;
+  while (n < cfg_.pump_batch) {
+    if (next_ == batch_.size()) {
+      next_ = 0;
+      if (queue_.take(batch_) == 0) {
+        drained = true;
+        break;
+      }
+    }
+    const IngestItem& item = batch_[next_++];
+    collector_->ingest(item.rec, item.offset);
     bytes_seen_ = item.offset;  // frame-start offset of the newest frame
-    frames_.fetch_add(1, std::memory_order_relaxed);
     ++n;
-    // The footer is structurally the last frame; stop slicing and finalize.
-    if (collector_.have_footer()) break;
+    if (item.rec.type == replay::RecordType::kStepRecord ||
+        item.rec.type == replay::RecordType::kFooter)
+      emit_step_verdicts(sink, stats);
   }
   if (n > 0) {
-    // Windowed ingest rates: one add per pump batch, never per record.
+    frames_.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
+    // Windowed ingest rates: one add per pump slice, never per record.
     if (live_ != nullptr) {
       const std::uint64_t now = obs::wall_now_ns();
       live_->records.add(static_cast<std::uint64_t>(n), now);
       live_->record_tenant_records(tenant_, static_cast<std::uint64_t>(n), now);
     }
-    emit_step_verdicts(sink, stats);
   }
 
-  // Finalize once the stream is complete (footer ingested, queue drained) or
-  // the transport gave up (error / shutdown) with nothing left to ingest.
-  // Checking input_closed_ only after draining keeps the close_input() race
-  // benign: a pump scheduled for the close always sees the empty queue.
-  const bool drained = queue_.empty();
-  if (drained &&
-      (collector_.have_footer() || input_closed_.load(std::memory_order_acquire))) {
+  // Finalize once the stream is complete (footer ingested, session drained)
+  // or the transport gave up (error / shutdown) with nothing left to ingest.
+  if (drained && (collector_->have_footer() || input_closed)) {
     finish(sink, stats);
     return PumpResult::kFinishedNow;
   }
@@ -54,11 +62,11 @@ PumpResult Session::pump(VerdictSink& sink, sim::StatsRegistry& stats) {
 }
 
 void Session::emit_step_verdicts(VerdictSink& sink, sim::StatsRegistry& stats) {
-  if (!collector_.have_envelope()) return;
-  const int max_step = collector_.max_step_seen();
+  if (!collector_->have_envelope()) return;
+  const int max_step = collector_->max_step_seen();
   // Steps are recorded in order, so step s is closed once a record for a
   // later step arrived; the footer closes the frontier entirely.
-  const int closed = collector_.have_footer() ? max_step : max_step - 1;
+  const int closed = collector_->have_footer() ? max_step : max_step - 1;
   if (closed <= last_closed_step_) return;
   if (!cfg_.emit_step_verdicts) {
     last_closed_step_ = closed;
@@ -67,7 +75,7 @@ void Session::emit_step_verdicts(VerdictSink& sink, sim::StatsRegistry& stats) {
   }
 
   const std::uint64_t t0 = obs::wall_now_ns();
-  const core::Diagnosis d = collector_.diagnose();
+  const core::Diagnosis d = collector_->diagnose();
   const std::uint64_t t1 = obs::wall_now_ns();
   const auto latency_ns = static_cast<std::int64_t>(t1 - t0);
   stats.observe("serve.step_diagnose_ns", latency_ns);
@@ -130,7 +138,7 @@ void Session::finish(VerdictSink& sink, sim::StatsRegistry& stats) {
     end = transport_error_;
     bytes = std::max(bytes, final_bytes_hint_);
   }
-  const replay::ReplayResult r = collector_.finalize(end, bytes);
+  const replay::ReplayResult r = collector_->finalize(end, bytes);
   const std::string err = r.ok ? std::string() : r.error.str();
 
   std::string line;
@@ -156,9 +164,23 @@ void Session::finish(VerdictSink& sink, sim::StatsRegistry& stats) {
   stats.add_counter(r.ok ? "serve.sessions_finished" : "serve.sessions_error");
   // Fold the collector's sketch-lane accounting into the server registry
   // here, on the shard worker, where touching the collector is legal.
-  if (collector_.sketch_lane())
+  if (collector_->sketch_lane())
     stats.add_counter("serve.sketched_reports",
-                      collector_.stats().counter("replay.sketched_reports"));
+                      collector_->stats().counter("replay.sketched_reports"));
+
+  // Free what only ingest needed — the analyzer's graphs, records and intern
+  // tables, the spent batch, the queue's storage — before the state store,
+  // so a finished session holds only its counters. The closed queue refuses
+  // a late offer() without touching any of it; the last take() releases the
+  // spent batch into QueueStats::popped and moves the queue's storage out.
+  // (Swapping with an empty vector frees the storage; `v = {}` would keep it.)
+  collector_.reset();
+  queue_.close();
+  std::vector<IngestItem>().swap(batch_);
+  next_ = 0;
+  queue_.take(batch_);
+  std::vector<IngestItem>().swap(batch_);
+
   digest_matched_.store(r.digest_matches, std::memory_order_release);
   final_error_ = err;
   state_.store(static_cast<std::uint8_t>(r.ok ? SessionState::kFinished

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/bounded_queue.h"
 #include "common/thread_annotations.h"
@@ -34,7 +36,9 @@ struct SessionConfig {
   /// quantum; drop-policy tenants shed load only past this bound.
   std::size_t queue_capacity = 4096;
   OverflowPolicy policy = OverflowPolicy::kBlock;
-  int pump_batch = 256;               ///< max records ingested per pump slice
+  /// Max records ingested per pump slice, so sessions sharing a shard take
+  /// turns; a slice may span several queue batches and a batch several slices.
+  int pump_batch = 256;
   bool emit_step_verdicts = true;     ///< per-step lines, not just the final one
   /// Telemetry lane for this tenant's collector. kExact feeds recorded
   /// reports verbatim; kSketch re-encodes each through the bounded memory
@@ -46,8 +50,8 @@ struct SessionConfig {
 
 /// What one pump() call accomplished — the server's scheduler keys off this.
 enum class PumpResult : std::uint8_t {
-  kIdle,         ///< nothing to do (queue empty, stream still open)
-  kMore,         ///< batch limit hit with records still queued — re-schedule
+  kIdle,         ///< nothing to do (drained, stream still open)
+  kMore,         ///< slice limit hit with records still to ingest — re-schedule
   kFinishedNow,  ///< this call completed the session (count it exactly once)
 };
 
@@ -56,15 +60,19 @@ enum class PumpResult : std::uint8_t {
 /// call offer()/close_input() from anywhere; pump() — ingestion, incremental
 /// diagnosis, verdict emission — must only run on the session's shard worker
 /// (the collector and analyzer underneath are VEDR_SINGLE_THREADED; the
-/// server's per-shard FIFO provides the confinement). The atomics below are
-/// the only cross-thread snapshot surface (/sessions, /metrics).
+/// server's per-shard FIFO provides the confinement). The worker takes
+/// records from the queue in batches and ingests them with no lock held. A
+/// finished session frees its collector and buffers and keeps only what
+/// the snapshot surface reads: the atomics below (/sessions, /metrics) and
+/// the queue's counters.
 class Session {
  public:
   Session(std::uint64_t id, std::string tenant, std::size_t shard, const SessionConfig& cfg)
       : id_(id), tenant_(std::move(tenant)), shard_(shard), cfg_(cfg),
-        queue_(cfg.queue_capacity) {
+        queue_(cfg.queue_capacity),
+        collector_(std::make_unique<replay::StreamingCollector>()) {
     if (cfg_.telemetry.backend == net::TelemetryBackend::kSketch)
-      collector_.set_telemetry(cfg_.telemetry);
+      collector_->set_telemetry(cfg_.telemetry);
   }
 
   Session(const Session&) = delete;
@@ -80,7 +88,7 @@ class Session {
   /// Enqueues one decoded record (read at byte `offset` of the transport
   /// stream). kBlock: waits for space, false only if the queue was aborted.
   /// kDropNewest: false means the record was dropped (accounted in
-  /// queue_stats().dropped).
+  /// queue_stats().dropped). A finished session refuses every offer.
   bool offer(replay::TraceRecord rec, std::uint64_t offset) {
     IngestItem item;
     item.rec = std::move(rec);
@@ -104,10 +112,12 @@ class Session {
 
   // --- shard-worker side ------------------------------------------------------
 
-  /// Ingests up to one batch, emits per-step verdicts for steps that closed,
-  /// and finalizes (final verdict + digest check) once the footer arrived
-  /// and the queue drained, or the transport closed the input. `stats` is
-  /// the server-wide registry (keyed writes only — safe from all shards).
+  /// Ingests up to one slice of records, emits each step's verdict right
+  /// after the record that closed the step, and finalizes (final verdict +
+  /// digest check) once the footer arrived and the session drained (its
+  /// batch is exhausted and the queue empty), or the transport closed the
+  /// input. `stats` is the server-wide registry (keyed writes only — safe
+  /// from all shards).
   PumpResult pump(VerdictSink& sink, sim::StatsRegistry& stats);
 
   // --- cross-thread snapshot surface -----------------------------------------
@@ -116,7 +126,6 @@ class Session {
     return static_cast<SessionState>(state_.load(std::memory_order_acquire));
   }
   common::QueueStats queue_stats() const { return queue_.stats(); }
-  bool queue_empty() const { return queue_.empty(); }
   /// Read-and-reset queue-depth peak since the previous call (the server's
   /// window roller samples this once per tick into the windowed gauges).
   std::size_t take_queue_high_watermark() { return queue_.take_high_watermark(); }
@@ -149,10 +158,13 @@ class Session {
 
   /// Re-diagnoses and emits one verdict line per newly closed step. A step s
   /// is closed once a record for a later step arrived (collective steps are
-  /// emitted in order) or the footer ended the stream.
+  /// emitted in order) or the footer ended the stream; pump() calls this
+  /// right after ingesting such a record, so a step's line is the diagnosis
+  /// over every record up to and including the one that closed it.
   void emit_step_verdicts(VerdictSink& sink, sim::StatsRegistry& stats);
-  /// Final diagnosis + digest verification + final verdict line; moves the
-  /// session to kFinished/kError. Runs exactly once.
+  /// Final diagnosis + digest verification + final verdict line; frees the
+  /// collector, the batch and the queue's storage, then moves the session
+  /// to kFinished/kError. Runs exactly once.
   void finish(VerdictSink& sink, sim::StatsRegistry& stats);
 
   const std::uint64_t id_;
@@ -163,7 +175,9 @@ class Session {
   common::BoundedQueue<IngestItem> queue_;
 
   // Shard-confined (pump() only).
-  replay::StreamingCollector collector_;
+  std::unique_ptr<replay::StreamingCollector> collector_;  ///< null once finished
+  std::vector<IngestItem> batch_;  ///< the records of the last take()
+  std::size_t next_ = 0;           ///< first record of batch_ not yet ingested
   int last_closed_step_ = -1;
   std::uint64_t bytes_seen_ = 0;
   LiveMetrics* live_ = nullptr;  ///< server-owned; written only via pump

@@ -138,6 +138,97 @@ TEST(ServeStress, ManyTenantsIngestWhilePollerScrapes) {
   server.shutdown();
 }
 
+TEST(ServeStress, ProducersAtCapacityWhilePumpsTakeBatches) {
+  // Two producers per corpus trace — one lossless, one lossy — against a
+  // capacity-16 queue, so every offer races a shard worker that takes the
+  // queue's contents as a batch and ingests them with the lock released.
+  // An observer checks the queue's invariants at every snapshot.
+  const std::vector<std::string> names = {"contention", "incast", "storm",
+                                          "backpressure"};
+  std::vector<DecodedTrace> corpus;
+  corpus.reserve(names.size());
+  for (const auto& n : names) corpus.push_back(decode(n));
+
+  CountingSink sink;
+  serve::ServerConfig cfg;
+  cfg.shards = 2;
+  cfg.session.queue_capacity = 16;
+  serve::Server server(cfg, &sink);
+  serve::ServerConfig lossy_cfg = cfg;
+  lossy_cfg.session.policy = serve::OverflowPolicy::kDropNewest;
+  serve::Server lossy_server(lossy_cfg, &sink);
+
+  std::vector<std::uint64_t> sids;
+  std::vector<std::uint64_t> lossy_sids;
+  for (const auto& n : names) {
+    sids.push_back(server.open_session(n));
+    lossy_sids.push_back(lossy_server.open_session(n + "-lossy"));
+  }
+  std::vector<std::uint64_t> accepted(names.size(), 0);
+  std::vector<std::thread> producers;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const DecodedTrace& trace = corpus[i];
+    producers.emplace_back([&server, &trace, sid = sids[i]] {
+      for (const auto& [rec, offset] : trace.records)
+        ASSERT_TRUE(server.offer(sid, rec, offset));
+      server.close_session(sid, replay::TraceError{}, trace.bytes);
+    });
+    producers.emplace_back([&lossy_server, &trace, &accepted, i, sid = lossy_sids[i]] {
+      for (const auto& [rec, offset] : trace.records)
+        if (lossy_server.offer(sid, rec, offset)) ++accepted[i];
+      lossy_server.close_session(sid, replay::TraceError{}, trace.bytes);
+    });
+  }
+
+  std::atomic<bool> stop{false};
+  std::thread observer([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (std::size_t i = 0; i < names.size(); ++i) {
+        for (const serve::Session* s :
+             {server.find_session(sids[i]), lossy_server.find_session(lossy_sids[i])}) {
+          ASSERT_NE(s, nullptr);
+          const common::QueueStats q = s->queue_stats();
+          EXPECT_EQ(q.pushed, q.popped + q.size);
+          EXPECT_LE(q.size, cfg.session.queue_capacity);
+          EXPECT_LE(q.high_watermark, cfg.session.queue_capacity);
+        }
+      }
+      std::this_thread::yield();
+    }
+  });
+
+  for (auto& p : producers) p.join();
+  server.wait_all_finished();
+  lossy_server.wait_all_finished();
+  stop.store(true, std::memory_order_release);
+  observer.join();
+
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    SCOPED_TRACE(names[i]);
+    const serve::Session* s = server.find_session(sids[i]);
+    EXPECT_EQ(s->state(), serve::SessionState::kFinished);
+    EXPECT_TRUE(s->digest_matched());
+    EXPECT_EQ(s->frames_ingested(), corpus[i].records.size());
+    const common::QueueStats q = s->queue_stats();
+    EXPECT_EQ(q.pushed, corpus[i].records.size());
+    EXPECT_EQ(q.popped, q.pushed);
+    EXPECT_EQ(q.dropped, 0u);
+
+    // Lossy: every offer is accounted exactly once, every accepted record
+    // ingested, and the session ends (kError when a drop hit the envelope
+    // or the footer).
+    const serve::Session* l = lossy_server.find_session(lossy_sids[i]);
+    EXPECT_NE(l->state(), serve::SessionState::kActive);
+    const common::QueueStats lq = l->queue_stats();
+    EXPECT_EQ(lq.pushed, accepted[i]);
+    EXPECT_EQ(lq.pushed + lq.dropped, corpus[i].records.size());
+    EXPECT_EQ(lq.popped, lq.pushed);
+    EXPECT_EQ(l->frames_ingested(), accepted[i]);
+  }
+  server.shutdown();
+  lossy_server.shutdown();
+}
+
 TEST(ServeStress, ShutdownReleasesBlockedProducers) {
   // A producer wedged on a full queue (consumerless: no pump will ever run
   // because we never schedule one — we drive the Session directly) must be

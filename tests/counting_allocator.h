@@ -35,17 +35,18 @@ inline std::atomic<std::uint64_t> g_allocs{0};
 constexpr bool kSanitized = VEDR_ALLOC_OVERRIDE == 0;
 
 #if VEDR_ALLOC_OVERRIDE
-void* operator new(std::size_t n) {
+// Every replacement is out of line. Inlined into an allocation site, GCC's
+// -Wmismatched-new-delete would see either the free() of memory from
+// operator new or the operator delete of memory from malloc().
+[[gnu::noinline]] void* operator new(std::size_t n) {
   if (g_counting.load(std::memory_order_relaxed))
     g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
 
-void* operator new[](std::size_t n) { return ::operator new(n); }
+[[gnu::noinline]] void* operator new[](std::size_t n) { return ::operator new(n); }
 
-// Out of line: inlined into a `new T` site, GCC's -Wmismatched-new-delete
-// would flag the free() of memory from operator new.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }

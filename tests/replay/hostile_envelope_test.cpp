@@ -6,12 +6,15 @@
 // building a fabric or a plan from it (which aborted the process).
 //
 // An envelope in range can still name a fabric its records do not fit, and
-// a record can name a port its switch does not have. The collector checks
-// every switch report against the envelope's fabric and ends the replay
-// with kBadRecord (which also aborted the process).
+// a record can name a port its switch does not have, or a flow or step its
+// plan does not have. The collector checks every switch report against the
+// envelope's fabric, and every step record and poll registration against
+// its plan, and ends the replay with kBadRecord (which also aborted the
+// process, or let one record size the analyzer's per-step state).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -75,6 +78,36 @@ class HostileEnvelope : public ::testing::Test {
     EXPECT_GT(result.error.offset, kFileHeaderBytes);
     EXPECT_NE(result.error.detail.find("switch report: " + field), std::string::npos)
         << result.error.detail;
+  }
+
+  /// Rewrites the incast corpus trace with the `nth` step record (or poll
+  /// registration) edited and checks that the replay ends in kBadRecord
+  /// with `detail`. The trace's plan is a ring of 8 flows over 7 steps.
+  void expect_step_rejected(int nth, const std::function<void(collective::StepRecord&)>& mutate,
+                            const std::string& detail) {
+    int seen = 0;
+    rewrite_trace(source_, path_, {}, {}, [&](collective::StepRecord& r) {
+      if (seen++ == nth) mutate(r);
+    });
+    expect_plan_misfit("step record: " + detail);
+  }
+  void expect_poll_rejected(int nth, const std::function<void(PollRegistration&)>& mutate,
+                            const std::string& detail) {
+    int seen = 0;
+    rewrite_trace(source_, path_, {}, {}, {}, [&](PollRegistration& p) {
+      if (seen++ == nth) mutate(p);
+    });
+    expect_plan_misfit("poll registration: " + detail);
+  }
+  void expect_plan_misfit(const std::string& detail) {
+    TraceReader reader(path_);
+    StreamingCollector collector;
+    const ReplayResult result = collector.replay(reader);
+    EXPECT_FALSE(result.ok);
+    EXPECT_FALSE(result.digest_matches);
+    EXPECT_EQ(result.error.status, TraceStatus::kBadRecord) << result.error.str();
+    EXPECT_GT(result.error.offset, kFileHeaderBytes);
+    EXPECT_EQ(result.error.detail, detail);
   }
 
   /// The recorded k = 4 fabric numbers hosts 0..15 and switches 16..35; in a
@@ -168,6 +201,63 @@ TEST_F(HostileEnvelope, SwitchReportNegativeContribution) {
         edited = true;
       },
       "causes[0].contributions[0].bytes -1");
+}
+
+TEST_F(HostileEnvelope, StepRecordFlowOutsideThePlan) {
+  expect_step_rejected(3, [](collective::StepRecord& r) { r.flow_index = 8; },
+                       "flow_index 8 is not a flow of the plan");
+}
+
+TEST_F(HostileEnvelope, StepRecordNegativeStep) {
+  expect_step_rejected(3, [](collective::StepRecord& r) { r.step = -1; },
+                       "step -1 is not a step of the plan");
+}
+
+TEST_F(HostileEnvelope, StepRecordStepFarBeyondThePlan) {
+  // Unchecked, this one record would make diagnose() size its per-step
+  // state to 2^31 entries and a serve session emit a verdict line per step.
+  expect_step_rejected(3, [](collective::StepRecord& r) { r.step = INT_MAX; },
+                       "step 2147483647 is not a step of the plan");
+}
+
+TEST_F(HostileEnvelope, StepRecordDependsOnAFlowOutsideThePlan) {
+  expect_step_rejected(20, [](collective::StepRecord& r) { r.dep_flow = 99; },
+                       "dep_flow 99 is not a flow of the plan");
+}
+
+TEST_F(HostileEnvelope, StepRecordDependsOnAStepOutsideThePlan) {
+  expect_step_rejected(20, [](collective::StepRecord& r) { r.dep_step = 7; },
+                       "dep_step 7 is not a step of the plan");
+}
+
+TEST_F(HostileEnvelope, StepRecordWaitsOnItself) {
+  expect_step_rejected(20,
+                       [](collective::StepRecord& r) {
+                         r.flow_index = 2;
+                         r.step = 3;
+                         r.dep_flow = 2;
+                         r.dep_step = 3;
+                       },
+                       "flow 2 step 3 waits on itself");
+}
+
+TEST_F(HostileEnvelope, StepRecordEndsBeforeItStarts) {
+  expect_step_rejected(3,
+                       [](collective::StepRecord& r) {
+                         r.start_time = 5000;
+                         r.end_time = 4999;
+                       },
+                       "end_time 4999 is before start_time 5000");
+}
+
+TEST_F(HostileEnvelope, PollRegistrationFlowOutsideThePlan) {
+  expect_poll_rejected(0, [](PollRegistration& p) { p.flow = -1; },
+                       "flow -1 is not a flow of the plan");
+}
+
+TEST_F(HostileEnvelope, PollRegistrationStepOutsideThePlan) {
+  expect_poll_rejected(0, [](PollRegistration& p) { p.step = 7; },
+                       "step 7 is not a step of the plan");
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 
 // Rewrites a .vtrc trace record by record through TraceReader ->
 // TraceWriter, so every CRC of the copy is valid, with optional edits to
-// the envelope and to each switch report on the way. The hostile-input
+// the envelope, each switch report, each step record and each poll
+// registration on the way. The hostile-input
 // tests use it to build traces whose bytes are intact and whose contents
 // the simulator would never record.
 
@@ -20,7 +21,9 @@ namespace vedr::replay {
 
 inline void rewrite_trace(const std::string& src, const std::string& dst,
                           const std::function<void(TraceEnvelope&)>& mutate_envelope,
-                          const std::function<void(telemetry::SwitchReport&)>& mutate_report = {}) {
+                          const std::function<void(telemetry::SwitchReport&)>& mutate_report = {},
+                          const std::function<void(collective::StepRecord&)>& mutate_step = {},
+                          const std::function<void(PollRegistration&)>& mutate_poll = {}) {
   TraceReader reader(src);
   ASSERT_TRUE(reader.ok()) << reader.error().str();
   TraceWriter writer(dst);
@@ -31,13 +34,15 @@ inline void rewrite_trace(const std::string& src, const std::string& dst,
         [&](auto& v) {
           using T = std::decay_t<decltype(v)>;
           if constexpr (std::is_same_v<T, TraceEnvelope>) {
-            mutate_envelope(v);
+            if (mutate_envelope) mutate_envelope(v);
             writer.write_envelope(v);
           } else if constexpr (std::is_same_v<T, TraceFooter>) {
             writer.write_footer(v);
           } else if constexpr (std::is_same_v<T, collective::StepRecord>) {
+            if (mutate_step) mutate_step(v);
             writer.on_step_record(v);
           } else if constexpr (std::is_same_v<T, PollRegistration>) {
+            if (mutate_poll) mutate_poll(v);
             writer.on_poll_registered(v);
           } else if constexpr (std::is_same_v<T, telemetry::SwitchReport>) {
             if (mutate_report) mutate_report(v);
