@@ -86,10 +86,9 @@ int main() {
   }
 
   // (b) Provenance graph of the step where the bottleneck flow ran.
-  vedr.analyzer().global_graph().finalize();
   {
     std::ofstream out("fig14_provenance.dot");
-    out << vedr.analyzer().global_graph().to_dot(runner.plan().flow_keys());
+    out << vedr.analyzer().merged_graph().to_dot(runner.plan().flow_keys());
   }
   std::printf("provenance graph -> fig14_provenance.dot\n");
 

@@ -1,5 +1,7 @@
 #!/bin/bash
-cd /root/repo
+# Regenerates the paper figures' text outputs under results/ from a build in
+# build/; run from anywhere in the checkout.
+cd "$(dirname "$0")/.."
 export VEDR_SCALE=0.015625
 VEDR_CASES=paper ./build/bench/fig09_precision_recall > results/fig09.txt 2>&1
 VEDR_CASES=paper ./build/bench/fig10_overhead > results/fig10.txt 2>&1

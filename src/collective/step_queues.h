@@ -39,8 +39,6 @@ class StepQueues {
     if (dep_of_step + 1 > recv_idx_) recv_idx_ = dep_of_step + 1;
   }
 
-  int send_index() const { return send_idx_; }
-  int recv_index() const { return recv_idx_; }
   int total_steps() const { return static_cast<int>(ssq_.size()); }
 
   /// Table I's index comparison: the next send step (index send_idx_) is

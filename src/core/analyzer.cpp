@@ -36,7 +36,7 @@ void Analyzer::register_poll(std::uint64_t poll_id, int flow, int step) {
 
 void Analyzer::on_switch_report(const telemetry::SwitchReport& report) {
   if (tap_ != nullptr) tap_->on_switch_report_in(report);
-  ++reports_received_;
+  const std::uint64_t arrival = reports_received_++;
   if (report.backend == net::TelemetryBackend::kSketch) saw_sketch_ = true;
   if (const std::uint64_t* entry = poll_index_.find(report.poll_id); entry != nullptr) {
     const int step = static_cast<int>(common::unpack_lo(*entry));
@@ -52,9 +52,18 @@ void Analyzer::on_switch_report(const telemetry::SwitchReport& report) {
         step_of_[n_step_graphs_] = step;
       ++n_step_graphs_;
     }
-    step_pool_[slot].add_report(report);
+    step_pool_[slot].add_report(report, arrival);
+    return;
   }
-  global_.add_report(report);
+  global_.add_report(report, arrival);
+}
+
+ProvenanceGraph Analyzer::merged_graph() {
+  ProvenanceGraph merged(topo_, &tables_);
+  for (std::size_t i = 0; i < n_step_graphs_; ++i) merged.merge(step_pool_[i]);
+  merged.merge(global_);
+  merged.finalize();
+  return merged;
 }
 
 void Analyzer::reset() {

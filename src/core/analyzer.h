@@ -32,8 +32,10 @@ namespace vedr::core {
 /// poll registry, and produces a Diagnosis — waiting-graph bottleneck
 /// analysis, per-step provenance root causes, and contributor ratings.
 ///
-/// Baselines reuse the same analyzer without a plan: their reports all land
-/// in the step-agnostic global graph and no waiting graph is built.
+/// Each switch report lands in exactly one graph: the step graph its poll
+/// registered, or, when no registered poll maps it, the step-agnostic global
+/// graph. Baselines reuse the same analyzer without a plan: their reports
+/// all land in the global graph and no waiting graph is built.
 ///
 /// The analyzer owns the shared InternTables: every per-step provenance
 /// graph and the global graph resolve FlowKey/PortRef through the same
@@ -91,7 +93,13 @@ class VEDR_SINGLE_THREADED Analyzer {
   Diagnosis diagnose();
 
   const WaitingGraph& waiting_graph() const { return waiting_graph_; }
-  ProvenanceGraph& global_graph() { return global_; }
+  /// Reports that no registered poll maps to a step (all of a baseline's).
+  const ProvenanceGraph& global_graph() const { return global_; }
+  /// Every ingested report in one finalized graph: the step graphs and the
+  /// global graph merged, equal to one graph that ingested the whole stream
+  /// in arrival order up to the order of its drop list. Built on demand for
+  /// the DOT exports; ingestion never pays for it.
+  ProvenanceGraph merged_graph();
   /// Number of per-step provenance graphs populated by registered polls.
   std::size_t step_graph_count() const { return n_step_graphs_; }
   /// The populated steps in ascending order.
@@ -101,9 +109,6 @@ class VEDR_SINGLE_THREADED Analyzer {
   ProvenanceGraph* step_graph(int step);
   std::size_t step_records() const { return records_.size(); }
   std::size_t reports_received() const { return reports_received_; }
-  /// True once any ingested report carried the sketch-backend marker; the
-  /// resulting Diagnosis advertises the lane (Diagnosis::sketch_lane).
-  bool saw_sketch_reports() const { return saw_sketch_; }
   const InternTables& tables() const { return tables_; }
 
  private:

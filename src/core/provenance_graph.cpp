@@ -67,7 +67,62 @@ std::int32_t ProvenanceGraph::pfc_node_of(std::uint32_t gid) const {
   return gid < pfc_node_idx_.size() ? pfc_node_idx_[gid] : -1;
 }
 
-void ProvenanceGraph::add_report(const telemetry::SwitchReport& report) {
+void ProvenanceGraph::fold_flow(PortCell& cell, std::uint32_t fid, std::int64_t pkts) {
+  const std::uint64_t fresh = cell.flow_gids.size();
+  std::uint64_t& slot = cell.flow_slot.insert_or_get(fid, fresh);
+  if (slot == fresh) {
+    cell.flow_gids.push_back(fid);
+    cell.flow_pkts.push_back(0);
+  }
+  std::int64_t& cur = cell.flow_pkts[slot];
+  if (pkts >= cur) {
+    cell.total_pkts += pkts - cur;
+    cur = pkts;
+  }
+}
+
+void ProvenanceGraph::fold_wait(PortCell& cell, std::uint32_t wid, std::uint32_t aid,
+                                std::int64_t weight) {
+  const std::uint64_t fresh = cell.waits.size();
+  std::uint64_t& slot = cell.wait_slot.insert_or_get(common::pack_u32_pair(wid, aid), fresh);
+  std::uint32_t waiter_pos;
+  if (slot == fresh) {
+    cell.waits.push_back(WaitCell{wid, aid, 0});
+    const std::uint64_t wfresh = cell.waiters.size();
+    std::uint64_t& wslot = cell.waiter_slot.insert_or_get(wid, wfresh);
+    if (wslot == wfresh) cell.waiters.push_back(WaiterCell{wid, 0});
+    waiter_pos = static_cast<std::uint32_t>(wslot);
+  } else {
+    waiter_pos = static_cast<std::uint32_t>(*cell.waiter_slot.find(wid));
+  }
+  WaitCell& wc = cell.waits[slot];
+  const std::int64_t merged = std::max(wc.weight, weight);
+  cell.waiters[waiter_pos].weight_sum += merged - wc.weight;
+  wc.weight = merged;
+}
+
+void ProvenanceGraph::fold_meter(PortCell& cell, net::PortId in_port, std::int64_t bytes) {
+  for (auto& mc : cell.meters) {
+    if (mc.in_port == in_port) {
+      mc.bytes = std::max(mc.bytes, bytes);
+      return;
+    }
+  }
+  cell.meters.push_back(MeterCell{in_port, bytes});
+}
+
+void ProvenanceGraph::fold_drop(const telemetry::DropEntry& drop) {
+  // Keep the freshest record per (flow, port); counts are cumulative.
+  for (auto& existing : drops_) {
+    if (existing.flow == drop.flow && existing.port == drop.port) {
+      if (drop.count > existing.count) existing = drop;
+      return;
+    }
+  }
+  drops_.push_back(drop);
+}
+
+void ProvenanceGraph::add_report(const telemetry::SwitchReport& report, std::uint64_t arrival) {
   ++reports_seen_;
   finalized_ = false;
   for (const auto& pr : report.ports) {
@@ -77,71 +132,54 @@ void ProvenanceGraph::add_report(const telemetry::SwitchReport& report) {
     cell.max_qdepth_pkts = std::max(cell.max_qdepth_pkts, pr.qdepth_pkts);
     cell.max_qdepth_bytes = std::max(cell.max_qdepth_bytes, pr.qdepth_bytes);
     if (pr.paused_evidence()) cell.saw_pause = true;
-    for (const auto& fe : pr.flows) {
-      const std::uint32_t fid = tables_->flows.intern(fe.flow);
-      const std::uint64_t fresh = cell.flow_gids.size();
-      std::uint64_t& slot = cell.flow_slot.insert_or_get(fid, fresh);
-      if (slot == fresh) {
-        cell.flow_gids.push_back(fid);
-        cell.flow_pkts.push_back(0);
-      }
-      std::int64_t& pkts = cell.flow_pkts[slot];
-      if (fe.pkts >= pkts) {
-        cell.total_pkts += fe.pkts - pkts;
-        pkts = fe.pkts;
-      }
-    }
+    for (const auto& fe : pr.flows) fold_flow(cell, tables_->flows.intern(fe.flow), fe.pkts);
     for (const auto& we : pr.waits) {
       const std::uint32_t wid = tables_->flows.intern(we.waiter);
-      const std::uint32_t aid = tables_->flows.intern(we.ahead);
-      const std::uint64_t fresh = cell.waits.size();
-      std::uint64_t& slot = cell.wait_slot.insert_or_get(common::pack_u32_pair(wid, aid), fresh);
-      std::uint32_t waiter_pos;
-      if (slot == fresh) {
-        cell.waits.push_back(WaitCell{wid, aid, 0});
-        const std::uint64_t wfresh = cell.waiters.size();
-        std::uint64_t& wslot = cell.waiter_slot.insert_or_get(wid, wfresh);
-        if (wslot == wfresh) cell.waiters.push_back(WaiterCell{wid, 0});
-        waiter_pos = static_cast<std::uint32_t>(wslot);
-      } else {
-        waiter_pos = static_cast<std::uint32_t>(*cell.waiter_slot.find(wid));
-      }
-      WaitCell& wc = cell.waits[slot];
-      const std::int64_t merged = std::max(wc.weight, we.weight);
-      cell.waiters[waiter_pos].weight_sum += merged - wc.weight;
-      wc.weight = merged;
+      fold_wait(cell, wid, tables_->flows.intern(we.ahead), we.weight);
     }
-    for (const auto& me : pr.meters) {
-      bool merged = false;
-      for (auto& mc : cell.meters) {
-        if (mc.in_port == me.in_port) {
-          mc.bytes = std::max(mc.bytes, me.bytes);
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) cell.meters.push_back(MeterCell{me.in_port, me.bytes});
-    }
+    for (const auto& me : pr.meters) fold_meter(cell, me.in_port, me.bytes);
   }
   for (const auto& cause : report.causes) {
     causes_.push_back(CauseCell{cause.ingress_port, cause.injected,
                                 static_cast<std::uint32_t>(cause_contribs_.size()),
-                                static_cast<std::uint32_t>(cause.contributions.size())});
+                                static_cast<std::uint32_t>(cause.contributions.size()),
+                                arrival});
     cause_contribs_.insert(cause_contribs_.end(), cause.contributions.begin(),
                            cause.contributions.end());
   }
-  for (const auto& drop : report.drops) {
-    // Keep the freshest record per (flow, port); counts are cumulative.
-    bool merged = false;
-    for (auto& existing : drops_) {
-      if (existing.flow == drop.flow && existing.port == drop.port) {
-        if (drop.count > existing.count) existing = drop;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) drops_.push_back(drop);
+  for (const auto& drop : report.drops) fold_drop(drop);
+}
+
+void ProvenanceGraph::merge(const ProvenanceGraph& other) {
+  VEDR_CHECK(other.tables_ == tables_, "merged provenance graphs must share intern tables");
+  reports_seen_ += other.reports_seen_;
+  finalized_ = false;
+  for (std::size_t i = 0; i < other.n_cells_; ++i) {
+    const PortCell& src = other.cells_[i];
+    PortCell& cell = claim_cell(src.gid);
+    cell.max_qdepth_pkts = std::max(cell.max_qdepth_pkts, src.max_qdepth_pkts);
+    cell.max_qdepth_bytes = std::max(cell.max_qdepth_bytes, src.max_qdepth_bytes);
+    cell.saw_pause = cell.saw_pause || src.saw_pause;
+    for (std::size_t k = 0; k < src.flow_gids.size(); ++k)
+      fold_flow(cell, src.flow_gids[k], src.flow_pkts[k]);
+    for (const WaitCell& wc : src.waits) fold_wait(cell, wc.waiter, wc.ahead, wc.weight);
+    for (const MeterCell& mc : src.meters) fold_meter(cell, mc.in_port, mc.bytes);
   }
+
+  // Pause causes: to_dot() and the PFC rows list edges in cause order, so
+  // the union interleaves the two arrival-ordered lists back into one.
+  const auto base = static_cast<std::uint32_t>(cause_contribs_.size());
+  cause_contribs_.insert(cause_contribs_.end(), other.cause_contribs_.begin(),
+                         other.cause_contribs_.end());
+  const auto mid = static_cast<std::ptrdiff_t>(causes_.size());
+  for (CauseCell cause : other.causes_) {
+    cause.begin += base;
+    causes_.push_back(cause);
+  }
+  std::inplace_merge(causes_.begin(), causes_.begin() + mid, causes_.end(),
+                     [](const CauseCell& a, const CauseCell& b) { return a.arrival < b.arrival; });
+
+  for (const auto& drop : other.drops_) fold_drop(drop);
 }
 
 void ProvenanceGraph::reset() {
@@ -158,7 +196,6 @@ void ProvenanceGraph::reset() {
   pfc_edge_loc_.clear();
   pfc_edge_list_.clear();
   storm_sources_.clear();
-  storm_gids_.clear();
   storm_seen_.clear();
   sorted_cells_.clear();
   sorted_flow_ids_.clear();
@@ -184,7 +221,6 @@ void ProvenanceGraph::finalize() {
   pfc_edge_loc_.clear();
   pfc_edge_list_.clear();
   storm_sources_.clear();
-  storm_gids_.clear();
   storm_seen_.clear();
 
   for (const CauseCell& cause : causes_) {
@@ -198,7 +234,6 @@ void ProvenanceGraph::finalize() {
       if (seen == 0) {
         seen = 1;
         storm_sources_.push_back(cause.ingress);
-        storm_gids_.push_back(sgid);
       }
       continue;
     }

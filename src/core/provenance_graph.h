@@ -59,8 +59,21 @@ class VEDR_SINGLE_THREADED ProvenanceGraph {
   ProvenanceGraph& operator=(const ProvenanceGraph&) = delete;
 
   /// Accumulates one switch report. Reports for the same port merge; the
-  /// counters are cumulative, so per-entry maxima win.
-  void add_report(const telemetry::SwitchReport& report);
+  /// counters are cumulative, so per-entry maxima win. `arrival` numbers the
+  /// report in its analyzer's whole stream, so that merge() can restore the
+  /// arrival order of pause causes across graphs; the one-argument form
+  /// numbers reports in their order of arrival at this graph.
+  void add_report(const telemetry::SwitchReport& report, std::uint64_t arrival);
+  void add_report(const telemetry::SwitchReport& report) { add_report(report, reports_seen_); }
+
+  /// Folds `other` (which must share this graph's intern tables) into this
+  /// graph. The result answers every query exactly as one graph that
+  /// ingested both graphs' reports in arrival order would: per-port maxima
+  /// and the latched pause, per-flow and per-(waiter, ahead) maxima with
+  /// their sums, per-ingress meter maxima, the freshest drop per (flow,
+  /// port), and pause causes in report-arrival order. The order of drops()
+  /// across the merged graphs is unspecified. Not finalized.
+  void merge(const ProvenanceGraph& other);
 
   /// Resolves pause linkage into port->port edges and builds the sorted
   /// id-indexed rows behind the dense-id interface. Call after all reports.
@@ -173,7 +186,6 @@ class VEDR_SINGLE_THREADED ProvenanceGraph {
   /// Out-edges of the PFC spreading graph for port id `gid`, in pause-cause
   /// arrival order (empty when the port pauses nobody).
   const std::vector<PfcEdge>& pfc_edges_of(std::uint32_t gid) const;
-  const std::vector<std::uint32_t>& storm_gids() const { return storm_gids_; }
   /// Eq. (2) over ids; kNone operands yield 0 (never-observed key).
   double contribution_to_flow_ids(std::uint32_t f, std::uint32_t cf) const;
 
@@ -221,6 +233,13 @@ class VEDR_SINGLE_THREADED ProvenanceGraph {
   };
 
   PortCell& claim_cell(std::uint32_t gid);
+  // Folds of one staged value into a cell or the drop list, shared by
+  // add_report() and merge() so the two cannot disagree.
+  static void fold_flow(PortCell& cell, std::uint32_t fid, std::int64_t pkts);
+  static void fold_wait(PortCell& cell, std::uint32_t wid, std::uint32_t aid,
+                        std::int64_t weight);
+  static void fold_meter(PortCell& cell, net::PortId in_port, std::int64_t bytes);
+  void fold_drop(const telemetry::DropEntry& drop);
   const PortCell* cell_of_gid(std::uint32_t gid) const;
   const PortCell* cell_of(const PortRef& p) const;
   std::int32_t pfc_node_of(std::uint32_t gid) const;
@@ -243,8 +262,9 @@ class VEDR_SINGLE_THREADED ProvenanceGraph {
     bool injected = false;
     std::uint32_t begin = 0;  ///< into cause_contribs_
     std::uint32_t count = 0;
+    std::uint64_t arrival = 0;  ///< the carrying report's arrival index
   };
-  std::vector<CauseCell> causes_;
+  std::vector<CauseCell> causes_;  ///< in report-arrival order
   std::vector<std::pair<net::PortId, std::int64_t>> cause_contribs_;
   std::vector<telemetry::DropEntry> drops_;
   std::size_t reports_seen_ = 0;
@@ -257,7 +277,6 @@ class VEDR_SINGLE_THREADED ProvenanceGraph {
   common::DenseMap64 pfc_edge_loc_;  ///< pack(up, down) -> pack(node, edge idx)
   std::vector<std::pair<PortRef, PortRef>> pfc_edge_list_;
   std::vector<PortRef> storm_sources_;
-  std::vector<std::uint32_t> storm_gids_;
   common::DenseMap64 storm_seen_;
 
   std::vector<std::uint32_t> sorted_cells_;    ///< cell indices by PortRef

@@ -64,7 +64,6 @@ class Network {
   const NetConfig& config() const { return cfg_; }
   const DcqcnParams& dcqcn_params() const { return dcqcn_; }
   const SwiftParams& swift_params() const { return swift_; }
-  void set_swift_params(const SwiftParams& p) { swift_ = p; }
   const Topology& topology() const { return topo_; }
   RoutingTable& routing() { return routing_; }
   const RoutingTable& routing() const { return routing_; }

@@ -58,9 +58,6 @@ class Switch : public Device {
   std::int64_t queue_bytes(PortId port, Priority prio) const {
     return egress_.at(static_cast<std::size_t>(port)).bytes[index_of(prio)];
   }
-  bool egress_paused(PortId port) const {
-    return egress_.at(static_cast<std::size_t>(port)).paused_data;
-  }
   bool sending_pause_on(PortId port) const {
     return pause_sig_.at(static_cast<std::size_t>(port)).sent_pause;
   }

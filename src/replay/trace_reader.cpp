@@ -1,5 +1,6 @@
 #include "replay/trace_reader.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -53,6 +54,12 @@ TraceReader::TraceReader(const std::string& path, bool tail) : tail_(tail) {
     fail(TraceStatus::kIoError, 0, "open " + path + ": " + errno_str());
     return;
   }
+  // The chunk buffer is the only buffer: unbuffered stdio reads each chunk
+  // straight into it instead of copying through its own.
+  if (std::setvbuf(file_, nullptr, _IONBF, 0) != 0) {
+    fail(TraceStatus::kIoError, 0, "unbuffer " + path + ": " + errno_str());
+    return;
+  }
   read_header();
 }
 
@@ -69,34 +76,60 @@ TraceStatus TraceReader::fail(TraceStatus status, std::uint64_t offset, std::str
   return error_.status;
 }
 
-TraceStatus TraceReader::need_more(std::uint64_t offset) {
-  // Writer mid-append: rewind to the frame boundary and clear stdio's
-  // latched EOF indicator so the retry actually re-reads. Never latches —
-  // fail() is not involved.
+void TraceReader::grow(std::size_t cap) {
+  std::unique_ptr<char[]> bigger = std::make_unique_for_overwrite<char[]>(cap);
+  if (end_ > 0) std::memcpy(bigger.get(), buf_.get(), end_);
+  buf_ = std::move(bigger);
+  cap_ = cap;
+}
+
+bool TraceReader::fill(std::size_t need) {
+  if (buffered() >= need) return true;
+  // Slide the unparsed bytes (a frame's head, at most) to the front, and
+  // make room for at least one more chunk.
+  if (begin_ > 0) {
+    std::memmove(buf_.get(), buf_.get() + begin_, buffered());
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  if (cap_ < end_ + kChunkBytes) grow(std::max(end_ + kChunkBytes, 2 * cap_));
+  while (end_ < need) {
+    // A frame larger than the buffer doubles it as its bytes arrive, up to
+    // the frame's size, so a corrupt length cannot make the reader allocate
+    // much beyond what the file holds.
+    if (end_ == cap_) grow(std::min(need, 2 * cap_));
+    const std::size_t got = std::fread(buf_.get() + end_, 1, cap_ - end_, file_);
+    if (got == 0) return false;
+    end_ += got;
+  }
+  return true;
+}
+
+TraceStatus TraceReader::need_more() {
+  // Writer mid-append: the partial frame stays buffered, and clearing
+  // stdio's latched EOF makes the next fill() read what was appended since.
+  // Never latches — fail() is not involved.
   std::clearerr(file_);
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0)
-    return fail(TraceStatus::kIoError, offset, "tail rewind: " + errno_str());
   return TraceStatus::kNeedMoreData;
 }
 
 void TraceReader::read_header() {
-  char header[kFileHeaderBytes];
-  const std::size_t got = std::fread(header, 1, sizeof header, file_);
-  if (got != sizeof header) {
+  if (!fill(kFileHeaderBytes)) {
     // Tail mode: a writer that has not finished the 12-byte header yet is
     // not a corrupt file; next() retries until the header completes.
     if (tail_ && std::ferror(file_) == 0) {
-      need_more(0);
+      need_more();
       return;
     }
-    fail(TraceStatus::kBadHeader, got, "file shorter than the 12-byte header");
+    fail(TraceStatus::kBadHeader, buffered(), "file shorter than the 12-byte header");
     return;
   }
+  const char* header = buf_.get() + begin_;
   if (std::memcmp(header, kMagic, sizeof kMagic) != 0) {
     fail(TraceStatus::kBadMagic, 0, "magic is not \"VTRC\"");
     return;
   }
-  ByteReader r(std::string_view(header, sizeof header));
+  ByteReader r(std::string_view(header, kFileHeaderBytes));
   // Validate the CRC before interpreting the version: a flipped version
   // byte must read as corruption, not as a huff about compatibility.
   const std::uint32_t expect = crc32(std::string_view(header, 8));
@@ -120,6 +153,7 @@ void TraceReader::read_header() {
     fail(TraceStatus::kBadHeader, 6, "reserved header flags are nonzero");
     return;
   }
+  begin_ += kFileHeaderBytes;
   bytes_ = kFileHeaderBytes;
   header_parsed_ = true;
 }
@@ -135,47 +169,43 @@ TraceStatus TraceReader::next(TraceRecord& out) {
   }
 
   const std::uint64_t frame_offset = bytes_;
-  char prefix[kFramePrefixBytes];
-  const std::size_t got = std::fread(prefix, 1, sizeof prefix, file_);
-  if (got == 0) {
+  if (!fill(kFramePrefixBytes)) {
     if (std::ferror(file_) != 0)
       return fail(TraceStatus::kIoError, frame_offset, errno_str());
-    if (seen_footer_) {
+    if (buffered() == 0 && seen_footer_) {
       eof_ = true;
       return TraceStatus::kEof;
     }
-    if (tail_) return need_more(frame_offset);
-    eof_ = true;
-    return fail(TraceStatus::kTruncated, frame_offset,
-                "stream ends without a footer frame");
-  }
-  if (got != sizeof prefix) {
-    if (tail_ && std::ferror(file_) == 0) return need_more(frame_offset);
+    if (tail_) return need_more();
+    if (buffered() == 0) {
+      eof_ = true;
+      return fail(TraceStatus::kTruncated, frame_offset, "stream ends without a footer frame");
+    }
     return fail(TraceStatus::kTruncated, frame_offset, "file ends inside a frame prefix");
   }
 
-  ByteReader pr(std::string_view(prefix, sizeof prefix));
+  ByteReader pr(std::string_view(buf_.get() + begin_, kFramePrefixBytes));
   const std::uint8_t type_byte = pr.u8();
   const std::uint32_t len = pr.u32();
   if (len > kMaxFramePayload)
     return fail(TraceStatus::kBadRecord, frame_offset,
                 "frame payload length " + std::to_string(len) + " exceeds the format cap");
 
-  // One read for the payload and the CRC behind it.
-  const std::size_t body_bytes = len + kFrameCrcBytes;
-  body_.resize(body_bytes);
-  const std::size_t got_body = std::fread(body_.data(), 1, body_bytes, file_);
-  if (got_body != body_bytes) {
-    if (tail_ && std::ferror(file_) == 0) return need_more(frame_offset);
+  // One bounds check for the prefix, the payload and the CRC behind it.
+  const std::size_t covered_bytes = kFramePrefixBytes + len;
+  const std::size_t frame_bytes = covered_bytes + kFrameCrcBytes;
+  if (!fill(frame_bytes)) {
+    if (std::ferror(file_) != 0)
+      return fail(TraceStatus::kIoError, frame_offset, errno_str());
+    if (tail_) return need_more();
     return fail(TraceStatus::kTruncated, frame_offset,
-                got_body < len ? "file ends inside a frame payload"
-                               : "file ends inside a frame CRC");
+                buffered() < covered_bytes ? "file ends inside a frame payload"
+                                           : "file ends inside a frame CRC");
   }
-  const std::string_view payload(body_.data(), len);
-  ByteReader cr(std::string_view(body_).substr(len));
-  const std::uint32_t stored = cr.u32();
-  const std::uint32_t state = crc32_update(kCrcInit, std::string_view(prefix, sizeof prefix));
-  if (crc32_finish(crc32_update(state, payload)) != stored)
+  // fill() may have moved the frame to the front of the buffer.
+  const std::string_view frame(buf_.get() + begin_, frame_bytes);
+  ByteReader cr(frame.substr(covered_bytes));
+  if (crc32(frame.substr(0, covered_bytes)) != cr.u32())
     return fail(TraceStatus::kCrcMismatch, frame_offset, "frame CRC mismatch");
 
   if (type_byte < static_cast<std::uint8_t>(RecordType::kEnvelope) ||
@@ -194,7 +224,7 @@ TraceStatus TraceReader::next(TraceRecord& out) {
                 std::string(to_string(type)) + " frame before the envelope");
 
   out.type = type;
-  ByteReader r(payload);
+  ByteReader r(frame.substr(kFramePrefixBytes, len));
   bool decoded = false;
   switch (type) {
     case RecordType::kEnvelope:
@@ -231,8 +261,8 @@ TraceStatus TraceReader::next(TraceRecord& out) {
 
   if (type == RecordType::kEnvelope) seen_envelope_ = true;
   if (type == RecordType::kFooter) seen_footer_ = true;
-  ++frames_;
-  bytes_ += kFramePrefixBytes + len + kFrameCrcBytes;
+  begin_ += frame_bytes;
+  bytes_ += frame_bytes;
   return TraceStatus::kOk;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "common/thread_annotations.h"
@@ -26,8 +27,8 @@ enum class TraceStatus : std::uint8_t {
                  ///< malformed payload, envelope/footer misplacement)
   kNeedMoreData, ///< tail mode only: the stream ends mid-frame because the
                  ///< writer is still appending. Retryable, never latched —
-                 ///< the reader rewinds to the frame boundary and the next
-                 ///< next() call resumes cleanly once bytes arrive.
+                 ///< the partial frame stays buffered and the next next()
+                 ///< call resumes cleanly once bytes arrive.
 };
 
 const char* to_string(TraceStatus s);
@@ -41,23 +42,26 @@ struct TraceError {
 };
 
 /// Streaming .vtrc reader: validates the file header on construction, then
-/// yields one decoded record per next() call. Memory use is bounded by the
-/// largest single frame (the frame body buffer is reused); there is no
-/// load-the-whole-file path. A frame costs two reads, its 5-byte prefix
-/// and then its payload with the CRC, and next() decodes into the caller's
-/// record in place, so a caller that passes the same record every time
-/// keeps its vectors' storage from frame to frame.
+/// yields one decoded record per next() call. The file is read in chunks of
+/// at least kChunkBytes into one reused buffer, and each frame is parsed
+/// where it lies in that buffer: one bounds check covers its prefix,
+/// payload and CRC, one CRC call covers the contiguous prefix and payload,
+/// and the payload decodes into the caller's record in place (a caller that
+/// passes the same record every time keeps its vectors' storage from frame
+/// to frame). The buffer grows geometrically, to at most twice one chunk
+/// plus the largest single frame; there is no load-the-whole-file path.
 ///
 /// Tail mode (`tail = true`) follows a file a writer is still appending to:
 /// a partial trailing frame (or a not-yet-complete header) is not corruption
-/// but a writer mid-append, so the reader rewinds to the last frame boundary
+/// but a writer mid-append, so the reader keeps the partial bytes buffered
 /// and reports the retryable kNeedMoreData instead of latching a terminal
-/// kTruncated. Callers poll next() until the frame completes; a frame that
-/// is fully present but fails its CRC is still terminal in tail mode (the
-/// writer wrote garbage, waiting will not fix it).
+/// kTruncated; the next next() appends whatever the writer added since.
+/// Callers poll next() until the frame completes; a frame that is fully
+/// present but fails its CRC is still terminal in tail mode (the writer
+/// wrote garbage, waiting will not fix it).
 ///
-/// Threading: owned by the replaying thread; FILE* position, the reused
-/// payload buffer, and the latched error are unsynchronized.
+/// Threading: owned by the replaying thread; FILE* position, the chunk
+/// buffer, and the latched error are unsynchronized.
 class VEDR_SINGLE_THREADED TraceReader {
  public:
   explicit TraceReader(const std::string& path, bool tail = false);
@@ -83,14 +87,25 @@ class VEDR_SINGLE_THREADED TraceReader {
   /// the next next() returns kEof.
   bool saw_footer() const { return seen_footer_; }
 
-  std::uint64_t frames_read() const { return frames_; }
+  /// File offset just past the last complete frame (or the header): where
+  /// the next frame starts, also while a partial frame is buffered.
   std::uint64_t bytes_read() const { return bytes_; }
+
+  /// A refill asks the file for at least this many bytes.
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
 
  private:
   TraceStatus fail(TraceStatus status, std::uint64_t offset, std::string detail);
-  /// Rewinds to `offset` and clears stdio's latched EOF so a future read
-  /// retries; the retryable not-enough-bytes-yet result in tail mode.
-  TraceStatus need_more(std::uint64_t offset);
+  /// Ensures `need` unparsed bytes are buffered, reading chunks from the
+  /// file as needed; false when the file ends (or fails) first.
+  bool fill(std::size_t need);
+  /// Unparsed bytes in the buffer.
+  std::size_t buffered() const { return end_ - begin_; }
+  /// Reallocates the buffer to `cap` bytes, keeping [0, end_).
+  void grow(std::size_t cap);
+  /// The retryable not-enough-bytes-yet result of tail mode: clears stdio's
+  /// latched EOF so the next fill() reads what the writer appended.
+  TraceStatus need_more();
   void read_header();
 
   std::FILE* file_ = nullptr;
@@ -99,11 +114,16 @@ class VEDR_SINGLE_THREADED TraceReader {
   bool header_parsed_ = false;
   bool eof_ = false;
   std::uint16_t version_ = 0;
-  std::uint64_t frames_ = 0;
   std::uint64_t bytes_ = 0;
   bool seen_envelope_ = false;
   bool seen_footer_ = false;
-  std::string body_;  ///< reused frame body: payload + CRC (bounded by kMaxFramePayload)
+  /// Reused read buffer of cap_ bytes; [begin_, end_) is read but not yet
+  /// parsed. Left uninitialised, so only bytes actually read become
+  /// resident: a tail reader that mostly waits holds little of its chunk.
+  std::unique_ptr<char[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
 };
 
 }  // namespace vedr::replay

@@ -24,11 +24,8 @@ TraceWriter::TraceWriter(const std::string& path) {
     return;
   }
   const std::string header = encode_file_header();
-  if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
+  if (std::fwrite(header.data(), 1, header.size(), file_) != header.size())
     fail("write header: " + errno_str());
-    return;
-  }
-  bytes_ += header.size();
 }
 
 TraceWriter::~TraceWriter() { close(); }
@@ -59,7 +56,6 @@ void TraceWriter::write_frame(RecordType type) {
     return;
   }
   ++frames_;
-  bytes_ += frame.size();
   ++counts_[static_cast<std::size_t>(type)];
 }
 

@@ -40,7 +40,6 @@ class VEDR_SINGLE_THREADED TraceWriter final : public core::TraceTap {
   bool close();
 
   std::uint64_t frames_written() const { return frames_; }
-  std::uint64_t bytes_written() const { return bytes_; }
 
   // --- core::TraceTap (observation only) -------------------------------------
   void on_step_record(const collective::StepRecord& r) override {
@@ -80,7 +79,6 @@ class VEDR_SINGLE_THREADED TraceWriter final : public core::TraceTap {
   bool ok_ = true;
   std::string error_;
   std::uint64_t frames_ = 0;
-  std::uint64_t bytes_ = 0;
   std::uint64_t counts_[kNumRecordSlots] = {};
   bool envelope_written_ = false;
   bool footer_written_ = false;

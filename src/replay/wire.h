@@ -12,13 +12,18 @@
 namespace vedr::replay {
 
 /// CRC-32 (reflected polynomial 0xEDB88320, init/xorout 0xFFFFFFFF) — the
-/// standard zlib/Ethernet CRC, slicing-by-8 over compile-time tables. The
-/// streaming form lets a frame CRC cover several buffers without
-/// concatenating them:
+/// standard zlib/Ethernet CRC. The streaming form lets a frame CRC cover
+/// several buffers without concatenating them:
 ///   state = crc32_update(kCrcInit, a); state = crc32_update(state, b);
 ///   crc = crc32_finish(state);
+/// On x86-64 CPUs with PCLMULQDQ, crc32_update folds the whole 16-byte
+/// blocks of an input of 64 bytes or more with carry-less multiplies and
+/// hands the rest to crc32_update_sliced, the portable slicing-by-8 path
+/// over compile-time tables that every other CPU runs. Both give the same
+/// state for every input.
 inline constexpr std::uint32_t kCrcInit = 0xFFFFFFFFU;
 std::uint32_t crc32_update(std::uint32_t state, std::string_view data);
+std::uint32_t crc32_update_sliced(std::uint32_t state, std::string_view data);
 inline std::uint32_t crc32_finish(std::uint32_t state) { return state ^ 0xFFFFFFFFU; }
 inline std::uint32_t crc32(std::string_view data) {
   return crc32_finish(crc32_update(kCrcInit, data));

@@ -78,8 +78,8 @@ void FileTailSource::run() {
         }
         break;
       case replay::TraceStatus::kNeedMoreData:
-        // Writer mid-append: the reader rewound to the frame boundary; sleep
-        // one poll interval and re-read.
+        // Writer mid-append: the reader keeps the partial frame buffered;
+        // sleep one poll interval and read on.
         if (!idle_wait()) {
           finish(stopped_error(reader->bytes_read()), reader->bytes_read());
           return;

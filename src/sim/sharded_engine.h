@@ -94,7 +94,6 @@ class ShardedEngine {
   /// has. Neither mode feeds back into event order: digests are identical
   /// with timing on or off.
   void set_collect_timing(bool on) { collect_timing_ = on; }
-  bool collect_timing() const { return collect_timing_; }
 
   /// Fills the engine-owned sections of a ShardReport (windows, idle gaps,
   /// per-worker barrier timing, per-domain events). Call only while no run()

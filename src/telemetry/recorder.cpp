@@ -117,7 +117,6 @@ void SwitchTelemetry::record_ttl_drop(const FlowKey& flow, PortId egress, Tick n
   d.port = PortRef{switch_id_, egress};
   d.count += 1;
   d.last_drop = now;
-  ++total_drops_;
   if (tap_ != nullptr) tap_->on_ttl_drop({switch_id_, d});
 }
 

@@ -34,7 +34,6 @@ class PortTelemetry {
   void on_resume(Tick now);
 
   bool paused() const { return paused_; }
-  Tick paused_since() const { return paused_since_; }
   Tick total_pause_time(Tick now) const;
   /// True if the port is paused now or any pause ended within [now-window, now].
   bool paused_within(Tick now, Tick window) const;
@@ -104,7 +103,6 @@ class SwitchTelemetry {
   void record_ttl_drop(const FlowKey& flow, PortId egress, Tick now);
   /// Drops whose last occurrence is within [since, now].
   std::vector<DropEntry> drops_since(Tick since) const;
-  std::int64_t total_ttl_drops() const { return total_drops_; }
 
   /// Pause causes emitted on `ingress` within [since, now].
   std::vector<PauseCauseReport> causes_for(PortId ingress, Tick since) const;
@@ -130,7 +128,6 @@ class SwitchTelemetry {
   std::vector<std::vector<std::int64_t>> meter_;  // [in][out] bytes
   std::vector<PauseCauseReport> causes_;
   std::unordered_map<FlowKey, DropEntry, net::FlowKeyHash> drops_;
-  std::int64_t total_drops_ = 0;
   TelemetryTap* tap_ = nullptr;
 };
 

@@ -68,9 +68,6 @@ class SketchStore final : public TelemetryStore {
   /// and the frontier bench.
   std::int64_t estimate_pkts(const FlowKey& f) const { return pkts_.estimate(f.hash()); }
   std::int64_t estimate_bytes(const FlowKey& f) const { return bytes_.estimate(f.hash()); }
-  /// Total packets of *other* flows that were ahead of f's packets at their
-  /// enqueues — the bounded substitute for summing f's exact wait row.
-  std::int64_t estimate_ahead(const FlowKey& f) const { return ahead_.estimate(f.hash()); }
 
   /// Heavy-hitter flows currently tracked, sorted by FlowKey.
   std::vector<FlowKey> topk_flows() const;

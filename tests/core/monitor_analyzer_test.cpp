@@ -186,6 +186,30 @@ TEST(Analyzer, ReportsWithoutRegisteredPollLandInGlobalGraph) {
   EXPECT_EQ(analyzer.global_graph().report_count(), 1u);
 }
 
+TEST(Analyzer, EachReportLandsInOneGraphAndTheMergedGraphHoldsAll) {
+  net::Topology topo = net::make_fat_tree(4, net::NetConfig{});
+  Analyzer analyzer(&topo, nullptr);
+  analyzer.register_poll(7, /*flow=*/1, /*step=*/4);
+  telemetry::SwitchReport mapped;
+  mapped.poll_id = 7;
+  mapped.ports.push_back(telemetry::PortReport{});
+  mapped.ports.back().port = {16, 0};
+  telemetry::SwitchReport unmapped;
+  unmapped.poll_id = 8;
+  unmapped.ports.push_back(telemetry::PortReport{});
+  unmapped.ports.back().port = {17, 1};
+  analyzer.on_switch_report(mapped);
+  analyzer.on_switch_report(unmapped);
+
+  ASSERT_NE(analyzer.step_graph(4), nullptr);
+  EXPECT_EQ(analyzer.step_graph(4)->report_count(), 1u);
+  EXPECT_EQ(analyzer.global_graph().report_count(), 1u);
+  const ProvenanceGraph merged = analyzer.merged_graph();
+  EXPECT_TRUE(merged.finalized());
+  EXPECT_EQ(merged.report_count(), 2u);
+  EXPECT_EQ(merged.ports(), (std::vector<net::PortRef>{{16, 0}, {17, 1}}));
+}
+
 TEST(Analyzer, RegisteredPollGroupsByStep) {
   net::Topology topo = net::make_fat_tree(4, net::NetConfig{});
   Analyzer analyzer(&topo, nullptr);

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <unordered_set>
 #include <vector>
 
 #include "core/provenance_graph.h"
@@ -131,8 +133,16 @@ class PropertyFixture {
   std::vector<FlowKey> flows_;
 };
 
-void expect_graphs_agree(const PropertyFixture& fx, const refimpl::ProvenanceGraph& ref,
-                         const core::ProvenanceGraph& flat) {
+/// Whether drops() must list the keys in the same order, or only hold the
+/// same record per (flow, port).
+enum class DropOrder { kSame, kAny };
+
+/// Every query family the diagnosis pipeline uses, compared exactly. `Ref`
+/// is the reference implementation, or a flat graph built another way.
+template <class Ref>
+void expect_graphs_agree(const PropertyFixture& fx, const Ref& ref,
+                         const core::ProvenanceGraph& flat,
+                         DropOrder drop_order = DropOrder::kSame) {
   // Vertex enumerations.
   EXPECT_EQ(ref.ports(), flat.ports());
   EXPECT_EQ(ref.flows(), flat.flows());
@@ -176,9 +186,19 @@ void expect_graphs_agree(const PropertyFixture& fx, const refimpl::ProvenanceGra
   EXPECT_EQ(ref.storm_sources(), flat.storm_sources());
   ASSERT_EQ(ref.drops().size(), flat.drops().size());
   for (std::size_t i = 0; i < ref.drops().size(); ++i) {
-    EXPECT_EQ(ref.drops()[i].flow, flat.drops()[i].flow);
-    EXPECT_EQ(ref.drops()[i].port, flat.drops()[i].port);
-    EXPECT_EQ(ref.drops()[i].count, flat.drops()[i].count);
+    const telemetry::DropEntry& want = ref.drops()[i];
+    const telemetry::DropEntry* got = &flat.drops()[i];
+    if (drop_order == DropOrder::kAny) {
+      const auto same_key = [&](const telemetry::DropEntry& d) {
+        return d.flow == want.flow && d.port == want.port;
+      };
+      const auto it = std::find_if(flat.drops().begin(), flat.drops().end(), same_key);
+      ASSERT_NE(it, flat.drops().end()) << want.flow.str() << " at " << want.port.str();
+      got = &*it;
+    }
+    EXPECT_EQ(want.flow, got->flow);
+    EXPECT_EQ(want.port, got->port);
+    EXPECT_EQ(want.count, got->count);
   }
 }
 
@@ -209,6 +229,57 @@ TEST_P(ProvenanceProperty, FlatLayoutMatchesReferenceImplementation) {
   for (const auto& r : reports) flat.add_report(r);
   flat.finalize();
   expect_graphs_agree(fx, ref, flat);
+}
+
+// The analyzer keeps each report in one graph (its step's, or the global
+// one) and merges them only for export. Split a random stream across several
+// graphs at random, merge them in an arbitrary order, and the union must
+// answer every query, hold the same drop per (flow, port), list its PFC
+// edges and draw its DOT exactly like one graph that ingested the whole
+// stream in order.
+TEST_P(ProvenanceProperty, MergedGraphsMatchOneGraphOverTheWholeStream) {
+  PropertyFixture fx;
+  Synth s(GetParam() + 100);
+
+  std::vector<telemetry::SwitchReport> reports;
+  const int n_reports = s.uniform(20, 60);
+  const PortRef drop_ports[] = {{16, 0}, {17, 2}};
+  for (int i = 0; i < n_reports; ++i) {
+    reports.push_back(fx.random_report(s));
+    // Several drops per report over four (flow, port) keys, so a key recurs
+    // within and across graphs and the highest count must win.
+    auto& drops = reports.back().drops;
+    drops.clear();
+    const int n_drops = s.uniform(0, 3);
+    for (int j = 0; j < n_drops; ++j) {
+      telemetry::DropEntry drop;
+      drop.flow = fx.flows()[static_cast<std::size_t>(s.uniform(0, 1))];
+      drop.port = drop_ports[s.uniform(0, 1)];
+      drop.count = s.uniform(1, 3);
+      drops.push_back(drop);
+    }
+  }
+
+  core::ProvenanceGraph whole(&fx.topo());
+  for (const auto& r : reports) whole.add_report(r);
+  whole.finalize();
+
+  constexpr int kParts = 4;
+  core::InternTables tables;
+  std::vector<core::ProvenanceGraph> parts;
+  for (int p = 0; p < kParts; ++p) parts.emplace_back(&fx.topo(), &tables);
+  for (std::size_t i = 0; i < reports.size(); ++i)
+    parts[static_cast<std::size_t>(s.uniform(0, kParts - 1))].add_report(reports[i], i);
+
+  core::ProvenanceGraph merged(&fx.topo(), &tables);
+  for (const int p : {2, 0, 3, 1}) merged.merge(parts[static_cast<std::size_t>(p)]);
+  merged.finalize();
+
+  expect_graphs_agree(fx, whole, merged, DropOrder::kAny);
+  EXPECT_EQ(merged.report_count(), whole.report_count());
+  EXPECT_EQ(merged.pfc_edges(), whole.pfc_edges());
+  std::unordered_set<FlowKey, net::FlowKeyHash> cc(fx.flows().begin(), fx.flows().begin() + 3);
+  EXPECT_EQ(merged.to_dot(cc), whole.to_dot(cc));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProvenanceProperty,

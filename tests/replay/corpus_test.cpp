@@ -15,8 +15,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 
+#include "common/digest.h"
 #include "common/env.h"
 #include "core/json_export.h"
 #include "eval/experiment.h"
@@ -128,6 +130,26 @@ TEST_P(CorpusTest, LiveRecordingMatchesStoredTrace) {
   EXPECT_EQ(core::json::diagnosis_to_json(live.diagnosis),
             read_file(dir + "/" + entry.name + ".expected.json"))
       << entry.name;
+}
+
+// `vedr_replay --dot` exports the merged provenance graph of every report,
+// finalized, so that it draws the PFC edges. Each trace's DOT is pinned by
+// its digest; the pins are the DOT of one graph that ingested every report.
+TEST_P(CorpusTest, ProvenanceDotMatchesPinnedDigest) {
+  const CorpusEntry& entry = GetParam();
+  if (common::env_str("VEDR_UPDATE_CORPUS")) GTEST_SKIP() << "regeneration pass";
+  const std::map<std::string, std::uint64_t> pins = {
+      {"backpressure", 0x557c793ef482950cULL},
+      {"contention", 0xe1333d3d6ea0bf1eULL},
+      {"incast", 0x1ae328f814610d8aULL},
+      {"storm", 0x3907ed43abdb7e61ULL},
+  };
+  replay::TraceReader reader(std::string(VEDR_REPLAY_CORPUS_DIR) + "/" + entry.name + ".vtrc");
+  replay::StreamingCollector collector;
+  ASSERT_TRUE(collector.replay(reader).ok);
+  const std::string dot = collector.analyzer()->merged_graph().to_dot(collector.cc_flows());
+  EXPECT_NE(dot.find("color=purple"), std::string::npos) << entry.name << " has no PFC edge";
+  EXPECT_EQ(common::Digest().mix(dot).value(), pins.at(entry.name)) << entry.name << "\n" << dot;
 }
 
 // Sketch-lane agreement over the same golden corpus: replaying each trace

@@ -1,8 +1,12 @@
-// The table-driven CRC-32 against its definition: a bit-at-a-time reference
-// with no tables. Lengths, start offsets and split points cover every path
-// through the eight-bytes-at-a-time loop and its bytewise tail.
+// The CRC-32 against its definition: a bit-at-a-time reference with no
+// tables. Lengths, start offsets, start states and split points cover every
+// path through the carry-less fold (several 64-byte blocks, every 16-byte
+// remainder, both sides of its 64-byte threshold) and through the portable
+// slicing-by-8 loop and its bytewise tail; the portable path is also called
+// directly, so it stays tested on a host that folds.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <string_view>
 
@@ -32,15 +36,39 @@ std::string test_bytes(std::size_t n) {
 }
 
 TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndStartOffset) {
-  const std::string buf = test_bytes(300 + 8);
-  for (std::size_t off = 0; off < 8; ++off) {
-    for (std::size_t len = 0; len <= 300; ++len) {
-      const std::string_view data = std::string_view(buf).substr(off, len);
-      ASSERT_EQ(crc32_update(kCrcInit, data), crc32_bitwise(kCrcInit, data))
-          << "offset " << off << " length " << len;
-      ASSERT_EQ(crc32(data), crc32_bitwise(kCrcInit, data) ^ 0xFFFFFFFFU)
-          << "offset " << off << " length " << len;
+  constexpr std::size_t kMaxLen = 1100;
+  const std::string buf = test_bytes(kMaxLen + 8);
+  // A fresh CRC, and states a CRC reaches mid-stream.
+  for (const std::uint32_t start : {kCrcInit, 0x00000000U, 0x2A5F31C7U, 0x80000001U}) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      // The reference advances one byte per length step.
+      std::uint32_t expect = start;
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        if (len > 0) expect = crc32_bitwise(expect, std::string_view(&buf[off + len - 1], 1));
+        const std::string_view data = std::string_view(buf).substr(off, len);
+        ASSERT_EQ(crc32_update(start, data), expect)
+            << "start " << start << " offset " << off << " length " << len;
+        ASSERT_EQ(crc32_update_sliced(start, data), expect)
+            << "start " << start << " offset " << off << " length " << len;
+        if (start == kCrcInit) {
+          ASSERT_EQ(crc32(data), expect ^ 0xFFFFFFFFU) << "offset " << off << " length " << len;
+        }
+      }
     }
+  }
+}
+
+TEST(Crc32, DispatchedAndSlicedAgreeOnRandomInputs) {
+  std::mt19937_64 rng(2009);
+  std::string buf(2000 + 16, '\0');
+  for (char& c : buf) c = static_cast<char>(rng());
+  for (int i = 0; i < 20000; ++i) {
+    const std::size_t off = rng() % 16;
+    const std::size_t len = rng() % 2001;
+    const auto start = static_cast<std::uint32_t>(rng());
+    const std::string_view data = std::string_view(buf).substr(off, len);
+    ASSERT_EQ(crc32_update(start, data), crc32_update_sliced(start, data))
+        << "start " << start << " offset " << off << " length " << len;
   }
 }
 

@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
 
   if (!dot_prefix.empty() && collector.analyzer() != nullptr) {
     const std::string waiting = collector.analyzer()->waiting_graph().to_dot();
-    const std::string prov = collector.analyzer()->global_graph().to_dot(collector.cc_flows());
+    const std::string prov = collector.analyzer()->merged_graph().to_dot(collector.cc_flows());
     if (!write_file(dot_prefix + "_waiting.dot", waiting) ||
         !write_file(dot_prefix + "_provenance.dot", prov)) {
       std::fprintf(stderr, "error: cannot write DOT files at prefix %s\n", dot_prefix.c_str());
