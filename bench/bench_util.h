@@ -6,6 +6,7 @@
 // machine-readable result emitter (BenchReport) every bench writes its
 // --json output through.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -66,12 +67,7 @@ class BenchReport {
 inline int cases_for(eval::ScenarioType type, int default_cases = 20) {
   if (const auto env = common::env_str("VEDR_CASES")) {
     if (*env == "paper") return eval::paper_case_count(type);
-    const int n = static_cast<int>(common::parse_i64_or_die("VEDR_CASES", *env));
-    if (n <= 0) {
-      std::fprintf(stderr, "error: VEDR_CASES: must be positive or \"paper\": %s\n", env->c_str());
-      std::exit(2);
-    }
-    return n;
+    return common::parse_int_or_die("VEDR_CASES", *env, 1, INT_MAX);
   }
   return std::min(default_cases, eval::paper_case_count(type));
 }

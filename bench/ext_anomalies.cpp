@@ -5,11 +5,13 @@
 // ACK stream entirely.
 //
 // Env: VEDR_CASES (cases per type, default 10).
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
 #include "anomaly/injectors.h"
 #include "collective/runner.h"
+#include "common/env.h"
 #include "core/vedrfolnir.h"
 #include "net/network.h"
 #include "sim/rng.h"
@@ -20,12 +22,8 @@ namespace {
 using namespace vedr;
 
 int cases_from_env() {
-  const char* env = std::getenv("VEDR_CASES");
-  if (env != nullptr) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 10;
+  const auto env = common::env_str("VEDR_CASES");
+  return env ? common::parse_int_or_die("VEDR_CASES", *env, 1, INT_MAX) : 10;
 }
 
 std::vector<net::NodeId> sample_hosts(sim::Rng& rng, const net::Topology& topo, int n) {

@@ -23,6 +23,7 @@
 // diagnose latency, and writes the standard BENCH_serve.json record.
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -112,16 +113,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--tenants") {
-      tenants = static_cast<int>(common::parse_i64_or_die("--tenants", next()));
-      if (tenants < 1) usage(argv[0]);
+      tenants = common::parse_int_or_die("--tenants", next(), 1, INT_MAX);
     } else if (arg == "--speedup") {
       speedup = common::parse_f64_or_die("--speedup", next());
       if (speedup <= 0) usage(argv[0]);
     } else if (arg == "--shards") {
-      cfg.shards = static_cast<int>(common::parse_i64_or_die("--shards", next()));
+      cfg.shards = common::parse_int_or_die("--shards", next(), 1, INT_MAX);
     } else if (arg == "--queue-cap") {
       cfg.session.queue_capacity =
-          static_cast<std::size_t>(common::parse_i64_or_die("--queue-cap", next()));
+          static_cast<std::size_t>(common::parse_int_or_die("--queue-cap", next(), 1, INT_MAX));
     } else if (arg == "--policy") {
       const std::string p = next();
       if (p == "block") {

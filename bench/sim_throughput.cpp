@@ -36,6 +36,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -62,32 +63,6 @@ using namespace vedr;
                "          [--obs-trace FILE.json] [--obs-metrics FILE]\n",
                argv0);
   std::exit(2);
-}
-
-eval::ScenarioType parse_scenario(const std::string& s, const char* argv0) {
-  if (s == "contention") return eval::ScenarioType::kFlowContention;
-  if (s == "incast") return eval::ScenarioType::kIncast;
-  if (s == "storm") return eval::ScenarioType::kPfcStorm;
-  if (s == "backpressure") return eval::ScenarioType::kPfcBackpressure;
-  usage(argv0);
-}
-
-eval::SystemKind parse_system(const std::string& s, const char* argv0) {
-  if (s == "vedrfolnir") return eval::SystemKind::kVedrfolnir;
-  if (s == "hawkeye-max") return eval::SystemKind::kHawkeyeMaxR;
-  if (s == "hawkeye-min") return eval::SystemKind::kHawkeyeMinR;
-  if (s == "full") return eval::SystemKind::kFullPolling;
-  usage(argv0);
-}
-
-const char* scenario_slug(eval::ScenarioType t) {
-  switch (t) {
-    case eval::ScenarioType::kFlowContention: return "contention";
-    case eval::ScenarioType::kIncast: return "incast";
-    case eval::ScenarioType::kPfcStorm: return "storm";
-    case eval::ScenarioType::kPfcBackpressure: return "backpressure";
-  }
-  return "?";
 }
 
 long peak_rss_kb() {
@@ -175,25 +150,27 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--scenario") {
-      scenario = parse_scenario(next(), argv[0]);
+      const auto s = eval::parse_scenario(next());
+      if (!s) usage(argv[0]);
+      scenario = *s;
     } else if (arg == "--system") {
-      system = parse_system(next(), argv[0]);
+      const auto s = eval::parse_system(next());
+      if (!s) usage(argv[0]);
+      system = *s;
     } else if (arg == "--case") {
-      case_id = static_cast<int>(common::parse_i64_or_die("--case", next()));
+      case_id = common::parse_int_or_die("--case", next(), 0, INT_MAX);
     } else if (arg == "--scale") {
       scale = common::parse_f64_or_die("--scale", next());
       if (scale <= 0) usage(argv[0]);
     } else if (arg == "--runs") {
-      runs = static_cast<int>(common::parse_i64_or_die("--runs", next()));
-      if (runs < 1) usage(argv[0]);
+      runs = common::parse_int_or_die("--runs", next(), 1, INT_MAX);
     } else if (arg == "--shards") {
-      shards = static_cast<int>(common::parse_i64_or_die("--shards", next()));
-      if (shards < 1) usage(argv[0]);
+      shards = common::parse_int_or_die("--shards", next(), 1, INT_MAX);
     } else if (arg == "--shard-report") {
       shard_report = true;
     } else if (arg == "--k") {
-      fat_tree_k = static_cast<int>(common::parse_i64_or_die("--k", next()));
-      if (fat_tree_k < 4 || fat_tree_k % 2 != 0) usage(argv[0]);
+      fat_tree_k = common::parse_int_or_die("--k", next(), 4, INT_MAX);
+      if (fat_tree_k % 2 != 0) usage(argv[0]);
     } else if (arg == "--sweep") {
       sweep = true;
     } else if (arg == "--smoke") {
@@ -209,10 +186,6 @@ int main(int argc, char** argv) {
   if (smoke) {
     scale = std::min(scale, 1.0 / 256.0);
     runs = 1;
-  }
-  if ((sweep || shards > 1) && system != eval::SystemKind::kVedrfolnir) {
-    std::fprintf(stderr, "error: sharded runs support --system vedrfolnir only\n");
-    return 2;
   }
   if (shard_report && sweep) {
     std::fprintf(stderr, "error: --shard-report does not combine with --sweep\n");
@@ -233,14 +206,14 @@ int main(int argc, char** argv) {
     const std::vector<int> radixes = {4, 8};
 
     std::printf("sweep: %s case %d, scale %g, %d run(s)/point, %d hw thread(s)%s\n",
-                scenario_slug(scenario), case_id, scale, runs, hw,
+                eval::cli_name(scenario), case_id, scale, runs, hw,
                 gate_enforced ? "" : " (speedup gate report-only)");
     std::printf("%4s %7s %12s %14s %12s %13s %10s\n", "K", "shards", "wall_s", "events",
                 "events/s", "pushes/packet", "lane_share");
 
     bench::BenchReport report("sim_throughput");
     report.field("sweep", true)
-        .field("scenario", scenario_slug(scenario))
+        .field("scenario", eval::cli_name(scenario))
         .field("case_id", case_id)
         .field("scale", scale)
         .field("runs", runs)
@@ -293,7 +266,7 @@ int main(int argc, char** argv) {
       std::printf("wrote %s\n", json_path.c_str());
     }
     if (!obs_cli.finish(nullptr, {{"bench", "sim_throughput"},
-                                  {"scenario", scenario_slug(scenario)},
+                                  {"scenario", eval::cli_name(scenario)},
                                   {"system", eval::to_string(system)}})) {
       return 2;
     }
@@ -323,7 +296,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     bench::BenchReport report("sim_throughput");
-    report.field("scenario", scenario_slug(scenario))
+    report.field("scenario", eval::cli_name(scenario))
         .field("system", eval::to_string(system))
         .field("case_id", case_id)
         .field("scale", scale)
@@ -343,7 +316,7 @@ int main(int argc, char** argv) {
   }
 
   if (!obs_cli.finish(m.metrics.get(), {{"bench", "sim_throughput"},
-                                        {"scenario", scenario_slug(scenario)},
+                                        {"scenario", eval::cli_name(scenario)},
                                         {"system", eval::to_string(system)}})) {
     return 2;
   }

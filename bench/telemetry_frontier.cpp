@@ -22,6 +22,7 @@
 // Emits the standard machine-readable record (CI writes BENCH_telemetry.json)
 // with a `frontier_ok` gate: scenario agreement at the default budget plus
 // the many-flow <=1/50 point. Exit 0 iff the gate holds.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -41,16 +42,6 @@ using namespace vedr;
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr, "usage: %s [--scale F] [--case N] [--smoke] [--json PATH]\n", argv0);
   std::exit(2);
-}
-
-const char* scenario_slug(eval::ScenarioType t) {
-  switch (t) {
-    case eval::ScenarioType::kFlowContention: return "contention";
-    case eval::ScenarioType::kIncast: return "incast";
-    case eval::ScenarioType::kPfcStorm: return "storm";
-    case eval::ScenarioType::kPfcBackpressure: return "backpressure";
-  }
-  return "?";
 }
 
 struct Budget {
@@ -173,7 +164,7 @@ int main(int argc, char** argv) {
       scale = common::parse_f64_or_die("--scale", next());
       if (scale <= 0) usage(argv[0]);
     } else if (arg == "--case") {
-      case_id = static_cast<int>(common::parse_i64_or_die("--case", next()));
+      case_id = common::parse_int_or_die("--case", next(), 0, INT_MAX);
     } else if (arg == "--smoke") {
       smoke = true;
     } else if (arg == "--json") {
@@ -210,7 +201,7 @@ int main(int argc, char** argv) {
       const auto [sketch_top, sketch_score] = top_culprit(sk.diagnosis);
 
       ScenarioRow row;
-      row.scenario = scenario_slug(scenario);
+      row.scenario = eval::cli_name(scenario);
       row.budget = b.name;
       row.exact_state = exact.telemetry_state_bytes;
       row.sketch_state = sk.telemetry_state_bytes;

@@ -7,15 +7,19 @@
 
 namespace vedr::baselines {
 
-Hawkeye::Hawkeye(net::Network& net, const collective::CollectivePlan& plan, HawkeyeConfig cfg)
-    : net_(net), plan_(plan), cfg_(cfg), analyzer_(&net.topology(), nullptr) {
+Hawkeye::Hawkeye(net::Network& net, const collective::CollectivePlan& plan, HawkeyeConfig cfg,
+                 core::TraceTap* trace)
+    : net_(net),
+      analyzer_(&net.topology(), nullptr),
+      buffers_(core::DomainIngestBuffer::install(net, trace)),
+      triggers_(plan.participants().size()) {
   // Hawkeye has no collective awareness: the analyzer gets the monitored
   // flow set but no plan (no waiting graph, no per-step grouping).
   Tick max_rtt = 0, min_rtt = 0;
   bool first = true;
-  for (int f = 0; f < plan_.num_flows(); ++f) {
-    for (const auto& s : plan_.steps_of_flow(f)) {
-      const Tick rtt = net_.base_rtt(plan_.key_for(f, s.step));
+  for (int f = 0; f < plan.num_flows(); ++f) {
+    for (const auto& s : plan.steps_of_flow(f)) {
+      const Tick rtt = net_.base_rtt(plan.key_for(f, s.step));
       if (first) {
         max_rtt = min_rtt = rtt;
         first = false;
@@ -25,62 +29,68 @@ Hawkeye::Hawkeye(net::Network& net, const collective::CollectivePlan& plan, Hawk
       }
     }
   }
-  analyzer_.set_cc_flows(plan_.flow_keys());
+  analyzer_.set_cc_flows(plan.flow_keys());
   analyzer_.set_stats(&net_.stats());
-  threshold_ = static_cast<Tick>(static_cast<double>(cfg_.use_max_rtt ? max_rtt : min_rtt) *
-                                 cfg_.rtt_multiplier);
+  threshold_ =
+      static_cast<Tick>(static_cast<double>(cfg.use_max_rtt ? max_rtt : min_rtt) * kRttMultiplier);
 
-  net_.set_report_sink(this);
-  for (net::NodeId host : plan_.participants()) {
+  for (std::size_t i = 0; i < triggers_.size(); ++i) {
+    const net::NodeId host = plan.participants()[i];
     net_.host(host).set_rtt_listener(
-        [this, host](const net::FlowKey& flow, Tick rtt, std::uint32_t) {
-          on_rtt(host, flow, rtt);
+        [this, host, &t = triggers_[i]](const net::FlowKey& flow, Tick rtt, std::uint32_t) {
+          on_rtt(host, t, flow, rtt);
         });
   }
 }
 
-void Hawkeye::on_rtt(net::NodeId host, const net::FlowKey& flow, Tick rtt) {
-  if (rtt <= threshold_) return;
-  const Tick now = net_.sim().now();
-  auto it = last_trigger_.find(host);
-  if (it != last_trigger_.end() && now - it->second < cfg_.min_trigger_gap) return;
-  last_trigger_[host] = now;
-  trigger_poll(host, flow);
+Analyzer& Hawkeye::analyzer() {
+  core::DomainIngestBuffer::replay_into(
+      buffers_, analyzer_,
+      [this](const telemetry::SwitchReport& r, Tick arrival) { return retain(r, arrival); });
+  return analyzer_;
 }
 
-void Hawkeye::trigger_poll(net::NodeId host, const net::FlowKey& flow) {
+int Hawkeye::polls_sent() const {
+  int n = 0;
+  for (const Trigger& t : triggers_) n += static_cast<int>(t.polls);
+  return n;
+}
+
+void Hawkeye::on_rtt(net::NodeId host, Trigger& t, const net::FlowKey& flow, Tick rtt) {
+  if (rtt <= threshold_) return;
+  const Tick now = net_.sim().now();
+  if (t.last != sim::kNever && now - t.last < kMinTriggerGap) return;
+  t.last = now;
+
   net::Packet pkt;
   pkt.type = net::PacketType::kPoll;
   pkt.flow = flow;
   net::PollInfo info;
   info.poll_id = sim::Rng::mix(
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(host)) << 24, ++poll_seq_);
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(host)) << 24, ++t.polls);
   info.origin_host = host;
   info.pfc_hops_left = net_.config().pfc_chase_hops;
   pkt.meta = info;
   net_.host(host).send_control(std::move(pkt));
-
-  ++polls_sent_;
   net_.stats().add_counter("overhead.poll_bytes", net_.config().control_pkt_bytes);
   net_.stats().add_counter("overhead.bandwidth_bytes", net_.config().control_pkt_bytes);
 }
 
-void Hawkeye::on_switch_report(const telemetry::SwitchReport& report) {
-  const Tick now = net_.sim().now();
+bool Hawkeye::retain(const telemetry::SwitchReport& report, Tick arrival) {
   // Hawkeye's source keeps one detection's data batch per retention window
   // to bound processing; reports from other triggers inside the window are
   // discarded, valid or not (§IV-B). A batch is identified by its poll id,
   // so the kept detection's multi-switch reports all survive.
-  if (last_kept_ == sim::kNever || now - last_kept_ >= cfg_.retention) {
-    last_kept_ = now;
+  if (last_kept_ == sim::kNever || arrival - last_kept_ >= kRetention) {
+    last_kept_ = arrival;
     kept_poll_ = report.poll_id;
   }
   if (report.poll_id != kept_poll_) {
     ++reports_dropped_;
-    return;
+    return false;
   }
   ++reports_kept_;
-  analyzer_.on_switch_report(report);
+  return true;
 }
 
 }  // namespace vedr::baselines

@@ -51,17 +51,18 @@ inline std::optional<double> parse_f64(std::string_view s) {
   return v;
 }
 
-/// `what` names the flag or env var in the diagnostic, e.g. "--case" or
-/// "VEDR_CASES".
-inline std::int64_t parse_i64_or_die(std::string_view what, std::string_view value) {
+/// Parses an int in [lo, hi]; anything else (not an integer, out of range,
+/// past int) prints a diagnostic naming `what` — the flag or env var, e.g.
+/// "--case" or "VEDR_CASES" — and the range, and exits 2.
+inline int parse_int_or_die(std::string_view what, std::string_view value, int lo, int hi) {
   const auto v = parse_i64(value);
-  if (!v) {
-    std::fprintf(stderr, "error: %.*s: not an integer: \"%.*s\"\n",
-                 static_cast<int>(what.size()), what.data(),
+  if (!v || *v < lo || *v > hi) {
+    std::fprintf(stderr, "error: %.*s: not an integer in [%d, %d]: \"%.*s\"\n",
+                 static_cast<int>(what.size()), what.data(), lo, hi,
                  static_cast<int>(value.size()), value.data());
     std::exit(2);
   }
-  return *v;
+  return static_cast<int>(*v);
 }
 
 inline double parse_f64_or_die(std::string_view what, std::string_view value) {

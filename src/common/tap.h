@@ -47,7 +47,7 @@ class TelemetryTap {
 
 namespace vedr::core {
 
-/// Mirror of Analyzer::register_poll.
+/// A poll id bound to (flow, step): Analyzer::register_poll's arguments.
 struct PollRegistration {
   std::uint64_t poll_id = 0;
   std::int32_t flow = -1;
@@ -81,17 +81,18 @@ struct NotificationRecord {
 /// triggers, budget notifications) and the switch-local telemetry events
 /// inherited from TelemetryTap.
 ///
-/// The replay subsystem's TraceWriter is the canonical implementation; a
-/// fresh Analyzer fed the mirrored ingestion calls in order reproduces the
-/// live Diagnosis exactly.
+/// The replay subsystem's TraceWriter is the canonical implementation, and
+/// core::DomainIngestBuffer's merge its one writer: each analyzer input goes
+/// to the tap just before the analyzer gets it, so a fresh Analyzer fed the
+/// recorded inputs in order reproduces the live Diagnosis exactly.
 class TraceTap : public telemetry::TelemetryTap {
  public:
-  /// Mirror of Analyzer::add_step_record.
+  /// Written by the merge just before Analyzer::add_step_record.
   virtual void on_step_record(const collective::StepRecord& r) = 0;
-  /// Mirror of Analyzer::register_poll.
+  /// Written by the merge just before Analyzer::register_poll.
   virtual void on_poll_registered(const PollRegistration& r) = 0;
-  /// Mirror of Analyzer::on_switch_report (post-retention for baselines that
-  /// filter, so replay sees exactly what the analyzer saw).
+  /// Written by the merge just before Analyzer::on_switch_report, after
+  /// Hawkeye's retention filter, so replay sees exactly what the analyzer saw.
   virtual void on_switch_report_in(const telemetry::SwitchReport& report) = 0;
   virtual void on_poll_trigger(const PollTriggerRecord& r) = 0;
   virtual void on_notification_sent(const NotificationRecord& r) = 0;

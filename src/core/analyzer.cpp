@@ -19,13 +19,11 @@ void Analyzer::set_stats(sim::StatsRegistry* stats) {
 }
 
 void Analyzer::add_step_record(const collective::StepRecord& r) {
-  if (tap_ != nullptr) tap_->on_step_record(r);
   records_.push_back(r);
   max_step_ = std::max(max_step_, r.step);
 }
 
 void Analyzer::register_poll(std::uint64_t poll_id, int flow, int step) {
-  if (tap_ != nullptr) tap_->on_poll_registered({poll_id, flow, step});
   // The monitor only emits polls for a live step; a negative identity would
   // corrupt the packed registry entry.
   VEDR_CHECK(flow >= 0 && step >= 0, "poll registered with invalid identity F", flow, "S",
@@ -35,7 +33,6 @@ void Analyzer::register_poll(std::uint64_t poll_id, int flow, int step) {
 }
 
 void Analyzer::on_switch_report(const telemetry::SwitchReport& report) {
-  if (tap_ != nullptr) tap_->on_switch_report_in(report);
   const std::uint64_t arrival = reports_received_++;
   if (report.backend == net::TelemetryBackend::kSketch) saw_sketch_ = true;
   if (const std::uint64_t* entry = poll_index_.find(report.poll_id); entry != nullptr) {

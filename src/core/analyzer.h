@@ -11,7 +11,6 @@
 #include "core/diagnosis.h"
 #include "core/intern.h"
 #include "core/provenance_graph.h"
-#include "common/tap.h"
 #include "core/signatures.h"
 #include "core/waiting_graph.h"
 #include "net/topology.h"
@@ -78,11 +77,6 @@ class VEDR_SINGLE_THREADED Analyzer {
     cc_flows_ = std::move(flows);
   }
 
-  /// Observation-only mirror of the full ingestion stream (step records,
-  /// poll registrations, switch reports) into a trace writer. Replaying the
-  /// mirrored calls into a fresh Analyzer reproduces diagnose() exactly.
-  void set_trace_tap(TraceTap* tap) { tap_ = tap; }
-
   /// Attaches a stats registry for self-observation: diagnose() wall latency
   /// lands in the `diag.latency_ns` histogram while obs::metrics_enabled().
   /// The registry must outlive the analyzer.
@@ -130,7 +124,6 @@ class VEDR_SINGLE_THREADED Analyzer {
   SignatureClassifier classifier_;
   std::size_t reports_received_ = 0;
   bool saw_sketch_ = false;  ///< any report arrived via the sketch backend
-  TraceTap* tap_ = nullptr;
   obs::Histogram* diag_hist_ = nullptr;  ///< interned diagnose-latency cell
 };
 

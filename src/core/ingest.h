@@ -1,12 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <variant>
 #include <vector>
 
 #include "collective/runner.h"
 #include "common/tap.h"
+#include "net/network.h"
 #include "sim/simulator.h"
 #include "telemetry/records.h"
 
@@ -14,7 +16,7 @@ namespace vedr::core {
 
 class Analyzer;
 
-/// Per-domain staging buffer: the one path by which a Vedrfolnir run's
+/// Per-domain staging buffer: the one path by which every system's
 /// diagnosis-plane records reach the analyzer, at any domain count. It holds
 /// everything a domain produces — step records and poll registrations from
 /// its monitors, switch reports from its controllers, and, when a trace tap
@@ -24,19 +26,30 @@ class Analyzer;
 /// buffer per domain, written only by that domain's worker (no
 /// synchronization needed).
 ///
-/// replay_into() merges every buffer in (time, domain, seq) order: analyzer
-/// inputs go to the analyzer (which mirrors them to the tap), tap-only
-/// records straight to the tap. Within a domain that is exactly the live
-/// arrival order, so a one-domain merge replays the run's stream unchanged;
+/// replay_into() merges every buffer in (time, domain, seq) order and is the
+/// only place that writes diagnosis-plane records to a trace: each analyzer
+/// input goes to the tap just before the analyzer gets it, tap-only records
+/// go to the tap alone. Within a domain that is exactly the live arrival
+/// order, so a one-domain merge replays the run's stream unchanged;
 /// cross-domain ties at equal time resolve by domain id — the parallel
 /// lane's documented contract (DESIGN.md §14). The merged stream, and so a
 /// recorded trace, is independent of worker count and thread scheduling.
 class DomainIngestBuffer final : public telemetry::ReportSink, public telemetry::TelemetryTap {
  public:
+  using Buffers = std::vector<std::unique_ptr<DomainIngestBuffer>>;
+  /// Decides, in merged order, whether a switch report (with the time it
+  /// reached its domain's sink) goes on to the tap and the analyzer.
+  using Admit = std::function<bool(const telemetry::SwitchReport&, sim::Tick arrival)>;
+
   /// `tap` is the run's trace tap, or nullptr: tap-only records are staged
   /// only when there is a tap to forward them to.
   DomainIngestBuffer(sim::Simulator& sim, int domain, TraceTap* tap)
       : sim_(sim), domain_(domain), tap_(tap) {}
+
+  /// The ingest wiring every system uses: one buffer per domain of `net`,
+  /// each set as its domain's report sink and, when there is a tap, as the
+  /// recorder tap of its domain's switches. Indexed by domain id.
+  static Buffers install(net::Network& net, TraceTap* tap);
 
   void add_step_record(const collective::StepRecord& r) { stage(r); }
   void register_poll(const PollRegistration& r) { stage(r); }
@@ -51,11 +64,11 @@ class DomainIngestBuffer final : public telemetry::ReportSink, public telemetry:
   void on_pause_cause(const telemetry::PauseCauseRecord& r) override { stage(r); }
   void on_ttl_drop(const telemetry::TtlDropRecord& r) override { stage(r); }
 
-  /// Merges every buffer's items into `analyzer` and the tap in (time,
-  /// domain, seq) order, then clears the buffers. Main thread, with the
+  /// Merges every buffer's items into the tap and `analyzer` in (time,
+  /// domain, seq) order, then clears the buffers. A switch report that
+  /// `admit` (when set) rejects reaches neither. Main thread, with the
   /// engine's workers joined.
-  static void replay_into(const std::vector<std::unique_ptr<DomainIngestBuffer>>& buffers,
-                          Analyzer& analyzer);
+  static void replay_into(const Buffers& buffers, Analyzer& analyzer, const Admit& admit = {});
 
  private:
   using Payload = std::variant<collective::StepRecord, PollRegistration, telemetry::SwitchReport,

@@ -1,35 +1,26 @@
 #include "core/vedrfolnir.h"
 
 #include "net/host.h"
-#include "net/switch.h"
 #include "sim/shard.h"
 
 namespace vedr::core {
 
 Vedrfolnir::Vedrfolnir(net::Network& net, collective::CollectiveRunner& runner,
                        VedrfolnirConfig cfg)
-    : net_(net), runner_(runner), analyzer_(&net.topology(), &runner.plan()) {
-  analyzer_.set_trace_tap(cfg.trace);
+    : net_(net),
+      runner_(runner),
+      analyzer_(&net.topology(), &runner.plan()),
+      buffers_(DomainIngestBuffer::install(net, cfg.trace)) {
   analyzer_.set_stats(&net_.stats());
-  buffers_.reserve(static_cast<std::size_t>(net_.num_domains()));
-  for (int d = 0; d < net_.num_domains(); ++d) {
-    buffers_.push_back(std::make_unique<DomainIngestBuffer>(net_.domain_sim(d), d, cfg.trace));
-    net_.set_domain_report_sink(d, buffers_.back().get());
-  }
-  auto buffer_of = [this](net::NodeId node) -> DomainIngestBuffer& {
-    return *buffers_[static_cast<std::size_t>(net_.domain_of(node))];
-  };
-  // Pause causes and TTL drops exist only for the tap.
-  if (cfg.trace != nullptr)
-    for (const net::NodeId sw : net_.switches()) net_.switch_at(sw).telem().set_tap(&buffer_of(sw));
-
   for (net::NodeId host : runner_.plan().participants()) {
     // Scope construction to the host's domain: the monitor interns its stats
     // cells into the domain-local registry it will write from the domain's
     // worker.
-    sim::ShardScope scope(net_.domain_of(host));
-    auto mon =
-        std::make_unique<Monitor>(net_, runner_.plan(), buffer_of(host), host, cfg.detection);
+    const int domain = net_.domain_of(host);
+    sim::ShardScope scope(domain);
+    auto mon = std::make_unique<Monitor>(net_, runner_.plan(),
+                                         *buffers_[static_cast<std::size_t>(domain)], host,
+                                         cfg.detection);
     Monitor* m = mon.get();
     net_.host(host).set_rtt_listener(
         [m](const net::FlowKey& f, net::Tick rtt, std::uint32_t seq) {

@@ -14,9 +14,8 @@ namespace vedr::core {
 
 struct VedrfolnirConfig {
   DetectionConfig detection;
-  /// Optional observation-only trace tap (see common/tap.h), fed from the
-  /// domain buffers' merge: analyzer inputs through the analyzer, tap-only
-  /// records directly. Must not perturb the run.
+  /// Optional observation-only trace tap (see common/tap.h), written from
+  /// the domain buffers' merge. Must not perturb the run.
   TraceTap* trace = nullptr;
 };
 
@@ -52,8 +51,7 @@ class Vedrfolnir {
   net::Network& net_;
   collective::CollectiveRunner& runner_;
   Analyzer analyzer_;
-  /// One staging buffer per domain, indexed by domain id.
-  std::vector<std::unique_ptr<DomainIngestBuffer>> buffers_;
+  DomainIngestBuffer::Buffers buffers_;  ///< indexed by domain id
   std::unordered_map<net::NodeId, std::unique_ptr<Monitor>> monitors_;
 };
 

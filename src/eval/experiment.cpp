@@ -144,6 +144,23 @@ const char* to_string(SystemKind s) {
   return "?";
 }
 
+const char* cli_name(SystemKind s) {
+  switch (s) {
+    case SystemKind::kVedrfolnir: return "vedrfolnir";
+    case SystemKind::kHawkeyeMaxR: return "hawkeye-max";
+    case SystemKind::kHawkeyeMinR: return "hawkeye-min";
+    case SystemKind::kFullPolling: return "full";
+  }
+  return "?";
+}
+
+std::optional<SystemKind> parse_system(std::string_view name) {
+  for (const SystemKind s : {SystemKind::kVedrfolnir, SystemKind::kHawkeyeMaxR,
+                             SystemKind::kHawkeyeMinR, SystemKind::kFullPolling})
+    if (name == cli_name(s)) return s;
+  return std::nullopt;
+}
+
 CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig& cfg) {
   VEDR_SPAN("eval", "run_case");
   CaseResult result;
@@ -156,12 +173,6 @@ CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig
   // pod domains (DESIGN.md §14).
   const net::ShardPlan shard_plan =
       cfg.shards > 1 ? net::ShardPlan::for_topology(topo) : net::ShardPlan::single(topo);
-  if (shard_plan.parallel()) {
-    // Full Polling sweeps every switch from one simulator, and Hawkeye's one
-    // analyzer is every switch's report sink.
-    VEDR_CHECK(system == SystemKind::kVedrfolnir,
-               "the baselines are single-domain only; run with --shards 1");
-  }
   sim::ShardedEngine engine(shard_plan.num_domains, shard_plan.lookahead, cfg.shards);
   if (cfg.capture_shard_report) engine.set_collect_timing(true);
   net::Network network(engine, shard_plan, topo, cfg.netcfg);
@@ -169,10 +180,6 @@ CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig
     for (int d = 0; d < shard_plan.num_domains; ++d)
       network.set_domain_tracer(d, cfg.domain_tracer_factory(d, shard_plan.num_domains));
   }
-  // Vedrfolnir stages the switch-local tap records through its domain
-  // buffers; the baselines, always one domain, tap the switches directly.
-  if (cfg.trace_writer != nullptr && system != SystemKind::kVedrfolnir)
-    network.set_telemetry_tap(cfg.trace_writer);
 
   auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather,
                                                spec.participants, spec.cc_step_bytes);
@@ -188,18 +195,13 @@ CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig
           network, runner, core::VedrfolnirConfig{cfg.detection, cfg.trace_writer});
       break;
     case SystemKind::kHawkeyeMaxR:
-    case SystemKind::kHawkeyeMinR: {
-      baselines::HawkeyeConfig hc;
-      hc.rtt_multiplier = cfg.hawkeye_multiplier;
-      hc.use_max_rtt = system == SystemKind::kHawkeyeMaxR;
-      hawkeye = std::make_unique<baselines::Hawkeye>(network, runner.plan(), hc);
-      hawkeye->analyzer().set_trace_tap(cfg.trace_writer);
+    case SystemKind::kHawkeyeMinR:
+      hawkeye = std::make_unique<baselines::Hawkeye>(
+          network, runner.plan(),
+          baselines::HawkeyeConfig{system == SystemKind::kHawkeyeMaxR}, cfg.trace_writer);
       break;
-    }
     case SystemKind::kFullPolling:
-      full = std::make_unique<baselines::FullPolling>(network, runner.plan(),
-                                                      cfg.full_poll_interval);
-      full->analyzer().set_trace_tap(cfg.trace_writer);
+      full = std::make_unique<baselines::FullPolling>(network, runner.plan(), cfg.trace_writer);
       full->start(spec.horizon);
       break;
   }

@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/detection.h"
@@ -38,18 +40,20 @@ enum class SystemKind : std::uint8_t {
 };
 
 const char* to_string(SystemKind s);
+/// The `--system` spelling: vedrfolnir, hawkeye-max, hawkeye-min, full.
+const char* cli_name(SystemKind s);
+/// The system whose cli_name is `name`, if any.
+std::optional<SystemKind> parse_system(std::string_view name);
 
 /// Everything a single evaluation run needs beyond the scenario itself.
 struct RunConfig {
   net::NetConfig netcfg;
   core::DetectionConfig detection;  ///< Vedrfolnir knobs (swept in Figs. 12/13)
-  sim::Tick full_poll_interval = 100 * sim::kMicrosecond;
-  double hawkeye_multiplier = 1.2;
   /// Optional trace tap (normally a replay::TraceWriter) mirroring the
   /// diagnosis plane's full input stream to a .vtrc file. Observation only:
   /// a recorded run must produce the same determinism digest as an
   /// unrecorded one. Prefer record_case(), which also writes the
-  /// envelope/footer frames. Works at any shard count: Vedrfolnir writes
+  /// envelope/footer frames. Works at any shard count: every system writes
   /// the stream when its domain buffers merge, in (time, domain, seq)
   /// order, so a sharded trace is the same bytes for every N >= 2.
   core::TraceTap* trace_writer = nullptr;
@@ -61,7 +65,7 @@ struct RunConfig {
   /// Worker threads for the sharded engine (DESIGN.md §14). 1 (default)
   /// runs the serial lane: one domain, one window, the pinned serial
   /// digests. N > 1 runs the fabric's pod domains on the conservative
-  /// parallel engine: Vedrfolnir system only. Results, recorded traces
+  /// parallel engine, for every system. Results, recorded traces
   /// included, are identical for any N >= 2 — the domain decomposition is
   /// fixed by the topology; N only picks how many threads execute it.
   int shards = 1;

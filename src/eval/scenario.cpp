@@ -24,6 +24,23 @@ const char* to_string(ScenarioType t) {
   return "?";
 }
 
+const char* cli_name(ScenarioType t) {
+  switch (t) {
+    case ScenarioType::kFlowContention: return "contention";
+    case ScenarioType::kIncast: return "incast";
+    case ScenarioType::kPfcStorm: return "storm";
+    case ScenarioType::kPfcBackpressure: return "backpressure";
+  }
+  return "?";
+}
+
+std::optional<ScenarioType> parse_scenario(std::string_view name) {
+  for (const ScenarioType t : {ScenarioType::kFlowContention, ScenarioType::kIncast,
+                               ScenarioType::kPfcStorm, ScenarioType::kPfcBackpressure})
+    if (name == cli_name(t)) return t;
+  return std::nullopt;
+}
+
 int paper_case_count(ScenarioType t) {
   switch (t) {
     case ScenarioType::kFlowContention: return 60;

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "anomaly/injectors.h"
@@ -25,6 +27,10 @@ enum class ScenarioType : std::uint8_t {
 };
 
 const char* to_string(ScenarioType t);
+/// The `--scenario` spelling: contention, incast, storm, backpressure.
+const char* cli_name(ScenarioType t);
+/// The type whose cli_name is `name`, if any.
+std::optional<ScenarioType> parse_scenario(std::string_view name);
 
 /// Generation knobs. Paper values (§IV-A) are stored pre-scale; `scale`
 /// shrinks data sizes and times together so a case runs in seconds on one

@@ -127,10 +127,6 @@ Switch& Network::switch_at(NodeId id) {
   return static_cast<Switch&>(*devices_.at(static_cast<std::size_t>(id)));
 }
 
-void Network::set_telemetry_tap(telemetry::TelemetryTap* tap) {
-  for (const NodeId sw : topo_.switches()) switch_at(sw).telem().set_tap(tap);
-}
-
 void Network::deliver(NodeId from, PortId out_port, Packet pkt) {
   deliver_ref(from, out_port, pool_.acquire(std::move(pkt)));
 }

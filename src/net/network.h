@@ -15,7 +15,6 @@
 #include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
-#include "common/tap.h"
 #include "telemetry/records.h"
 
 namespace vedr::sim {
@@ -104,11 +103,8 @@ class Network {
   std::vector<NodeId> hosts() const { return topo_.hosts(); }
   std::vector<NodeId> switches() const { return topo_.switches(); }
 
-  /// Where switch controllers send telemetry reports (the analyzer). Sets
-  /// every domain's sink; use set_domain_report_sink for per-domain fan-in.
-  void set_report_sink(telemetry::ReportSink* sink) {
-    for (auto& c : ctxs_) c->sink = sink;
-  }
+  /// Where domain `domain`'s switch controllers send telemetry reports (its
+  /// ingest buffer, see core::DomainIngestBuffer::install).
   void set_domain_report_sink(int domain, telemetry::ReportSink* sink) {
     ctxs_.at(static_cast<std::size_t>(domain))->sink = sink;
   }
@@ -120,13 +116,6 @@ class Network {
     ctxs_.at(static_cast<std::size_t>(domain))->tracer = tracer;
   }
   PacketTracer* tracer() { return ctxs_[ctx_index()]->tracer; }
-
-  /// Attaches an observation-only telemetry tap to every switch's recorder
-  /// (pause causes, TTL drops) — the switch-side leg of trace recording for
-  /// the baselines, which run one domain. The tap is called inline from the
-  /// recording switch's worker; Vedrfolnir instead taps each switch with its
-  /// domain's ingest buffer.
-  void set_telemetry_tap(telemetry::TelemetryTap* tap);
 
   /// Link-level delivery: schedules arrival of `pkt` at the peer of
   /// (from, out_port) after the link propagation delay. Serialization time

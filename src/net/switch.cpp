@@ -445,10 +445,9 @@ void Switch::emit_report(telemetry::SwitchReport report) {
   net_.stats().add_counter("overhead.telemetry_bytes", size);
   net_.stats().add_counter("overhead.bandwidth_bytes", size);
   net_.stats().add_counter("overhead.report_count");
-  net_.sim().schedule_in(net_.config().controller_delay,
-                         [this, r = std::move(report)]() mutable {
-                           if (net_.report_sink()) net_.report_sink()->on_switch_report(r);
-                         });
+  net_.sim().schedule_in(net_.config().controller_delay, [this, r = std::move(report)] {
+    net_.report_sink()->on_switch_report(r);
+  });
 }
 
 }  // namespace vedr::net

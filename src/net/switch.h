@@ -43,6 +43,10 @@ class Switch : public Device {
   /// state — modeling the hardware-bug storms of §II-B.
   void force_pause(PortId port, Tick duration);
 
+  /// Sends `report` to the domain's report sink after the controller delay and
+  /// counts it under `overhead.*`: every poll report's path, and Full Polling's.
+  void emit_report(telemetry::SwitchReport report);
+
   // --- introspection ---------------------------------------------------------
 
   /// Deep invariant audit: every per-priority egress byte counter must equal
@@ -99,7 +103,6 @@ class Switch : public Device {
   /// safe — see NetConfig::telemetry_retention) and refresh the fabric-wide
   /// `telemetry.state_bytes` gauge with this switch's delta.
   void telemetry_housekeeping(Tick now);
-  void emit_report(telemetry::SwitchReport report);
   bool poll_seen(std::uint64_t poll_id, PortId target);
 
   std::vector<Egress> egress_;

@@ -138,7 +138,8 @@ struct SwitchReport {
   }
 };
 
-/// Consumer of switch reports (the analyzer, or a baseline's collector).
+/// Consumer of a domain's switch reports: its core::DomainIngestBuffer,
+/// which stages them for the analyzer of whichever system runs.
 class ReportSink {
  public:
   virtual ~ReportSink() = default;

@@ -98,7 +98,7 @@ TEST(Hawkeye, MinRPollsMoreThanMaxR) {
 TEST(FullPolling, SweepsAllSwitchesPeriodically) {
   Fixture f;
   collective::CollectiveRunner runner(f.net, f.plan());
-  FullPolling fp(f.net, runner.plan(), 100 * sim::kMicrosecond);
+  FullPolling fp(f.net, runner.plan());
   fp.start(2 * sim::kMillisecond);
   runner.start(0);
   f.sim.run();
@@ -112,7 +112,7 @@ TEST(FullPolling, SweepsAllSwitchesPeriodically) {
 TEST(FullPolling, StopsAtDeadline) {
   Fixture f;
   collective::CollectiveRunner runner(f.net, f.plan());
-  FullPolling fp(f.net, runner.plan(), 100 * sim::kMicrosecond);
+  FullPolling fp(f.net, runner.plan());
   fp.start(1 * sim::kMillisecond);
   runner.start(0);
   f.sim.run();
@@ -122,7 +122,7 @@ TEST(FullPolling, StopsAtDeadline) {
 TEST(FullPolling, DiagnosesContentionWithoutPolls) {
   Fixture f;
   collective::CollectiveRunner runner(f.net, f.plan(2 * 1024 * 1024));
-  FullPolling fp(f.net, runner.plan(), 100 * sim::kMicrosecond);
+  FullPolling fp(f.net, runner.plan());
   fp.start(60 * sim::kMillisecond);
   const net::FlowKey bg = anomaly::background_key(0, f.topo.hosts()[12], f.participants[1]);
   anomaly::inject_flow(f.net, {bg, 16 * 1024 * 1024, 0});

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdlib>
 
 namespace vedr::common {
@@ -66,14 +67,52 @@ TEST(EnvStr, UnsetAndEmptyAreNotConfigured) {
 }
 
 TEST(ParseOrDie, ReturnsParsedValues) {
-  EXPECT_EQ(parse_i64_or_die("--case", "3"), 3);
+  EXPECT_EQ(parse_int_or_die("--case", "3", 0, INT_MAX), 3);
   EXPECT_EQ(parse_f64_or_die("--scale", "0.25"), 0.25);
 }
 
 TEST(ParseOrDieDeathTest, ExitsOnGarbage) {
-  EXPECT_EXIT(parse_i64_or_die("--case", "ten"), ::testing::ExitedWithCode(2), "not an integer");
+  EXPECT_EXIT(parse_int_or_die("--case", "ten", 0, INT_MAX), ::testing::ExitedWithCode(2),
+              "not an integer");
   EXPECT_EXIT(parse_f64_or_die("VEDR_SCALE", "0.x5"), ::testing::ExitedWithCode(2),
               "not a number");
+}
+
+TEST(ParseIntOrDie, AcceptsItsBoundsInclusive) {
+  EXPECT_EQ(parse_int_or_die("--shards", "1", 1, 8), 1);
+  EXPECT_EQ(parse_int_or_die("--shards", "8", 1, 8), 8);
+  EXPECT_EQ(parse_int_or_die("--port", "0", 0, 65535), 0);
+  EXPECT_EQ(parse_int_or_die("--port", "65535", 0, 65535), 65535);
+  EXPECT_EQ(parse_int_or_die("--case", "2147483647", 0, INT_MAX), INT_MAX);
+  EXPECT_EQ(parse_int_or_die("--offset", "-2147483648", INT_MIN, 0), INT_MIN);
+}
+
+TEST(ParseIntOrDieDeathTest, ExitsOutsideItsRange) {
+  EXPECT_EXIT(parse_int_or_die("--shards", "0", 1, 8), ::testing::ExitedWithCode(2),
+              "--shards: not an integer in .1, 8.");
+  EXPECT_EXIT(parse_int_or_die("--shards", "9", 1, 8), ::testing::ExitedWithCode(2),
+              "--shards: not an integer in .1, 8.");
+  EXPECT_EXIT(parse_int_or_die("--port", "65536", 0, 65535), ::testing::ExitedWithCode(2),
+              "--port: not an integer in .0, 65535.");
+}
+
+TEST(ParseIntOrDieDeathTest, ExitsOnEmptyAndWhitespace) {
+  EXPECT_EXIT(parse_int_or_die("--queue-cap", "", 1, INT_MAX), ::testing::ExitedWithCode(2),
+              "--queue-cap: not an integer");
+  EXPECT_EXIT(parse_int_or_die("--queue-cap", " 8", 1, INT_MAX), ::testing::ExitedWithCode(2),
+              "--queue-cap: not an integer");
+  EXPECT_EXIT(parse_int_or_die("--queue-cap", "8 ", 1, INT_MAX), ::testing::ExitedWithCode(2),
+              "--queue-cap: not an integer");
+}
+
+TEST(ParseIntOrDieDeathTest, ExitsPastInt) {
+  // A cast from int64 would wrap 2^32 to 0 and INT_MAX + 1 to INT_MIN.
+  EXPECT_EXIT(parse_int_or_die("--case", "4294967296", 0, INT_MAX),
+              ::testing::ExitedWithCode(2), "--case: not an integer");
+  EXPECT_EXIT(parse_int_or_die("--case", "2147483648", 0, INT_MAX),
+              ::testing::ExitedWithCode(2), "--case: not an integer");
+  EXPECT_EXIT(parse_int_or_die("--offset", "-2147483649", INT_MIN, 0),
+              ::testing::ExitedWithCode(2), "--offset: not an integer");
 }
 
 }  // namespace

@@ -152,5 +152,23 @@ TEST(ShardedStress, FullCaseBackpressureSharded) {
   EXPECT_STREQ(first.outcome.label(), second.outcome.label());
 }
 
+TEST(ShardedStress, BaselinesShareTheShardedIngestPath) {
+  // Hawkeye-MinR (per-host trigger slots, the retention filter over the
+  // merged stream) and Full Polling (one sweep per domain) on more workers
+  // than the fabric has domains.
+  eval::RunConfig cfg;
+  cfg.shards = 8;
+  eval::ScenarioParams params;
+  params.scale = 1.0 / 256.0;
+  const net::Topology topo = net::make_fat_tree(4, cfg.netcfg);
+  const auto routing = net::RoutingTable::shortest_paths(topo);
+  const auto spec =
+      eval::make_scenario(eval::ScenarioType::kPfcStorm, 0, topo, routing, params);
+  for (const auto system : {eval::SystemKind::kHawkeyeMinR, eval::SystemKind::kFullPolling}) {
+    const std::uint64_t first = eval::run_case_digest(spec, system, cfg);
+    EXPECT_EQ(first, eval::run_case_digest(spec, system, cfg)) << eval::to_string(system);
+  }
+}
+
 }  // namespace
 }  // namespace vedr

@@ -44,10 +44,11 @@ ScenarioSpec tiny_spec(ScenarioType type) {
   return make_scenario(type, /*case_id=*/0, topo, routing, tiny_params());
 }
 
-std::uint64_t digest_with_shards(const ScenarioSpec& spec, int shards) {
+std::uint64_t digest_with_shards(const ScenarioSpec& spec, int shards,
+                                 SystemKind system = SystemKind::kVedrfolnir) {
   RunConfig cfg;
   cfg.shards = shards;
-  return run_case_digest(spec, SystemKind::kVedrfolnir, cfg);
+  return run_case_digest(spec, system, cfg);
 }
 
 const char* test_name(ScenarioType type) {
@@ -237,6 +238,118 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PinnedDigests>& info) {
       return test_name(info.param.type);
     });
+
+// The baselines' two lanes, pinned the same way (case 0 at 1/256, k = 4).
+// They share Vedrfolnir's ingest wiring, so they run at any shard count.
+struct PinnedBaselineDigests {
+  SystemKind system;
+  ScenarioType type;
+  std::uint64_t serial;    ///< shards 1
+  std::uint64_t parallel;  ///< shards 2
+};
+
+std::string baseline_name(const PinnedBaselineDigests& pin) {
+  switch (pin.system) {
+    case SystemKind::kHawkeyeMaxR: return std::string("HawkeyeMax") + test_name(pin.type);
+    case SystemKind::kHawkeyeMinR: return std::string("HawkeyeMin") + test_name(pin.type);
+    case SystemKind::kFullPolling: return std::string("Full") + test_name(pin.type);
+    case SystemKind::kVedrfolnir: break;
+  }
+  return "Unknown";
+}
+
+void PrintTo(const PinnedBaselineDigests& pin, std::ostream* os) { *os << baseline_name(pin); }
+
+const auto kBaselinePins = ::testing::Values(
+    PinnedBaselineDigests{SystemKind::kHawkeyeMaxR, ScenarioType::kFlowContention,
+                          0xbf08681a78eb4407, 0x84b25235d3d6a8e0},
+    PinnedBaselineDigests{SystemKind::kHawkeyeMaxR, ScenarioType::kIncast, 0xa92c90731d2aa4a5,
+                          0xeccee745f1603aa7},
+    PinnedBaselineDigests{SystemKind::kHawkeyeMaxR, ScenarioType::kPfcStorm, 0xe5c010517c4d7e1b,
+                          0x327bc34494dcef7c},
+    PinnedBaselineDigests{SystemKind::kHawkeyeMaxR, ScenarioType::kPfcBackpressure,
+                          0x402adc6cb3570420, 0x4ce200d27348f1ba},
+    PinnedBaselineDigests{SystemKind::kHawkeyeMinR, ScenarioType::kFlowContention,
+                          0x5960bf47feb62043, 0x8daac64868c4f220},
+    PinnedBaselineDigests{SystemKind::kHawkeyeMinR, ScenarioType::kIncast, 0xd46b641045043cec,
+                          0xdf3498ed76ca594d},
+    PinnedBaselineDigests{SystemKind::kHawkeyeMinR, ScenarioType::kPfcStorm, 0xf10702cabd1a5c37,
+                          0x79ec68813568921c},
+    PinnedBaselineDigests{SystemKind::kHawkeyeMinR, ScenarioType::kPfcBackpressure,
+                          0x3318fa03cc1cc1fe, 0x8776a1f6b059814b},
+    PinnedBaselineDigests{SystemKind::kFullPolling, ScenarioType::kFlowContention,
+                          0x2ca53c9929796721, 0x3afa9623b1fde0e0},
+    PinnedBaselineDigests{SystemKind::kFullPolling, ScenarioType::kIncast, 0x83f011de5ae2cdb0,
+                          0x0fe7d0c59390ccb8},
+    PinnedBaselineDigests{SystemKind::kFullPolling, ScenarioType::kPfcStorm, 0x849bc6c69567762d,
+                          0x4b603c3fa3712630},
+    PinnedBaselineDigests{SystemKind::kFullPolling, ScenarioType::kPfcBackpressure,
+                          0x5eff44128012c092, 0x1046a7ad1ec8a7d1});
+
+std::string baseline_param_name(const ::testing::TestParamInfo<PinnedBaselineDigests>& info) {
+  return baseline_name(info.param);
+}
+
+class PinnedBaselineDigest : public ::testing::TestWithParam<PinnedBaselineDigests> {};
+
+TEST_P(PinnedBaselineDigest, SerialDigestMatchesThePinnedValue) {
+  const PinnedBaselineDigests& pin = GetParam();
+  const std::uint64_t serial = digest_with_shards(tiny_spec(pin.type), 1, pin.system);
+  EXPECT_EQ(serial, pin.serial) << "serial lane drifted: 0x" << std::hex << serial;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBaselines, PinnedBaselineDigest, kBaselinePins, baseline_param_name);
+
+class ShardedBaseline : public ::testing::TestWithParam<PinnedBaselineDigests> {};
+
+TEST_P(ShardedBaseline, ParallelDigestIsShardCountInvariantAndPinned) {
+  const PinnedBaselineDigests& pin = GetParam();
+  const ScenarioSpec spec = tiny_spec(pin.type);
+  const std::uint64_t d2 = digest_with_shards(spec, 2, pin.system);
+  EXPECT_EQ(d2, digest_with_shards(spec, 4, pin.system))
+      << "parallel digest depends on the worker count";
+  EXPECT_EQ(d2, pin.parallel) << "parallel lane drifted: 0x" << std::hex << d2;
+}
+
+TEST_P(ShardedBaseline, RecordingIsShardCountInvariantAndReplays) {
+  const PinnedBaselineDigests& pin = GetParam();
+  const ScenarioSpec spec = tiny_spec(pin.type);
+  const std::string base = ::testing::TempDir() + "/sharded_" + baseline_name(pin);
+  std::string error;
+  RunConfig two;
+  two.shards = 2;
+  const CaseResult recorded = record_case(spec, pin.system, two, base + "_2.vtrc", &error);
+  ASSERT_TRUE(error.empty()) << error;
+  RunConfig four;
+  four.shards = 4;
+  record_case(spec, pin.system, four, base + "_4.vtrc", &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const std::string bytes = read_file(base + "_2.vtrc");
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_TRUE(bytes == read_file(base + "_4.vtrc")) << "sharded trace depends on the worker count";
+
+  replay::TraceReader reader(base + "_2.vtrc");
+  replay::StreamingCollector collector;
+  const replay::ReplayResult replayed = collector.replay(reader);
+  EXPECT_TRUE(replayed.ok) << replayed.error.str();
+  EXPECT_TRUE(replayed.digest_matches);
+  EXPECT_EQ(replayed.diagnosis_json, core::json::diagnosis_to_json(recorded.diagnosis));
+  std::remove((base + "_2.vtrc").c_str());
+  std::remove((base + "_4.vtrc").c_str());
+}
+
+TEST_P(ShardedBaseline, VerdictMatchesSerial) {
+  const PinnedBaselineDigests& pin = GetParam();
+  const ScenarioSpec spec = tiny_spec(pin.type);
+  const CaseResult serial = run_case(spec, pin.system, RunConfig{});
+  RunConfig sharded;
+  sharded.shards = 4;
+  const CaseResult parallel = run_case(spec, pin.system, sharded);
+  EXPECT_EQ(parallel.cc_completed, serial.cc_completed);
+  EXPECT_STREQ(parallel.outcome.label(), serial.outcome.label());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBaselines, ShardedBaseline, kBaselinePins, baseline_param_name);
 
 }  // namespace
 }  // namespace vedr::eval

@@ -26,7 +26,8 @@ class TelemetryCli {
  public:
   /// Returns true iff `arg` was one of ours. `next` yields the flag's value
   /// (calling the tool's usage() when missing); `die` is the tool's
-  /// [[noreturn]] usage handler, invoked on an invalid value.
+  /// [[noreturn]] usage handler, invoked on an unknown backend. A knob out
+  /// of range exits 2 through common::parse_int_or_die.
   template <typename NextFn, typename DieFn>
   bool parse(const std::string& arg, NextFn&& next, DieFn&& die) {
     if (arg == "--telemetry") {
@@ -41,16 +42,16 @@ class TelemetryCli {
       return true;
     }
     if (arg == "--sketch-width") {
-      params_.sketch_width = parse_knob("--sketch-width", next(), die);
+      params_.sketch_width = common::parse_int_or_die("--sketch-width", next(), 1, kMaxKnob);
       return true;
     }
     if (arg == "--sketch-depth") {
-      params_.sketch_depth = parse_knob("--sketch-depth", next(), die);
-      if (params_.sketch_depth > static_cast<std::int32_t>(telemetry::kMaxSketchDepth)) die();
+      params_.sketch_depth = common::parse_int_or_die(
+          "--sketch-depth", next(), 1, telemetry::kMaxSketchDepth);
       return true;
     }
     if (arg == "--sketch-k") {
-      params_.topk = parse_knob("--sketch-k", next(), die);
+      params_.topk = common::parse_int_or_die("--sketch-k", next(), 1, kMaxKnob);
       return true;
     }
     return false;
@@ -66,12 +67,7 @@ class TelemetryCli {
   }
 
  private:
-  template <typename DieFn>
-  static std::int32_t parse_knob(const char* flag, const std::string& value, DieFn&& die) {
-    const std::int64_t v = common::parse_i64_or_die(flag, value);
-    if (v <= 0 || v > (1 << 24)) die();
-    return static_cast<std::int32_t>(v);
-  }
+  static constexpr int kMaxKnob = 1 << 24;
 
   net::TelemetryParams params_;
 };

@@ -7,7 +7,7 @@
 //
 // --shards 1 (default) runs the serial lane (one domain): its four scenario
 // digests are pinned and must never change. --shards N>1 runs the fabric's
-// pod domains on the conservative parallel engine (Vedrfolnir only) — a
+// pod domains on the conservative parallel engine, for every system — a
 // separate digest lane whose value is identical for every N>=2, which CI
 // checks by diffing --shards 2 against --shards 4.
 //
@@ -24,6 +24,7 @@
 // digests the same case prints with it off — observability is a tap, never a
 // participant. CI runs this tool both ways and compares.
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -47,22 +48,6 @@ using namespace vedr;
   std::exit(2);
 }
 
-eval::ScenarioType parse_scenario(const std::string& s, const char* argv0) {
-  if (s == "contention") return eval::ScenarioType::kFlowContention;
-  if (s == "incast") return eval::ScenarioType::kIncast;
-  if (s == "storm") return eval::ScenarioType::kPfcStorm;
-  if (s == "backpressure") return eval::ScenarioType::kPfcBackpressure;
-  usage(argv0);
-}
-
-eval::SystemKind parse_system(const std::string& s, const char* argv0) {
-  if (s == "vedrfolnir") return eval::SystemKind::kVedrfolnir;
-  if (s == "hawkeye-max") return eval::SystemKind::kHawkeyeMaxR;
-  if (s == "hawkeye-min") return eval::SystemKind::kHawkeyeMinR;
-  if (s == "full") return eval::SystemKind::kFullPolling;
-  usage(argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -82,23 +67,25 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--scenario") {
-      scenario = parse_scenario(next(), argv[0]);
+      const auto s = eval::parse_scenario(next());
+      if (!s) usage(argv[0]);
+      scenario = *s;
     } else if (arg == "--system") {
-      system = parse_system(next(), argv[0]);
+      const auto s = eval::parse_system(next());
+      if (!s) usage(argv[0]);
+      system = *s;
     } else if (arg == "--case") {
-      case_id = static_cast<int>(common::parse_i64_or_die("--case", next()));
+      case_id = common::parse_int_or_die("--case", next(), 0, INT_MAX);
     } else if (arg == "--scale") {
       scale = common::parse_f64_or_die("--scale", next());
       if (scale <= 0) usage(argv[0]);
     } else if (arg == "--runs") {
-      runs = static_cast<int>(common::parse_i64_or_die("--runs", next()));
-      if (runs < 2) usage(argv[0]);
+      runs = common::parse_int_or_die("--runs", next(), 2, INT_MAX);
     } else if (arg == "--shards") {
-      shards = static_cast<int>(common::parse_i64_or_die("--shards", next()));
-      if (shards < 1) usage(argv[0]);
+      shards = common::parse_int_or_die("--shards", next(), 1, INT_MAX);
     } else if (arg == "--k") {
-      fat_tree_k = static_cast<int>(common::parse_i64_or_die("--k", next()));
-      if (fat_tree_k < 4 || fat_tree_k % 2 != 0) usage(argv[0]);
+      fat_tree_k = common::parse_int_or_die("--k", next(), 4, INT_MAX);
+      if (fat_tree_k % 2 != 0) usage(argv[0]);
     } else if (arg == "--obs-trace") {
       obs_trace_path = next();
     } else {
@@ -114,10 +101,6 @@ int main(int argc, char** argv) {
   eval::RunConfig cfg;
   cfg.shards = shards;
   cfg.fat_tree_k = fat_tree_k;
-  if (shards > 1 && system != eval::SystemKind::kVedrfolnir) {
-    std::fprintf(stderr, "--shards > 1 supports --system vedrfolnir only\n");
-    return 2;
-  }
   eval::ScenarioParams params;
   params.scale = scale;
   const net::Topology topo = net::make_fat_tree(fat_tree_k, cfg.netcfg);

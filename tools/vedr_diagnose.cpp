@@ -26,6 +26,7 @@
 // count-min/top-k backend instead of the exact per-flow tables; the sketch
 // knobs size it. Incompatible with --record: traces always capture exact
 // ground truth (replay them with `vedr_replay --telemetry sketch` instead).
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -56,22 +57,6 @@ using namespace vedr;
   std::exit(2);
 }
 
-eval::ScenarioType parse_scenario(const std::string& s, const char* argv0) {
-  if (s == "contention") return eval::ScenarioType::kFlowContention;
-  if (s == "incast") return eval::ScenarioType::kIncast;
-  if (s == "storm") return eval::ScenarioType::kPfcStorm;
-  if (s == "backpressure") return eval::ScenarioType::kPfcBackpressure;
-  usage(argv0);
-}
-
-eval::SystemKind parse_system(const std::string& s, const char* argv0) {
-  if (s == "vedrfolnir") return eval::SystemKind::kVedrfolnir;
-  if (s == "hawkeye-max") return eval::SystemKind::kHawkeyeMaxR;
-  if (s == "hawkeye-min") return eval::SystemKind::kHawkeyeMinR;
-  if (s == "full") return eval::SystemKind::kFullPolling;
-  usage(argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -95,22 +80,25 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--scenario") {
-      scenario = parse_scenario(next(), argv[0]);
+      const auto s = eval::parse_scenario(next());
+      if (!s) usage(argv[0]);
+      scenario = *s;
     } else if (arg == "--system") {
-      system = parse_system(next(), argv[0]);
+      const auto s = eval::parse_system(next());
+      if (!s) usage(argv[0]);
+      system = *s;
     } else if (arg == "--case") {
-      case_id = static_cast<int>(common::parse_i64_or_die("--case", next()));
+      case_id = common::parse_int_or_die("--case", next(), 0, INT_MAX);
     } else if (arg == "--scale") {
       scale = common::parse_f64_or_die("--scale", next());
       if (scale <= 0) usage(argv[0]);
     } else if (arg == "--shards") {
-      shards = static_cast<int>(common::parse_i64_or_die("--shards", next()));
-      if (shards < 1) usage(argv[0]);
+      shards = common::parse_int_or_die("--shards", next(), 1, INT_MAX);
     } else if (arg == "--shard-report") {
       shard_report = true;
     } else if (arg == "--k") {
-      fat_tree_k = static_cast<int>(common::parse_i64_or_die("--k", next()));
-      if (fat_tree_k < 4 || fat_tree_k % 2 != 0) usage(argv[0]);
+      fat_tree_k = common::parse_int_or_die("--k", next(), 4, INT_MAX);
+      if (fat_tree_k % 2 != 0) usage(argv[0]);
     } else if (arg == "--json") {
       as_json = true;
     } else if (arg == "--dot") {
@@ -129,10 +117,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "error: --record captures exact ground truth and cannot run with "
                  "--telemetry sketch; record exact, then `vedr_replay --telemetry sketch`\n");
-    return 2;
-  }
-  if (shards > 1 && system != eval::SystemKind::kVedrfolnir) {
-    std::fprintf(stderr, "error: --shards > 1 supports --system vedrfolnir only\n");
     return 2;
   }
   if (!record_path.empty() && !replay::valid_fat_tree_k(fat_tree_k)) {

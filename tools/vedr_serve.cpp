@@ -33,6 +33,7 @@
 //
 // Exit codes: 0 clean shutdown (oneshot: every session finished and its
 // digest matched), 1 a session ended in error, 2 usage, 3 startup failure.
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "serve/http.h"
@@ -73,13 +75,6 @@ void on_sigquit(int) { g_dump_flight = 1; }
   std::exit(2);
 }
 
-int parse_int(const std::string& s, const char* argv0) {
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') usage(argv0);
-  return static_cast<int>(v);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,13 +103,14 @@ int main(int argc, char** argv) {
         follows.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
       }
     } else if (arg == "--port") {
-      port = parse_int(next(), argv[0]);
+      port = common::parse_int_or_die("--port", next(), 0, 65535);
     } else if (arg == "--port-file") {
       port_file = next();
     } else if (arg == "--shards") {
-      cfg.shards = parse_int(next(), argv[0]);
+      cfg.shards = common::parse_int_or_die("--shards", next(), 1, INT_MAX);
     } else if (arg == "--queue-cap") {
-      cfg.session.queue_capacity = static_cast<std::size_t>(parse_int(next(), argv[0]));
+      cfg.session.queue_capacity =
+          static_cast<std::size_t>(common::parse_int_or_die("--queue-cap", next(), 1, INT_MAX));
     } else if (arg == "--policy") {
       const std::string p = next();
       if (p == "block") {
