@@ -9,9 +9,9 @@
 //                  [--k K] [--sweep] [--smoke] [--json PATH]
 //                  [--obs-trace FILE.json] [--obs-metrics FILE]
 //
-// Prints events/sec, packets/sec, wall time, peak RSS, and the engine's
-// heap pushes per delivered packet with the share of events that rode a
-// delivery lane instead (DESIGN.md §8); --json also emits a machine-readable
+// Prints events/sec, packets/sec, wall time, peak RSS, the engine's events
+// and overflow-heap pushes per delivered packet, and the split of popped
+// events by EventKind (DESIGN.md §8); --json also emits a machine-readable
 // record (CI writes it as BENCH_sim.json). --smoke shrinks the case so the
 // whole run fits in a CI smoke-test budget. The obs flags
 // turn on the observability taps during the timed runs — that is the point:
@@ -35,6 +35,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <climits>
 #include <cstdio>
@@ -76,7 +77,7 @@ struct Measurement {
   std::uint64_t events = 0;
   std::uint64_t packets = 0;
   std::uint64_t heap_pushes = 0;
-  std::uint64_t lane_appends = 0;
+  std::array<std::uint64_t, sim::kNumEventKinds> pops{};
   std::shared_ptr<const obs::MetricsSnapshot> metrics;
   std::shared_ptr<const sim::ShardReport> shard_report;  ///< last run's
 };
@@ -95,7 +96,7 @@ Measurement measure(const eval::ScenarioSpec& spec, eval::SystemKind system,
     m.events = result.sim_events;
     m.packets = result.packets_delivered;
     m.heap_pushes = result.heap_pushes;
-    m.lane_appends = result.lane_appends;
+    m.pops = result.pops_by_kind;
     m.metrics = result.metrics;
     m.shard_report = result.shard_report;
     if (verbose) {
@@ -106,16 +107,34 @@ Measurement measure(const eval::ScenarioSpec& spec, eval::SystemKind system,
   return m;
 }
 
-/// Heap pushes per delivered packet: exact counts, so one run suffices.
-double pushes_per_packet(const Measurement& m) {
-  return m.packets > 0 ? static_cast<double>(m.heap_pushes) / static_cast<double>(m.packets) : 0;
+/// `n` per delivered packet. The engine's counts are exact, so one run
+/// suffices.
+double per_packet(std::uint64_t n, const Measurement& m) {
+  return m.packets > 0 ? static_cast<double>(n) / static_cast<double>(m.packets) : 0;
 }
 
-/// Share of scheduled events appended behind a lane head (no heap push).
-double lane_share(const Measurement& m) {
-  const std::uint64_t scheduled = m.heap_pushes + m.lane_appends;
-  return scheduled > 0 ? static_cast<double>(m.lane_appends) / static_cast<double>(scheduled)
-                       : 0;
+/// Share of popped events of kind index `k`.
+double kind_share(const Measurement& m, std::size_t k) {
+  return m.events > 0 ? static_cast<double>(m.pops[k]) / static_cast<double>(m.events) : 0;
+}
+
+/// The per-kind split: a text line per kind that ran, and one JSON field
+/// per kind (`share_packet_delivery`, ...).
+void print_kind_split(const Measurement& m) {
+  std::printf("events by kind:\n");
+  for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
+    if (m.pops[k] == 0) continue;
+    std::printf("  %-17s %12llu  %6.2f%%\n", sim::to_string(static_cast<sim::EventKind>(k)),
+                static_cast<unsigned long long>(m.pops[k]), 100.0 * kind_share(m, k));
+  }
+}
+
+void add_kind_split(bench::BenchReport& report, const Measurement& m) {
+  for (std::size_t k = 0; k < sim::kNumEventKinds; ++k) {
+    std::string key = std::string("share_") + sim::to_string(static_cast<sim::EventKind>(k));
+    std::replace(key.begin(), key.end(), '-', '_');
+    report.field_fixed(key, kind_share(m, k), 4);
+  }
 }
 
 eval::ScenarioSpec spec_for(eval::ScenarioType scenario, int case_id, int k,
@@ -208,8 +227,8 @@ int main(int argc, char** argv) {
     std::printf("sweep: %s case %d, scale %g, %d run(s)/point, %d hw thread(s)%s\n",
                 eval::cli_name(scenario), case_id, scale, runs, hw,
                 gate_enforced ? "" : " (speedup gate report-only)");
-    std::printf("%4s %7s %12s %14s %12s %13s %10s\n", "K", "shards", "wall_s", "events",
-                "events/s", "pushes/packet", "lane_share");
+    std::printf("%4s %7s %12s %14s %12s %13s %15s\n", "K", "shards", "wall_s", "events",
+                "events/s", "events/packet", "overflow/packet");
 
     bench::BenchReport report("sim_throughput");
     report.field("sweep", true)
@@ -229,17 +248,17 @@ int main(int argc, char** argv) {
         point_cfg.fat_tree_k = k;
         const Measurement m = measure(spec, system, point_cfg, runs, /*verbose=*/false);
         const double eps = m.wall > 0 ? static_cast<double>(m.events) / m.wall : 0;
-        std::printf("%4d %7d %12.3f %14llu %12.0f %13.3f %10.3f\n", k, s, m.wall,
-                    static_cast<unsigned long long>(m.events), eps, pushes_per_packet(m),
-                    lane_share(m));
+        std::printf("%4d %7d %12.3f %14llu %12.0f %13.3f %15.4f\n", k, s, m.wall,
+                    static_cast<unsigned long long>(m.events), eps, per_packet(m.events, m),
+                    per_packet(m.heap_pushes, m));
         char prefix[32];
         std::snprintf(prefix, sizeof prefix, "k%d_s%d_", k, s);
         const std::string p(prefix);
         report.field_fixed(p + "wall_seconds", m.wall, 6)
             .field(p + "events", m.events)
             .field_fixed(p + "events_per_sec", eps, 0)
-            .field_fixed(p + "heap_pushes_per_packet", pushes_per_packet(m), 4)
-            .field_fixed(p + "lane_share", lane_share(m), 4);
+            .field_fixed(p + "events_per_packet", per_packet(m.events, m), 4)
+            .field_fixed(p + "overflow_pushes_per_packet", per_packet(m.heap_pushes, m), 4);
         if (k == 8 && s == 1) {
           wall_k8_s1 = m.wall;
           k8_s1 = m;
@@ -254,10 +273,14 @@ int main(int argc, char** argv) {
                 gate_enforced ? (sweep_ok ? "  (gate >= 3x: PASS)" : "  (gate >= 3x: FAIL)")
                               : "  (gate not enforced: < 8 hw threads)");
 
-    // The unprefixed queue rows name the serial K=8 point (ROADMAP item 4).
-    report.field_fixed("heap_pushes_per_packet", pushes_per_packet(k8_s1), 4)
-        .field_fixed("lane_share", lane_share(k8_s1), 4)
-        .field_fixed("speedup_k8", speedup, 3)
+    std::printf("serial K=8 ");
+    print_kind_split(k8_s1);
+
+    // The unprefixed engine rows name the serial K=8 point (ROADMAP item 4).
+    report.field_fixed("events_per_packet", per_packet(k8_s1.events, k8_s1), 4)
+        .field_fixed("overflow_pushes_per_packet", per_packet(k8_s1.heap_pushes, k8_s1), 4);
+    add_kind_split(report, k8_s1);
+    report.field_fixed("speedup_k8", speedup, 3)
         .field("gate_enforced", gate_enforced)
         .field("sweep_ok", sweep_ok)
         .field("peak_rss_kb", static_cast<std::int64_t>(peak_rss_kb()));
@@ -288,8 +311,9 @@ int main(int argc, char** argv) {
   const long rss_kb = peak_rss_kb();
   std::printf("events/sec:  %.0f\n", events_per_sec);
   std::printf("packets/sec: %.0f\n", packets_per_sec);
-  std::printf("heap pushes / delivered packet: %.4f\n", pushes_per_packet(m));
-  std::printf("lane share:  %.4f\n", lane_share(m));
+  std::printf("events / delivered packet: %.4f\n", per_packet(m.events, m));
+  std::printf("overflow pushes / delivered packet: %.4f\n", per_packet(m.heap_pushes, m));
+  print_kind_split(m);
   std::printf("wall:        %.3fs (best of %d)\n", m.wall, runs);
   std::printf("peak RSS:    %ld KiB\n", rss_kb);
   if (shard_report) std::printf("\n%s", m.shard_report->table().c_str());
@@ -308,9 +332,10 @@ int main(int argc, char** argv) {
         .field_fixed("wall_seconds", m.wall, 6)
         .field_fixed("events_per_sec", events_per_sec, 0)
         .field_fixed("packets_per_sec", packets_per_sec, 0)
-        .field_fixed("heap_pushes_per_packet", pushes_per_packet(m), 4)
-        .field_fixed("lane_share", lane_share(m), 4)
-        .field("peak_rss_kb", static_cast<std::int64_t>(rss_kb));
+        .field_fixed("events_per_packet", per_packet(m.events, m), 4)
+        .field_fixed("overflow_pushes_per_packet", per_packet(m.heap_pushes, m), 4);
+    add_kind_split(report, m);
+    report.field("peak_rss_kb", static_cast<std::int64_t>(rss_kb));
     if (!report.write(json_path)) return 2;
     std::printf("wrote %s\n", json_path.c_str());
   }

@@ -218,8 +218,10 @@ CaseResult run_case(const ScenarioSpec& spec, SystemKind system, const RunConfig
   result.sim_events = engine.events_executed();
   result.packets_delivered = network.packets_delivered();
   for (int d = 0; d < engine.num_domains(); ++d) {
-    result.heap_pushes += engine.domain(d).heap_pushes();
-    result.lane_appends += engine.domain(d).lane_appends();
+    const sim::Simulator& domain = engine.domain(d);
+    result.heap_pushes += domain.heap_pushes();
+    for (std::size_t k = 0; k < sim::kNumEventKinds; ++k)
+      result.pops_by_kind[k] += domain.pops_by_kind()[k];
   }
 
   switch (system) {

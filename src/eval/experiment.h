@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -13,6 +14,7 @@
 #include "eval/metrics.h"
 #include "eval/scenario.h"
 #include "net/types.h"
+#include "sim/event.h"
 
 namespace vedr::net {
 class PacketTracer;
@@ -104,11 +106,11 @@ struct CaseResult {
   bool cc_completed = false;
   std::uint64_t sim_events = 0;
   std::uint64_t packets_delivered = 0;  ///< frames handed to the link layer
-  /// Engine schedule counters summed over domains (sim::EventQueue): events
-  /// that entered the heap with a sift-up, and events appended behind a
-  /// delivery-lane head. Not folded into run_case_digest.
+  /// Engine counters summed over domains (sim::EventQueue): events that
+  /// went to the overflow heap instead of the timing wheel, and events
+  /// popped per kind (index_of(kind)). Not folded into run_case_digest.
   std::uint64_t heap_pushes = 0;
-  std::uint64_t lane_appends = 0;
+  std::array<std::uint64_t, sim::kNumEventKinds> pops_by_kind{};
   core::Diagnosis diagnosis;
   /// Set iff RunConfig::capture_metrics: the case's full metric snapshot
   /// (shared so CaseResult stays cheap to copy through the suite plumbing).

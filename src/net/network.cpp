@@ -27,22 +27,12 @@ Network::Network(sim::ShardedEngine& engine, const ShardPlan& plan, const Topolo
   VEDR_CHECK(plan_.domain_of.size() == topo_.size(), "ShardPlan built for another topology");
   dcqcn_.line_rate_gbps = cfg_.link_gbps;
   swift_.line_rate_gbps = cfg_.link_gbps;
-  // A direction's lane lives in its receiving node's domain, so each
-  // domain numbers only the ports of its own nodes.
-  std::vector<std::size_t> lanes(static_cast<std::size_t>(plan_.num_domains), 0);
-  lane_base_.reserve(topo_.size());
-  for (std::size_t i = 0; i < topo_.size(); ++i) {
-    std::size_t& next = lanes[static_cast<std::size_t>(domain_of(static_cast<NodeId>(i)))];
-    lane_base_.push_back(static_cast<std::uint32_t>(next));
-    next += topo_.nodes()[i].ports.size();
-  }
   handoffs_ = std::make_unique<HandoffMatrix>(plan_.num_domains);
   ctxs_.reserve(static_cast<std::size_t>(plan_.num_domains));
   for (int d = 0; d < plan_.num_domains; ++d) {
     auto ctx = std::make_unique<DomainCtx>();
     ctx->sim = &engine.domain(d);
     ctx->stats = std::make_unique<sim::StatsRegistry>();
-    ctx->sim->set_lanes(lanes[static_cast<std::size_t>(d)]);
     register_net_event_handlers(*ctx->sim);
     ctx->sim->set_stats(ctx->stats.get());  // kernel self-observation (sim.dispatch_ns)
     ctxs_.push_back(std::move(ctx));
@@ -107,13 +97,10 @@ void Network::drain_domain(int domain) {
   DomainCtx& c = *ctxs_[static_cast<std::size_t>(domain)];
   c.scratch.clear();
   if (handoffs_->drain(domain, c.scratch) == 0) return;
-  // A direction is either always local or always handed off, and the drain
-  // is sorted by arrival, so each lane still receives rising times.
   for (const Handoff& h : c.scratch) {
     Device* dev = devices_[static_cast<std::size_t>(h.node)].get();
-    c.sim->schedule_lane_event_in(lane_of({h.node, h.port}), h.arrival - c.sim->now(),
-                                  sim::EventKind::kPacketDelivery,
-                                  {dev, h.ref, static_cast<std::uint64_t>(h.port)});
+    c.sim->schedule_event_at(h.arrival, sim::EventKind::kPacketDelivery,
+                             {dev, h.ref, static_cast<std::uint64_t>(h.port)});
   }
 }
 
@@ -147,8 +134,8 @@ void Network::deliver_ref(NodeId from, PortId out_port, PacketRef ref) {
     return;
   }
   Device* dev = devices_.at(static_cast<std::size_t>(peer.node)).get();
-  c.sim->schedule_lane_event_in(lane_of(peer), delay, sim::EventKind::kPacketDelivery,
-                                {dev, ref, static_cast<std::uint64_t>(peer.port)});
+  c.sim->schedule_event_in(delay, sim::EventKind::kPacketDelivery,
+                           {dev, ref, static_cast<std::uint64_t>(peer.port)});
 }
 
 void Network::deliver_pfc(NodeId from, PortId out_port, Priority prio, bool pause) {

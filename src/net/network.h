@@ -40,12 +40,8 @@ class Switch;
 /// one-domain plan (ShardPlan::single) on the one-domain engine: every
 /// delivery is local and the run is one window.
 ///
-/// Every link direction has a FIFO delivery lane in its receiving domain's
-/// event queue (sim::EventQueue::schedule_lane_event). Local deliveries and
-/// drained handoffs both ride it: a direction's sends happen in its
-/// sender's clock order and its delay is constant, so its arrival times
-/// never decrease. Each domain numbers the directions that arrive at its
-/// own nodes, one lane per port.
+/// Local deliveries and drained handoffs are plain typed events on the
+/// receiving domain's queue, the latter scheduled in drain order.
 class Network {
  public:
   /// `plan` must be built for `topo`, with num_domains matching
@@ -170,12 +166,6 @@ class Network {
   };
 
   std::size_t ctx_index() const { return static_cast<std::size_t>(sim::current_domain()); }
-  /// The delivery lane of the direction that arrives at `to`, in the
-  /// receiving domain's queue: each direction is numbered once, by its
-  /// receiving (node, port).
-  std::uint32_t lane_of(PortRef to) const {
-    return lane_base_[static_cast<std::size_t>(to.node)] + static_cast<std::uint32_t>(to.port);
-  }
   void init_devices();
   /// Engine drain hook: reclaim returned pool slots, then merge inbound
   /// handoffs (sorted) into this domain's queue.
@@ -187,9 +177,6 @@ class Network {
   Topology topo_;
   RoutingTable routing_;
   ShardPlan plan_;
-  /// First lane of each node: a prefix sum of port counts over the nodes
-  /// of its domain.
-  std::vector<std::uint32_t> lane_base_;
   sim::ShardedEngine& engine_;
   std::vector<std::unique_ptr<DomainCtx>> ctxs_;
   std::unique_ptr<HandoffMatrix> handoffs_;

@@ -355,7 +355,6 @@ void Switch::handle_poll(Packet pkt, PortId in_port) {
   report.switch_id = id_;
   report.poll_id = info.poll_id;
   report.time = now;
-  report.backend = telem_.backend();
 
   if (!info.pfc_chase) {
     // Snapshot the egress this flow takes here, then keep the poll moving
@@ -441,6 +440,7 @@ void Switch::maybe_chase(PortId egress, const PollInfo& info) {
 
 void Switch::emit_report(telemetry::SwitchReport report) {
   if (net_.report_sink() == nullptr) return;
+  report.backend = telem_.backend();
   const std::int64_t size = report.wire_size();
   net_.stats().add_counter("overhead.telemetry_bytes", size);
   net_.stats().add_counter("overhead.bandwidth_bytes", size);

@@ -43,8 +43,9 @@ class Switch : public Device {
   /// state — modeling the hardware-bug storms of §II-B.
   void force_pause(PortId port, Tick duration);
 
-  /// Sends `report` to the domain's report sink after the controller delay and
-  /// counts it under `overhead.*`: every poll report's path, and Full Polling's.
+  /// Stamps `report` with this switch's telemetry backend, counts it under
+  /// `overhead.*`, and sends it to the domain's report sink after the
+  /// controller delay: every poll report's path, and Full Polling's.
   void emit_report(telemetry::SwitchReport report);
 
   // --- introspection ---------------------------------------------------------

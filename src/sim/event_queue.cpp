@@ -1,5 +1,7 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/check.h"
@@ -32,6 +34,8 @@ const char* to_string(EventKind k) {
   return "?";
 }
 
+EventQueue::EventQueue() : buckets_(static_cast<std::size_t>(kWheelSpan)) {}
+
 std::uint32_t EventQueue::acquire_slot() {
   if (!free_.empty()) {
     const std::uint32_t slot = free_.back();
@@ -51,67 +55,100 @@ void EventQueue::reclaim_slot(std::uint32_t slot) {
   free_.push_back(slot);
 }
 
-EventId EventQueue::push(Tick at, std::uint32_t slot) {
+std::uint32_t EventQueue::insert(Tick at) {
+  // The one way an event could alias a future bucket: a time the wheel has
+  // already passed. Checked before the slot is taken, so a rejected
+  // schedule leaves the queue as it was.
+  VEDR_CHECK_GE(at, last_pop_time_, "event scheduled before the last popped time");
+  const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.live = true;
-  heap_.push_back(HeapItem{at, next_seq_++, slot});
-  ++heap_pushes_;
-  sift_up(heap_.size() - 1);
-  return make_id(slot, s.gen);
+  s.at = at;
+  s.seq = next_seq_++;
+  s.in_wheel = at - last_pop_time_ < kWheelSpan;
+  if (s.in_wheel) {
+    wheel_append(slot);
+  } else {
+    heap_.push_back(HeapItem{at, s.seq, slot});
+    ++heap_pushes_;
+    sift_up(heap_.size() - 1);
+  }
+  return slot;
 }
 
 EventId EventQueue::schedule_event(Tick at, EventKind kind, const EventPayload& payload) {
   VEDR_ASSERT(kind != EventKind::kCallback, "schedule_event cannot carry a closure");
-  const std::uint32_t slot = acquire_slot();
+  const std::uint32_t slot = insert(at);
   Slot& s = slots_[slot];
   s.kind = kind;
   s.payload = payload;
-  s.lane = kNoLane;
-  return push(at, slot);
-}
-
-EventId EventQueue::schedule_callback(Tick at, std::function<void()> fn) {
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.kind = EventKind::kCallback;
-  s.fn = std::move(fn);
-  s.lane = kNoLane;
-  return push(at, slot);
-}
-
-void EventQueue::set_lanes(std::size_t n) {
-  VEDR_CHECK(n < kNoLane, "too many delivery lanes: ", n);
-  if (n > lanes_.size()) lanes_.resize(n);
-}
-
-EventId EventQueue::schedule_lane_event(std::uint32_t lane, Tick at, EventKind kind,
-                                        const EventPayload& payload) {
-  VEDR_ASSERT(kind != EventKind::kCallback, "schedule_lane_event cannot carry a closure");
-  VEDR_CHECK_LT(lane, lanes_.size(), "delivery lane out of range");
-  Lane& l = lanes_[lane];
-  // The FIFO argument: each lane's (time, seq) keys must rise, so the lane
-  // head is always its earliest event.
-  VEDR_CHECK_GE(at, l.last_at, "delivery lane ", lane, " scheduled out of time order");
-  l.last_at = at;
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.kind = kind;
-  s.payload = payload;
-  s.lane = lane;
-  if (!l.head_in_heap) {
-    l.head_in_heap = true;
-    return push(at, slot);
-  }
-  s.live = true;
-  l.pending.push_back(HeapItem{at, next_seq_++, slot});
-  ++lane_held_;
   return make_id(slot, s.gen);
 }
 
-std::size_t EventQueue::lane_capacity() const {
-  std::size_t n = 0;
-  for (const Lane& l : lanes_) n += l.pending.capacity();
-  return n;
+EventId EventQueue::schedule_callback(Tick at, std::function<void()> fn) {
+  const std::uint32_t slot = insert(at);
+  Slot& s = slots_[slot];
+  s.kind = EventKind::kCallback;
+  s.fn = std::move(fn);
+  return make_id(slot, s.gen);
+}
+
+void EventQueue::wheel_append(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  const std::size_t b = bucket_of(s.at);
+  Bucket& bucket = buckets_[b];
+  s.prev = bucket.tail;
+  s.next = kNil;
+  if (bucket.tail == kNil) {
+    bucket.head = slot;
+    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    occupied_words_ |= std::uint64_t{1} << (b >> 6);
+    if (s.at < wheel_first_) wheel_first_ = s.at;
+  } else {
+    slots_[bucket.tail].next = slot;
+  }
+  bucket.tail = slot;
+  ++wheel_size_;
+}
+
+void EventQueue::wheel_unlink(std::uint32_t slot) {
+  const Slot& s = slots_[slot];
+  const std::size_t b = bucket_of(s.at);
+  Bucket& bucket = buckets_[b];
+  if (s.prev == kNil) {
+    bucket.head = s.next;
+  } else {
+    slots_[s.prev].next = s.next;
+  }
+  if (s.next == kNil) {
+    bucket.tail = s.prev;
+  } else {
+    slots_[s.next].prev = s.prev;
+  }
+  --wheel_size_;
+  if (bucket.head != kNil) return;
+  occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+  if (occupied_[b >> 6] == 0) occupied_words_ &= ~(std::uint64_t{1} << (b >> 6));
+  // A bucket holds one tick, so only emptying the first bucket moves the
+  // wheel's first time; every other wheel event is later and within a span.
+  if (s.at == wheel_first_) wheel_first_ = wheel_scan(s.at);
+}
+
+Tick EventQueue::wheel_scan(Tick from) const {
+  const std::size_t b = bucket_of(from);
+  const std::size_t w = b >> 6;
+  std::size_t found;
+  if (const std::uint64_t here = occupied_[w] & (~std::uint64_t{0} << (b & 63)); here != 0) {
+    found = (w << 6) | static_cast<std::size_t>(std::countr_zero(here));
+  } else {
+    // The next non-empty word after w, else wrap around to the lowest one.
+    const std::uint64_t later = occupied_words_ & ((~std::uint64_t{0} << w) << 1);
+    const std::uint64_t words = later != 0 ? later : occupied_words_;
+    if (words == 0) return kForever;
+    const auto w2 = static_cast<std::size_t>(std::countr_zero(words));
+    found = (w2 << 6) | static_cast<std::size_t>(std::countr_zero(occupied_[w2]));
+  }
+  return from + static_cast<Tick>((found - b) & static_cast<std::size_t>(kWheelMask));
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -120,11 +157,11 @@ bool EventQueue::cancel(EventId id) {
   if (slot >= slots_.size()) return false;
   Slot& s = slots_[slot];
   if (!s.live || s.gen != gen) return false;  // already fired or cancelled
-  // A lane event may wait in its lane's ring, outside the heap; removing it
-  // would need a search of the ring. The lanes carry link deliveries, which
-  // nothing cancels.
-  VEDR_CHECK(s.lane == kNoLane, "lane events cannot be cancelled (lane ", s.lane, ")");
-  heap_remove(s.heap_pos);
+  if (s.in_wheel) {
+    wheel_unlink(slot);
+  } else {
+    heap_remove(s.heap_pos);
+  }
   reclaim_slot(slot);
   return true;
 }
@@ -138,40 +175,48 @@ void EventQueue::set_handler(EventKind kind, EventHandler fn) {
   cur = fn;
 }
 
+Tick EventQueue::next_time() const {
+  if (empty()) return kNever;
+  return heap_.empty() ? wheel_first_ : std::min(wheel_first_, heap_.front().at);
+}
+
 Tick EventQueue::run_next() {
-  VEDR_CHECK(!heap_.empty(), "run_next() on an empty event queue (scheduled=", next_seq_, ")");
-  const HeapItem top = heap_.front();
+  VEDR_CHECK(!empty(), "run_next() on an empty event queue (scheduled=", next_seq_, ")");
+  // The earlier of the wheel's first event and the heap's top on (time, seq).
+  const std::uint32_t wheel_head =
+      wheel_size_ != 0 ? buckets_[bucket_of(wheel_first_)].head : kNil;
+  std::uint32_t slot;
+  if (wheel_head != kNil &&
+      (heap_.empty() ||
+       earlier(HeapItem{wheel_first_, slots_[wheel_head].seq, wheel_head}, heap_.front()))) {
+    slot = wheel_head;
+    wheel_unlink(slot);
+  } else {
+    slot = heap_.front().slot;
+    heap_remove(0);
+  }
+  Slot& s = slots_[slot];
+  const Tick at = s.at;
   // Time must never run backwards, and equal-time events must pop in
   // schedule order — the determinism contract every model relies on.
   if (has_popped_) {
-    VEDR_CHECK_GE(top.at, last_pop_time_, "event queue popped out of time order");
-    if (top.at == last_pop_time_) {
-      VEDR_CHECK_GT(top.seq, last_pop_seq_,
-                    "same-tick events popped out of schedule order at t=", top.at);
+    VEDR_CHECK_GE(at, last_pop_time_, "event queue popped out of time order");
+    if (at == last_pop_time_) {
+      VEDR_CHECK_GT(s.seq, last_pop_seq_,
+                    "same-tick events popped out of schedule order at t=", at);
     }
   }
   has_popped_ = true;
-  last_pop_time_ = top.at;
-  last_pop_seq_ = top.seq;
+  last_pop_time_ = at;
+  last_pop_seq_ = s.seq;
 
-  Slot& s = slots_[top.slot];
-  if (s.lane == kNoLane) {
-    heap_remove(0);
-  } else if (Lane& l = lanes_[s.lane]; !l.pending.empty()) {
-    // The lane's next event takes the root: one sift-down, no sift-up.
-    heap_[0] = l.pending.pop_front();
-    --lane_held_;
-    sift_down(0);
-  } else {
-    l.head_in_heap = false;
-    heap_remove(0);
-  }
   const EventKind kind = s.kind;
+  ++pops_[index_of(kind)];
   const EventPayload payload = s.payload;
   std::function<void()> fn;
   if (kind == EventKind::kCallback) fn = std::move(s.fn);
   // Reclaim before dispatch so work scheduled by the handler reuses slots.
-  reclaim_slot(top.slot);
+  reclaim_slot(slot);
 
   switch (kind) {
     case EventKind::kCallback:
@@ -184,7 +229,7 @@ Tick EventQueue::run_next() {
       break;
     }
   }
-  return top.at;
+  return at;
 }
 
 void EventQueue::sift_up(std::size_t pos) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 
@@ -40,22 +41,12 @@ class Simulator {
     return queue_.schedule_event(at < now_ ? now_ : at, kind, payload);
   }
 
-  /// Schedules a typed event `delay` ns from now on FIFO delivery lane
-  /// `lane` (see EventQueue). The lane's times must not decrease: a link
-  /// direction qualifies because its sends happen in clock order and its
-  /// delay is constant. Lane events cannot be cancelled.
-  EventId schedule_lane_event_in(std::uint32_t lane, Tick delay, EventKind kind,
-                                 const EventPayload& payload) {
-    return queue_.schedule_lane_event(lane, now_ + (delay < 0 ? 0 : delay), kind, payload);
-  }
-
-  /// Grows the queue's lane table to `n` lanes.
-  void set_lanes(std::size_t n) { queue_.set_lanes(n); }
-
-  /// Schedule counters of the queue (EventQueue::heap_pushes/lane_appends):
-  /// exact and deterministic, and read by no digest.
+  /// Schedule and pop counters of the queue (EventQueue::heap_pushes and
+  /// pops_by_kind): exact and deterministic, and read by no digest.
   std::uint64_t heap_pushes() const { return queue_.heap_pushes(); }
-  std::uint64_t lane_appends() const { return queue_.lane_appends(); }
+  const std::array<std::uint64_t, kNumEventKinds>& pops_by_kind() const {
+    return queue_.pops_by_kind();
+  }
 
   /// Registers the dispatch handler for a typed kind (idempotent for the
   /// same function; a conflicting registration fails a check).

@@ -4,8 +4,11 @@
 #include "baselines/full_polling.h"
 #include "baselines/hawkeye.h"
 #include "collective/runner.h"
+#include "eval/experiment.h"
+#include "eval/scenario.h"
 #include "net/host.h"
 #include "net/network.h"
+#include "net/routing.h"
 #include "sim/sharded_engine.h"
 
 namespace vedr::baselines {
@@ -132,6 +135,26 @@ TEST(FullPolling, DiagnosesContentionWithoutPolls) {
   EXPECT_TRUE(fp.diagnose().detects_flow(bg));
   EXPECT_EQ(f.net.stats().counter("overhead.poll_bytes"), 0)
       << "full polling pushes reports autonomously, no polling queries";
+}
+
+TEST(FullPolling, ReportsCarryTheSketchBackend) {
+  // Every report leaves a switch through Switch::emit_report, which stamps
+  // the backend, so Full Polling's periodic sweeps mark a sketch-lane
+  // diagnosis exactly like Vedrfolnir's poll reports do.
+  eval::RunConfig cfg;
+  cfg.netcfg.telemetry.backend = net::TelemetryBackend::kSketch;
+  const net::Topology topo = net::make_fat_tree(4, cfg.netcfg);
+  eval::ScenarioParams params;
+  params.scale = 1.0 / 256.0;
+  const eval::ScenarioSpec spec =
+      eval::make_scenario(eval::ScenarioType::kFlowContention, 0, topo,
+                          net::RoutingTable::shortest_paths(topo), params);
+  const eval::CaseResult sketch = eval::run_case(spec, eval::SystemKind::kFullPolling, cfg);
+  EXPECT_GT(sketch.report_count, 0);
+  EXPECT_TRUE(sketch.diagnosis.sketch_lane);
+
+  const eval::CaseResult exact = eval::run_case(spec, eval::SystemKind::kFullPolling, {});
+  EXPECT_FALSE(exact.diagnosis.sketch_lane);
 }
 
 }  // namespace

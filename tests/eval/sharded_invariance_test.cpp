@@ -239,6 +239,24 @@ INSTANTIATE_TEST_SUITE_P(
       return test_name(info.param.type);
     });
 
+// On 7 µs links every packet delivery lands past the event queue's wheel
+// span, so the run's deliveries all ride the overflow heap: this pin covers
+// that path of the engine as the ones above cover the wheel's.
+TEST(PinnedLongLinkDigest, OverflowHeapDeliveriesMatchThePinnedValue) {
+  RunConfig cfg;
+  cfg.netcfg.link_delay = 7 * sim::kMicrosecond;
+  const net::Topology topo = net::make_fat_tree(4, cfg.netcfg);
+  const auto routing = net::RoutingTable::shortest_paths(topo);
+  const ScenarioSpec spec =
+      make_scenario(ScenarioType::kFlowContention, /*case_id=*/0, topo, routing, tiny_params());
+  const std::uint64_t digest = run_case_digest(spec, SystemKind::kVedrfolnir, cfg);
+  EXPECT_EQ(digest, 0x6d7c51e2f29573a0u) << "long-link lane drifted: 0x" << std::hex << digest;
+  const CaseResult r = run_case(spec, SystemKind::kVedrfolnir, cfg);
+  const std::uint64_t deliveries = r.pops_by_kind[sim::index_of(sim::EventKind::kPacketDelivery)];
+  EXPECT_GT(deliveries, 0u);
+  EXPECT_GE(r.heap_pushes, deliveries);
+}
+
 // The baselines' two lanes, pinned the same way (case 0 at 1/256, k = 4).
 // They share Vedrfolnir's ingest wiring, so they run at any shard count.
 struct PinnedBaselineDigests {

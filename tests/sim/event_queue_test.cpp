@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "common/check.h"
@@ -274,68 +275,90 @@ TEST(EventQueue, ManyEventsStressOrdering) {
   EXPECT_TRUE(ordered);
 }
 
-// --- per-link FIFO delivery lanes ----------------------------------------
+// --- timing wheel and overflow heap ---------------------------------------
 
-TEST(EventQueue, LaneEventsKeepGlobalTimeAndScheduleOrder) {
-  // Lane events share the sequence counter with the other paths, so the
-  // (time, seq) order spans lanes, typed events and callbacks alike.
+constexpr Tick kSpan = EventQueue::kWheelSpan;
+
+TEST(EventQueue, WheelAndOverflowKeepGlobalTimeAndScheduleOrder) {
+  // Wheel and heap share the sequence counter, so the (time, seq) order
+  // spans both, typed events and callbacks alike — also when one tick holds
+  // events in both places.
   EventQueue q;
   static std::vector<int>* order_sink = nullptr;
   std::vector<int> order;
   order_sink = &order;
   q.set_handler(EventKind::kPacketDelivery,
                 [](const EventPayload& p) { order_sink->push_back(static_cast<int>(p.a)); });
-  q.set_lanes(2);
-  q.schedule_lane_event(0, 5, EventKind::kPacketDelivery, {nullptr, 0, 0});
-  q.schedule_lane_event(1, 3, EventKind::kPacketDelivery, {nullptr, 1, 0});
-  q.schedule_callback(5, [&] { order.push_back(2); });
-  q.schedule_lane_event(0, 5, EventKind::kPacketDelivery, {nullptr, 3, 0});
-  q.schedule_lane_event(0, 9, EventKind::kPacketDelivery, {nullptr, 4, 0});
-  q.schedule_lane_event(1, 4, EventKind::kPacketDelivery, {nullptr, 5, 0});
+  const Tick far = 2 * kSpan;
+  q.schedule_event(far, EventKind::kPacketDelivery, {nullptr, 0, 0});       // heap
+  q.schedule_event(10, EventKind::kPacketDelivery, {nullptr, 1, 0});        // wheel
+  q.schedule_callback(far, [&] { order.push_back(2); });                    // heap
+  EXPECT_EQ(q.run_next(), 10);
+  q.schedule_event(far - kSpan + 5, EventKind::kPacketDelivery, {nullptr, 3, 0});  // wheel
+  EXPECT_EQ(q.heap_pushes(), 2u);
+  EXPECT_EQ(q.run_next(), far - kSpan + 5);
+  // `far` is now within a span of the last pop: these two join the wheel,
+  // behind the two heap events of the same tick.
+  q.schedule_event(far, EventKind::kPacketDelivery, {nullptr, 4, 0});
+  q.schedule_callback(far, [&] { order.push_back(5); });
+  q.schedule_event(far - 1, EventKind::kPacketDelivery, {nullptr, 6, 0});
+  EXPECT_EQ(q.heap_pushes(), 2u);
   std::vector<Tick> times;
   while (!q.empty()) times.push_back(q.run_next());
-  EXPECT_EQ(order, (std::vector<int>{1, 5, 0, 2, 3, 4}));
-  EXPECT_EQ(times, (std::vector<Tick>{3, 4, 5, 5, 5, 9}));
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 6, 0, 2, 4, 5}));
+  EXPECT_EQ(times, (std::vector<Tick>{far - 1, far, far, far, far}));
 }
 
-TEST(EventQueue, LaneOutOfOrderScheduleFiresCheck) {
+TEST(EventQueue, ScheduleBeforeLastPopFiresCheck) {
+  // A time the wheel has passed would alias a bucket a whole span ahead.
   EventQueue q;
-  q.set_lanes(1);
-  q.schedule_lane_event(0, 10, EventKind::kPacketDelivery, {});
-  q.schedule_lane_event(0, 10, EventKind::kPacketDelivery, {});  // equal time: fine
+  q.schedule_callback(10, [] {});
+  q.run_next();
+  q.schedule_callback(10, [] {});  // the popped tick itself: fine
   common::ScopedThrowOnCheckFailure guard;
-  EXPECT_THROW(q.schedule_lane_event(0, 9, EventKind::kPacketDelivery, {}),
-               common::CheckFailure);
-  EXPECT_EQ(q.size(), 2u) << "a rejected schedule must leave the queue as it was";
+  EXPECT_THROW(q.schedule_callback(9, [] {}), common::CheckFailure);
+  EXPECT_THROW(q.schedule_event(0, EventKind::kPacketDelivery, {}), common::CheckFailure);
+  EXPECT_EQ(q.size(), 1u) << "a rejected schedule must leave the queue as it was";
+  EXPECT_EQ(q.total_scheduled(), 2u);
 }
 
-TEST(EventQueue, LaneOutOfRangeFiresCheck) {
+TEST(EventQueue, CancelReclaimsWheelClosureImmediately) {
+  // The wheel-path twin of CancelReclaimsClosureImmediately: a near event
+  // lives in a bucket, not the heap, and cancel must still free its capture
+  // on the spot — from the head, the middle and the tail of a bucket.
   EventQueue q;
-  q.set_lanes(2);
-  common::ScopedThrowOnCheckFailure guard;
-  EXPECT_THROW(q.schedule_lane_event(2, 1, EventKind::kPacketDelivery, {}),
-               common::CheckFailure);
-}
-
-TEST(EventQueue, CancellingALaneEventFiresCheck) {
-  // Both the lane head (in the heap) and an event waiting behind it.
-  EventQueue q;
-  q.set_lanes(1);
-  const EventId head = q.schedule_lane_event(0, 1, EventKind::kPacketDelivery, {});
-  const EventId behind = q.schedule_lane_event(0, 2, EventKind::kPacketDelivery, {});
-  common::ScopedThrowOnCheckFailure guard;
-  EXPECT_THROW(q.cancel(head), common::CheckFailure);
-  EXPECT_THROW(q.cancel(behind), common::CheckFailure);
+  auto token = std::make_shared<int>(42);
+  std::vector<int> order;
+  const EventId head = q.schedule_callback(7, [token] { (void)*token; });
+  q.schedule_callback(7, [&] { order.push_back(1); });
+  const EventId middle = q.schedule_callback(7, [token] { (void)*token; });
+  q.schedule_callback(7, [&] { order.push_back(3); });
+  const EventId tail = q.schedule_callback(7, [token] { (void)*token; });
+  EXPECT_EQ(q.heap_pushes(), 0u);
+  EXPECT_EQ(token.use_count(), 4);
+  EXPECT_TRUE(q.cancel(middle));
+  EXPECT_TRUE(q.cancel(head));
+  EXPECT_TRUE(q.cancel(tail));
+  EXPECT_EQ(token.use_count(), 1) << "cancelled closures must be destroyed immediately";
   EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), 7);
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  // Emptying the only bucket by cancel leaves an empty wheel.
+  const EventId last = q.schedule_callback(9, [token] { (void)*token; });
+  EXPECT_TRUE(q.cancel(last));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), kNever);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
-TEST(EventQueue, SizeAndEmptyCountEventsHeldInLanes) {
+TEST(EventQueue, SizeAndEmptyCountWheelAndOverflowEvents) {
   EventQueue q;
   q.set_handler(EventKind::kPacketDelivery, [](const EventPayload&) {});
-  q.set_lanes(3);
-  for (Tick t = 1; t <= 4; ++t) q.schedule_lane_event(1, t, EventKind::kPacketDelivery, {});
-  q.schedule_callback(2, [] {});
-  // One lane head and the callback are in the heap; three events wait.
+  for (Tick t = 1; t <= 4; ++t) q.schedule_event(t, EventKind::kPacketDelivery, {});
+  q.schedule_callback(3 * kSpan, [] {});
+  // Four events in the wheel, one in the heap.
+  EXPECT_EQ(q.heap_pushes(), 1u);
   EXPECT_EQ(q.size(), 5u);
   EXPECT_FALSE(q.empty());
   EXPECT_EQ(q.next_time(), 1);
@@ -346,53 +369,71 @@ TEST(EventQueue, SizeAndEmptyCountEventsHeldInLanes) {
   }
   EXPECT_EQ(expect, 0u);
   EXPECT_EQ(q.next_time(), kNever);
-  // A drained lane takes events again, in the heap at first.
-  q.schedule_lane_event(1, 7, EventKind::kPacketDelivery, {});
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.run_next(), 7);
+  // A drained queue takes events again, a tick or a span past the last pop.
+  q.schedule_event(3 * kSpan, EventKind::kPacketDelivery, {});
+  q.schedule_event(4 * kSpan, EventKind::kPacketDelivery, {});
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.heap_pushes(), 2u);
+  EXPECT_EQ(q.run_next(), 3 * kSpan);
+  EXPECT_EQ(q.run_next(), 4 * kSpan);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, HeapPushesAndLaneAppendsPartitionSchedules) {
+TEST(EventQueue, WheelAndOverflowPartitionSchedules) {
+  // heap_pushes() counts exactly the schedules a span or more past the last
+  // popped time; every other schedule went to the wheel.
   EventQueue q;
   q.set_handler(EventKind::kPacketDelivery, [](const EventPayload&) {});
-  q.set_lanes(2);
-  q.schedule_lane_event(0, 1, EventKind::kPacketDelivery, {});  // head: pushed
-  q.schedule_lane_event(0, 2, EventKind::kPacketDelivery, {});  // appended
-  q.schedule_lane_event(0, 3, EventKind::kPacketDelivery, {});  // appended
-  q.schedule_lane_event(1, 1, EventKind::kPacketDelivery, {});  // head: pushed
-  q.schedule_callback(4, [] {});                                // pushed
+  q.schedule_event(0, EventKind::kPacketDelivery, {});              // wheel
+  q.schedule_event(kSpan - 1, EventKind::kPacketDelivery, {});      // wheel
+  q.schedule_event(kSpan, EventKind::kPacketDelivery, {});          // heap
+  q.schedule_callback(10 * kSpan, [] {});                           // heap
+  EXPECT_EQ(q.heap_pushes(), 2u);
+  EXPECT_EQ(q.run_next(), 0);
+  EXPECT_EQ(q.run_next(), kSpan - 1);
+  q.schedule_event(2 * kSpan - 2, EventKind::kPacketDelivery, {});  // wheel
+  q.schedule_event(2 * kSpan - 1, EventKind::kPacketDelivery, {});  // heap
   EXPECT_EQ(q.heap_pushes(), 3u);
-  EXPECT_EQ(q.lane_appends(), 2u);
-  while (!q.empty()) q.run_next();
-  // Refilling the root from a lane is a sift-down, not a push.
-  EXPECT_EQ(q.heap_pushes(), 3u);
-  EXPECT_EQ(q.heap_pushes() + q.lane_appends(), q.total_scheduled());
+
+  // The same rule over a long random run, measured against the last pop.
+  std::mt19937_64 rng(0xC0FFEE);
+  Tick last_pop = q.run_next();
+  std::uint64_t expect = q.heap_pushes();
+  for (int i = 0; i < 20000; ++i) {
+    if (rng() % 3 != 0 || q.empty()) {
+      const Tick at = last_pop + static_cast<Tick>(rng() % (3 * kSpan));
+      if (at - last_pop >= kSpan) ++expect;
+      q.schedule_event(at, EventKind::kPacketDelivery, {});
+    } else {
+      last_pop = q.run_next();
+    }
+  }
+  EXPECT_EQ(q.heap_pushes(), expect);
+  EXPECT_GT(expect, 0u);
+  EXPECT_LT(expect, q.total_scheduled());
 }
 
-TEST(EventQueue, LaneRingsStopGrowingUnderChurn) {
-  // Steady state must reuse ring slots: with at most 3 events outstanding
-  // per lane, the rings never grow past their warm-up size however many
-  // events flow.
+TEST(EventQueue, SlotPoolStaysFlatAcrossWheelWraps) {
+  // Steady state must reuse slots while time wraps the wheel thousands of
+  // times: each round keeps 12 events in flight, a few of them a span or
+  // more ahead, so both the buckets and the heap churn.
   EventQueue q;
   q.set_handler(EventKind::kPacketDelivery, [](const EventPayload&) {});
-  constexpr std::uint32_t kLanes = 4;
-  q.set_lanes(kLanes);
+  constexpr int kSources = 4;
   Tick t = 0;
   auto round = [&] {
-    for (std::uint32_t l = 0; l < kLanes; ++l)
+    for (int src = 0; src < kSources; ++src)
       for (int i = 0; i < 3; ++i)
-        q.schedule_lane_event(l, t + i, EventKind::kPacketDelivery, {});
-    while (!q.empty()) q.run_next();
-    t += 3;
+        q.schedule_event(t + src * 1500 + i * (kSpan / 2), EventKind::kPacketDelivery, {});
+    while (!q.empty()) t = q.run_next();
   };
   round();
-  const std::size_t warm_lanes = q.lane_capacity();
   const std::size_t warm_pool = q.pool_capacity();
-  EXPECT_GT(warm_lanes, 0u);
+  const std::uint64_t warm_pushes = q.heap_pushes();
   for (int i = 0; i < 10000; ++i) round();
-  EXPECT_EQ(q.lane_capacity(), warm_lanes);
+  EXPECT_GT(t, 1000 * kSpan) << "the run must wrap the wheel many times";
   EXPECT_EQ(q.pool_capacity(), warm_pool);
+  EXPECT_GT(q.heap_pushes(), warm_pushes) << "the run never used the overflow heap";
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Randomized model check of the typed-event engine against a naive reference
 // scheduler: thousands of interleaved schedule/cancel/pop operations, driven
 // by a seeded RNG, must produce the identical firing sequence (time AND
-// schedule order) and identical size() at every step, with and without
-// delivery lanes. The reference is a plain sorted vector — too slow to
-// ship, trivially correct.
+// schedule order) and identical size() at every step — for near events in
+// the timing wheel, bursts of same-tick events, and delays that straddle
+// the wheel's span into the overflow heap. The reference is a plain sorted
+// vector — too slow to ship, trivially correct.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <vector>
 
@@ -60,7 +62,14 @@ struct LiveEvent {
   std::uint64_t seq;  ///< reference handle (also its identity in `fired`)
 };
 
-void run_model_check(std::uint64_t seed, int ops) {
+/// Draws how far past the last pop a schedule lands; empty: within 64 ns.
+using DelayFn = std::function<Tick(std::mt19937_64& rng, Tick clock)>;
+
+/// Drives `ops` random operations through the engine and the reference. The
+/// engine's heap_pushes() must count exactly the schedules that landed a
+/// wheel span or more past the last pop; `overflow` (when set) receives it.
+void run_model_check(std::uint64_t seed, int ops, const DelayFn& delay = {},
+                     std::uint64_t* overflow = nullptr) {
   std::mt19937_64 rng(seed);
   EventQueue q;
   ReferenceQueue ref;
@@ -75,12 +84,14 @@ void run_model_check(std::uint64_t seed, int ops) {
 
   std::vector<LiveEvent> live;
   Tick clock = 0;  // times never scheduled before the last pop: keeps the run causal
+  std::uint64_t far = 0;
 
   for (int op = 0; op < ops; ++op) {
     const int dice = static_cast<int>(rng() % 100);
     if (dice < 50 || live.empty()) {
       // Schedule (half typed, half callback — both share the seq counter).
-      const Tick at = clock + static_cast<Tick>(rng() % 64);
+      const Tick at = clock + (delay ? delay(rng, clock) : static_cast<Tick>(rng() % 64));
+      if (at - clock >= EventQueue::kWheelSpan) ++far;
       const std::uint64_t seq = ref.schedule(at);
       EventId id;
       if (rng() % 2 == 0) {
@@ -124,16 +135,17 @@ void run_model_check(std::uint64_t seed, int ops) {
     EXPECT_EQ(fired.back(), ref.pop());
   }
   EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.heap_pushes(), far) << "schedules filed on the wrong side of the wheel span";
+  if (overflow != nullptr) *overflow = far;
 }
 
-/// The same model check with delivery lanes mixed in: each random lane is
-/// fed in non-decreasing time (often at equal times), interleaved with
-/// heap schedules, cancels of heap events and pops. Lane events cannot be
-/// cancelled, so only heap events are cancel candidates.
-void run_lane_model_check(std::uint64_t seed, int ops, std::uint32_t lanes) {
+/// The same model check with bursts of same-tick events mixed in, as a
+/// window's drained handoffs or a switch's fan-out produce them: each burst
+/// puts up to 16 events on one tick (often the current one), interleaved
+/// with single schedules, cancels of any live event and pops.
+void run_burst_model_check(std::uint64_t seed, int ops) {
   std::mt19937_64 rng(seed);
   EventQueue q;
-  q.set_lanes(lanes);
   ReferenceQueue ref;
 
   std::vector<std::uint64_t> fired;
@@ -141,36 +153,30 @@ void run_lane_model_check(std::uint64_t seed, int ops, std::uint32_t lanes) {
   fired_sink = &fired;
   q.set_handler(EventKind::kPacketDelivery,
                 [](const EventPayload& p) { fired_sink->push_back(p.a); });
-  q.set_handler(EventKind::kStepPoll,
-                [](const EventPayload& p) { fired_sink->push_back(p.a); });
 
-  std::vector<LiveEvent> cancellable;
-  std::vector<Tick> lane_last(lanes, 0);
+  std::vector<LiveEvent> live;
   Tick clock = 0;
+  int largest_burst = 0;
 
   for (int op = 0; op < ops; ++op) {
     const int dice = static_cast<int>(rng() % 100);
-    if (dice < 40) {
-      // Lane schedule: never before the lane's previous event or the clock.
-      const auto lane = static_cast<std::uint32_t>(rng() % lanes);
-      const Tick at = std::max(clock, lane_last[lane]) + static_cast<Tick>(rng() % 8);
-      lane_last[lane] = at;
-      const std::uint64_t seq = ref.schedule(at);
-      q.schedule_lane_event(lane, at, EventKind::kPacketDelivery, {nullptr, seq, 0});
-    } else if (dice < 60 || ref.empty()) {
+    if (dice < 8) {
+      const Tick at = clock + static_cast<Tick>(rng() % 4);
+      const int n = 1 + static_cast<int>(rng() % 16);
+      for (int i = 0; i < n; ++i) {
+        const std::uint64_t seq = ref.schedule(at);
+        live.push_back(
+            {q.schedule_event(at, EventKind::kPacketDelivery, {nullptr, seq, 0}), seq});
+      }
+      largest_burst = std::max(largest_burst, n);
+    } else if (dice < 30 || ref.empty()) {
       const Tick at = clock + static_cast<Tick>(rng() % 64);
       const std::uint64_t seq = ref.schedule(at);
-      EventId id;
-      if (rng() % 2 == 0) {
-        id = q.schedule_event(at, EventKind::kStepPoll, {nullptr, seq, 0});
-      } else {
-        id = q.schedule_callback(at, [seq] { fired_sink->push_back(seq); });
-      }
-      cancellable.push_back({id, seq});
-    } else if (dice < 70 && !cancellable.empty()) {
-      const std::size_t pick = rng() % cancellable.size();
-      const LiveEvent ev = cancellable[pick];
-      cancellable.erase(cancellable.begin() + static_cast<std::ptrdiff_t>(pick));
+      live.push_back({q.schedule_callback(at, [seq] { fired_sink->push_back(seq); }), seq});
+    } else if (dice < 45 && !live.empty()) {
+      const std::size_t pick = rng() % live.size();
+      const LiveEvent ev = live[pick];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
       EXPECT_TRUE(q.cancel(ev.id));
       EXPECT_TRUE(ref.cancel(ev.seq));
     } else {
@@ -183,9 +189,9 @@ void run_lane_model_check(std::uint64_t seed, int ops, std::uint32_t lanes) {
       ASSERT_EQ(fired.size(), before + 1);
       ASSERT_EQ(fired.back(), expect_seq)
           << "engine and reference popped different events at t=" << ran_at;
-      cancellable.erase(std::remove_if(cancellable.begin(), cancellable.end(),
-                                       [&](const LiveEvent& e) { return e.seq == expect_seq; }),
-                        cancellable.end());
+      live.erase(std::remove_if(live.begin(), live.end(),
+                                [&](const LiveEvent& e) { return e.seq == expect_seq; }),
+                 live.end());
     }
     ASSERT_EQ(q.size(), ref.size()) << "live-event count diverged after op " << op;
     ASSERT_EQ(q.empty(), ref.empty());
@@ -199,7 +205,7 @@ void run_lane_model_check(std::uint64_t seed, int ops, std::uint32_t lanes) {
     ASSERT_EQ(q.size(), ref.size());
   }
   EXPECT_TRUE(q.empty());
-  EXPECT_GT(q.lane_appends(), 0u) << "the run never held an event behind a lane head";
+  EXPECT_GE(largest_burst, 8) << "the run never stacked a burst on one tick";
 }
 
 TEST(SchedulerModelCheck, ThousandsOfInterleavedOpsMatchReference) {
@@ -210,14 +216,46 @@ TEST(SchedulerModelCheck, MultipleSeeds) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) run_model_check(seed * 7919, 1500);
 }
 
-TEST(SchedulerModelCheck, LanesMatchReference) {
-  run_lane_model_check(/*seed=*/0x1A4E5, /*ops=*/4000, /*lanes=*/6);
+TEST(SchedulerModelCheck, SameTickBurstsMatchReference) {
+  run_burst_model_check(/*seed=*/0x1A4E5, /*ops=*/4000);
 }
 
-TEST(SchedulerModelCheck, LanesMatchReferenceOverSeeds) {
-  // From one lane (every delivery on one wire) to many (mostly idle lanes).
-  for (std::uint64_t seed = 1; seed <= 8; ++seed)
-    run_lane_model_check(seed * 104729, 1500, static_cast<std::uint32_t>(1 + (seed * 5) % 23));
+TEST(SchedulerModelCheck, SameTickBurstsMatchReferenceOverSeeds) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) run_burst_model_check(seed * 104729, 1500);
+}
+
+TEST(SchedulerModelCheck, DelaysStraddlingTheWheelSpanMatchReference) {
+  // One schedule in three lands up to 20,000 ns ahead, mostly past the
+  // wheel's span into the overflow heap. One in six re-uses a tick that an
+  // earlier schedule sent to the heap; once the clock has moved within a
+  // span of it, the re-use joins the wheel, so one tick holds events in both.
+  std::uint64_t overflow = 0;
+  std::uint64_t ties = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    std::vector<Tick> far_ticks;
+    const DelayFn straddling = [&](std::mt19937_64& rng, Tick clock) -> Tick {
+      const auto pick = rng() % 6;
+      if (pick < 2) {
+        const auto d = static_cast<Tick>(rng() % 20'001);
+        if (d >= EventQueue::kWheelSpan) far_ticks.push_back(clock + d);
+        return d;
+      }
+      if (pick == 2 && !far_ticks.empty()) {
+        const Tick t = far_ticks[rng() % far_ticks.size()];
+        if (t >= clock) {
+          if (t - clock < EventQueue::kWheelSpan) ++ties;
+          return t - clock;
+        }
+      }
+      return static_cast<Tick>(rng() % 64);
+    };
+    std::uint64_t n = 0;
+    run_model_check(seed * 0x9E3779B97F4A7C15ull, 20'000, straddling, &n);
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+    overflow += n;
+  }
+  EXPECT_GT(overflow, 10'000u);
+  EXPECT_GT(ties, 1'000u) << "no tick held events in both the wheel and the heap";
 }
 
 TEST(SchedulerModelCheck, SameSeedSameFiringOrder) {
