@@ -10,7 +10,8 @@
 // (recorded collective time) / speedup wall seconds, capped by
 // --max-seconds. Producers bypass the file-tail transport and offer decoded
 // records directly — this bench measures the ingest queue + shard pump +
-// incremental diagnosis plane, not fread.
+// incremental diagnosis plane, not fread. --tenants and --shards each start
+// that many threads and are at most serve::kMaxThreads (256).
 //
 // Gates (exit 1 on violation) with the default lossy policy:
 //   * zero records dropped at the default queue bound,
@@ -113,12 +114,12 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--tenants") {
-      tenants = common::parse_int_or_die("--tenants", next(), 1, INT_MAX);
+      tenants = common::parse_int_or_die("--tenants", next(), 1, serve::kMaxThreads);
     } else if (arg == "--speedup") {
       speedup = common::parse_f64_or_die("--speedup", next());
       if (speedup <= 0) usage(argv[0]);
     } else if (arg == "--shards") {
-      cfg.shards = common::parse_int_or_die("--shards", next(), 1, INT_MAX);
+      cfg.shards = common::parse_int_or_die("--shards", next(), 1, serve::kMaxThreads);
     } else if (arg == "--queue-cap") {
       cfg.session.queue_capacity =
           static_cast<std::size_t>(common::parse_int_or_die("--queue-cap", next(), 1, INT_MAX));

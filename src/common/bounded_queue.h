@@ -40,14 +40,14 @@ struct QueueStats {
 ///                  drop; for transports that must never stall (a live
 ///                  socket whose peer outruns the consumer).
 ///
-/// Producers append to a vector under one mutex (capability-checked). The
-/// consumer never takes the lock per item: take() swaps out everything
-/// queued in one O(1) critical section and hands back the storage of the
-/// batch it took before, so a steady stream allocates nothing. Until the
-/// consumer returns for its next batch, the items of the current one still
-/// count against the capacity: the bound is on everything the owner holds,
-/// so drop and block behaviour under overload are those of a per-item queue.
-/// A producer is woken only when one is blocked.
+/// Producers construct each item in place at the end of a vector under one
+/// mutex (capability-checked). The consumer never takes the lock per item:
+/// take() swaps out everything queued in one O(1) critical section and
+/// hands the queue the vector it passes in. Until the consumer returns for
+/// its next batch, the items of the current one still count against the
+/// capacity: the bound is on everything the owner holds, so drop and block
+/// behaviour under overload are those of a per-item queue. A producer is
+/// woken only when one is blocked.
 template <typename T>
 class BoundedQueue {
  public:
@@ -60,9 +60,11 @@ class BoundedQueue {
 
   std::size_t capacity() const { return capacity_; }
 
-  /// Lossless producer: waits while full. Returns false (item not enqueued)
-  /// only when the queue was closed.
-  bool push(T v) VEDR_EXCLUDES(mu_) {
+  /// Lossless producer: waits while full, then constructs the item from
+  /// `args`. Returns false (nothing constructed, `args` untouched) only when
+  /// the queue was closed.
+  template <typename... Args>
+  bool push(Args&&... args) VEDR_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     if (held() >= capacity_ && !closed_) {
       ++stats_.blocked;
@@ -73,27 +75,31 @@ class BoundedQueue {
       --blocked_producers_;
     }
     if (closed_) return false;
-    append(std::move(v));
+    append(std::forward<Args>(args)...);
     return true;
   }
 
   /// Lossy producer: never blocks. A full queue rejects the item and counts
   /// it in QueueStats::dropped; a closed queue rejects without accounting a
-  /// drop (the stream is over, nothing was lost to capacity).
-  bool try_push(T v) VEDR_EXCLUDES(mu_) {
+  /// drop (the stream is over, nothing was lost to capacity). Nothing is
+  /// constructed from `args` unless the item is accepted.
+  template <typename... Args>
+  bool try_push(Args&&... args) VEDR_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     if (closed_) return false;
     if (held() >= capacity_) {
       ++stats_.dropped;
       return false;
     }
-    append(std::move(v));
+    append(std::forward<Args>(args)...);
     return true;
   }
 
-  /// Consumer: releases `batch` — the items of the previous take, all
-  /// consumed; they are destroyed here, before the lock — and refills it
-  /// with everything queued since, in push order. Returns the number of
+  /// Consumer: releases the previous batch — all consumed — and refills
+  /// `batch` with everything queued since, in push order. Whatever `batch`
+  /// still holds is destroyed here, before the lock; a consumer that must
+  /// not destroy items on its own thread (serve) moves the previous batch
+  /// elsewhere first and passes an empty vector. Returns the number of
   /// items taken; 0 when nothing was queued (after close(), 0 means the
   /// stream is drained). Never blocks.
   std::size_t take(std::vector<T>& batch) VEDR_EXCLUDES(mu_) {
@@ -143,8 +149,9 @@ class BoundedQueue {
  private:
   std::size_t held() const VEDR_REQUIRES(mu_) { return items_.size() + taken_; }
 
-  void append(T&& v) VEDR_REQUIRES(mu_) {
-    items_.push_back(std::move(v));
+  template <typename... Args>
+  void append(Args&&... args) VEDR_REQUIRES(mu_) {
+    items_.emplace_back(std::forward<Args>(args)...);
     ++stats_.pushed;
     if (held() > stats_.high_watermark) stats_.high_watermark = held();
   }

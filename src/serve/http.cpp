@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace vedr::serve {
@@ -13,10 +14,15 @@ namespace {
 
 constexpr int kAcceptPollMs = 200;   ///< stop() latency bound
 constexpr std::size_t kMaxRequestBytes = 8192;
+/// Longest a client may take to send its request, from accept to the blank
+/// line. The listener is single-threaded, so this also bounds how long one
+/// slow client can delay every other scrape.
+constexpr std::chrono::milliseconds kRequestDeadline{1000};
 
 const char* reason_phrase(int status) {
   switch (status) {
     case 200: return "OK";
+    case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
     default: return "Error";
@@ -91,32 +97,39 @@ void HttpListener::serve_loop() {
 
 void HttpListener::handle_client(int fd) {
   // Scrapers send the whole request in one segment in practice, but read
-  // until the header terminator anyway, bounded by poll so a stalled client
-  // cannot wedge the listener.
+  // until the header terminator anyway, within one deadline for the whole
+  // request, so a client trickling bytes cannot wedge the listener.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + kRequestDeadline;
   std::string req;
   while (req.size() < kMaxRequestBytes && req.find("\r\n\r\n") == std::string::npos) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) break;
     pollfd pfd{};
     pfd.fd = fd;
     pfd.events = POLLIN;
-    if (::poll(&pfd, 1, 1000) <= 0) break;
+    if (::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) break;
     char buf[1024];
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n <= 0) break;
     req.append(buf, static_cast<std::size_t>(n));
   }
 
+  // Only the request line counts: "METHOD SP TARGET SP VERSION".
+  const std::string line = req.substr(0, req.find("\r\n"));
   HttpResponse resp;
-  const std::size_t sp1 = req.find(' ');
+  const std::size_t sp1 = line.find(' ');
   const std::size_t sp2 = sp1 == std::string::npos ? std::string::npos
-                                                   : req.find(' ', sp1 + 1);
+                                                   : line.find(' ', sp1 + 1);
   if (sp1 == std::string::npos || sp2 == std::string::npos) {
-    resp.status = 405;
+    resp.status = 400;
     resp.body = "malformed request\n";
-  } else if (req.compare(0, sp1, "GET") != 0) {
+  } else if (line.compare(0, sp1, "GET") != 0) {
     resp.status = 405;
     resp.body = "only GET is supported\n";
   } else {
-    resp = handler_(req.substr(sp1 + 1, sp2 - sp1 - 1));
+    resp = handler_(line.substr(sp1 + 1, sp2 - sp1 - 1));
   }
 
   std::string out = "HTTP/1.0 " + std::to_string(resp.status) + " " +

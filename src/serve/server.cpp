@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "common/check.h"
 #include "obs/flight.h"
 #include "obs/json.h"
 #include "obs/trace.h"  // wall_now_ns
@@ -13,6 +14,17 @@
 #endif
 
 namespace vedr::serve {
+
+void SessionTable::append(std::unique_ptr<Session> s) {
+  const std::uint64_t id = size_.load(std::memory_order_relaxed) + 1;
+  VEDR_CHECK(s->id() == id, "sessions are appended in id order");
+  const int k = segment_of(id);
+  auto& segment = segments_[static_cast<std::size_t>(k)];
+  if (segment == nullptr)
+    segment = std::make_unique<std::unique_ptr<Session>[]>(std::size_t{1} << k);
+  segment[id - (std::uint64_t{1} << k)] = std::move(s);
+  size_.store(id, std::memory_order_release);  // publishes the slot and segment
+}
 
 Server::Server(const ServerConfig& cfg, VerdictSink* sink)
     : cfg_(cfg), sink_(sink), pool_(cfg.shards),
@@ -28,13 +40,13 @@ Server::~Server() { shutdown(); }
 
 std::uint64_t Server::open_session(const std::string& tenant) {
   common::MutexLock lock(mu_);
-  const std::uint64_t id = next_id_++;
+  const std::uint64_t id = sessions_.size() + 1;
   // Shard by id, not tenant hash: ids are dense, so sessions spread evenly.
   const std::size_t shard = static_cast<std::size_t>(id) %
                             static_cast<std::size_t>(pool_.shards());
-  auto s = std::make_unique<Session>(id, tenant, shard, cfg_.session);
+  auto s = std::make_unique<Session>(id, tenant, shard, cfg_.session, spent_);
   s->set_live_metrics(&live_, &tail_);
-  sessions_.emplace(id, std::move(s));
+  sessions_.append(std::move(s));
   ++open_count_;
   stats_.add_counter("serve.sessions_opened");
   obs::flight_record("session", "open id=%llu tenant=%s shard=%zu",
@@ -42,27 +54,24 @@ std::uint64_t Server::open_session(const std::string& tenant) {
   return id;
 }
 
-Session* Server::find_session(std::uint64_t sid) const {
-  common::MutexLock lock(mu_);
-  const auto it = sessions_.find(sid);
-  return it == sessions_.end() ? nullptr : it->second.get();
-}
-
 bool Server::offer(std::uint64_t sid, replay::TraceRecord rec, std::uint64_t offset) {
   Session* s = find_session(sid);
-  if (s == nullptr) return false;
-  // offer() may block on backpressure — never under mu_.
-  const bool accepted = s->offer(std::move(rec), offset);
-  schedule_pump(s);  // even a drop warrants a pump: the queue is full
+  bool accepted = false;
+  if (s != nullptr) {
+    accepted = s->offer(std::move(rec), offset);
+    schedule_pump(s);  // even a drop warrants a pump: the queue is full
+  }
+  spent_.release();  // while the worker ingests what was just queued
   return accepted;
 }
 
 void Server::close_session(std::uint64_t sid, const replay::TraceError& error,
                            std::uint64_t bytes) {
-  Session* s = find_session(sid);
-  if (s == nullptr) return;
-  s->close_input(error, bytes);
-  schedule_pump(s);  // the finalizing pump
+  if (Session* s = find_session(sid); s != nullptr) {
+    s->close_input(error, bytes);
+    schedule_pump(s);  // the finalizing pump
+  }
+  spent_.release();
 }
 
 void Server::schedule_pump(Session* s) {
@@ -77,8 +86,11 @@ void Server::pump_task(Session* s) {
   s->pump_pending().store(false, std::memory_order_release);
   const PumpResult r = s->pump(*sink_, stats_);
   if (r == PumpResult::kFinishedNow) {
+    // The last session to finish destroys what no producer may come back
+    // for: records of finished sessions only. It holds mu_ until they are
+    // gone, so no session opens while a shard worker frees records.
     common::MutexLock lock(mu_);
-    --open_count_;
+    if (--open_count_ == 0) spent_.release();
     finished_cv_.notify_all();
   } else if (r == PumpResult::kMore) {
     schedule_pump(s);  // batch limit hit with records still queued
@@ -102,9 +114,9 @@ void Server::shutdown() {
     shutdown_ = true;
     // Release producers blocked on full queues; queued items stay poppable,
     // so the drain below still ingests everything already accepted.
-    for (auto& [id, s] : sessions_) s->abort_queue();
+    for (std::uint64_t id = 1; id <= sessions_.size(); ++id) sessions_.find(id)->abort_queue();
   }
-  // Stop the roller outside mu_ — it may be inside poll_windows() holding it.
+  // Stop the roller outside mu_ (a join never needs the lock).
   {
     common::MutexLock lock(roller_mu_);
     roller_stop_ = true;
@@ -113,6 +125,7 @@ void Server::shutdown() {
   if (roller_.joinable()) roller_.join();
   pool_.drain();
   pool_.stop();
+  spent_.release();  // the workers are gone: nothing parks after this
 }
 
 void Server::roller_loop() {
@@ -130,17 +143,18 @@ void Server::roller_loop() {
 
 void Server::poll_windows() {
   const std::uint64_t now = obs::wall_now_ns();
-  common::MutexLock lock(mu_);
-  for (const auto& [id, s] : sessions_) {
+  const std::uint64_t n = sessions_.size();
+  for (std::uint64_t id = 1; id <= n; ++id) {
+    Session* s = sessions_.find(id);
     // Drop deltas first (a session can drop and finish between two ticks).
     const std::uint64_t dropped = s->queue_stats().dropped;
-    std::uint64_t& last = last_dropped_[id];
+    const std::uint64_t last = s->rolled_drops().load(std::memory_order_relaxed);
     if (dropped > last) {
       obs::flight_record("queue", "dropped %llu records: session=%llu tenant=%s total=%llu",
                          static_cast<unsigned long long>(dropped - last),
                          static_cast<unsigned long long>(id), s->tenant().c_str(),
                          static_cast<unsigned long long>(dropped));
-      last = dropped;
+      s->rolled_drops().store(dropped, std::memory_order_relaxed);
     }
     if (s->state() != SessionState::kActive) continue;  // finished queues are empty
     const std::size_t cap = s->config().queue_capacity;
@@ -169,8 +183,9 @@ obs::MetricsSnapshot Server::metrics_snapshot() const {
   std::uint64_t depth = 0, high_watermark = 0, frames = 0, verdicts = 0;
   std::int64_t total = 0, active = 0, sketch_sessions = 0;
   {
-    common::MutexLock lock(mu_);
-    for (const auto& [id, s] : sessions_) {
+    const std::uint64_t n = sessions_.size();
+    for (std::uint64_t id = 1; id <= n; ++id) {
+      const Session* s = sessions_.find(id);
       const common::QueueStats q = s->queue_stats();
       pushed += q.pushed;
       popped += q.popped;
@@ -193,6 +208,7 @@ obs::MetricsSnapshot Server::metrics_snapshot() const {
   snap.counters["serve.queue_blocked"] = static_cast<std::int64_t>(blocked);
   snap.counters["serve.queue_depth"] = static_cast<std::int64_t>(depth);
   snap.counters["serve.queue_high_watermark"] = static_cast<std::int64_t>(high_watermark);
+  snap.counters["serve.queue_spent"] = static_cast<std::int64_t>(spent_.size());
   snap.counters["serve.frames_ingested"] = static_cast<std::int64_t>(frames);
   snap.counters["serve.verdicts_emitted"] = static_cast<std::int64_t>(verdicts);
   snap.counters["serve.telemetry_sketch_sessions"] = sketch_sessions;
@@ -219,8 +235,9 @@ std::string Server::sessions_json() const {
   w.begin_object();
   w.key("sessions");
   w.begin_array();
-  common::MutexLock lock(mu_);
-  for (const auto& [id, s] : sessions_) {
+  const std::uint64_t n = sessions_.size();
+  for (std::uint64_t id = 1; id <= n; ++id) {
+    const Session* s = sessions_.find(id);
     const common::QueueStats q = s->queue_stats();
     const SessionState st = s->state();
     w.begin_object();

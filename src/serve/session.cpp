@@ -19,6 +19,11 @@ const char* to_string(SessionState s) {
 
 PumpResult Session::pump(VerdictSink& sink, sim::StatsRegistry& stats) {
   if (state() != SessionState::kActive) return PumpResult::kIdle;
+  if (collector_ == nullptr) {
+    collector_ = std::make_unique<replay::StreamingCollector>();
+    if (cfg_.telemetry.backend == net::TelemetryBackend::kSketch)
+      collector_->set_telemetry(cfg_.telemetry);
+  }
   // Read before taking: every record offered before close_input() is then
   // in a batch taken below, so a closed input finalizes only a session that
   // has ingested all of it.
@@ -29,6 +34,9 @@ PumpResult Session::pump(VerdictSink& sink, sim::StatsRegistry& stats) {
   while (n < cfg_.pump_batch) {
     if (next_ == batch_.size()) {
       next_ = 0;
+      // The used-up batch goes to a producer to destroy; the take below
+      // then finds batch_ empty and destroys nothing on this thread.
+      spent_.park(std::move(batch_));
       if (queue_.take(batch_) == 0) {
         drained = true;
         break;
@@ -169,17 +177,17 @@ void Session::finish(VerdictSink& sink, sim::StatsRegistry& stats) {
                       collector_->stats().counter("replay.sketched_reports"));
 
   // Free what only ingest needed — the analyzer's graphs, records and intern
-  // tables, the spent batch, the queue's storage — before the state store,
-  // so a finished session holds only its counters. The closed queue refuses
-  // a late offer() without touching any of it; the last take() releases the
-  // spent batch into QueueStats::popped and moves the queue's storage out.
-  // (Swapping with an empty vector frees the storage; `v = {}` would keep it.)
+  // tables — before the state store, so a finished session holds only its
+  // counters. The closed queue refuses a late offer(); the last take()
+  // releases the batch into QueueStats::popped and moves out whatever a
+  // producer offered after the footer. Records, both batches and their
+  // storage go to the spent list, never to this thread's destructor.
   collector_.reset();
   queue_.close();
-  std::vector<IngestItem>().swap(batch_);
+  spent_.park(std::move(batch_));
   next_ = 0;
   queue_.take(batch_);
-  std::vector<IngestItem>().swap(batch_);
+  spent_.park(std::move(batch_));
 
   digest_matched_.store(r.digest_matches, std::memory_order_release);
   final_error_ = err;

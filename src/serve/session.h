@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bounded_queue.h"
+#include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "replay/collector.h"
 #include "replay/trace_reader.h"
@@ -48,6 +50,67 @@ struct SessionConfig {
   net::TelemetryParams telemetry;
 };
 
+/// One offered record in a session's queue: the record and the byte offset
+/// of its frame in the transport stream.
+struct IngestItem {
+  IngestItem(replay::TraceRecord&& r, std::uint64_t off) : rec(std::move(r)), offset(off) {}
+
+  replay::TraceRecord rec;
+  std::uint64_t offset = 0;
+};
+
+/// Records the shard workers are done with, waiting for a producer thread
+/// to destroy them. A record is allocated on the producer thread that
+/// decodes it; freed by the worker that ingested it, each of its blocks
+/// would go back to the producer's malloc arena from another thread, and
+/// the producer's per-thread cache would never see it again. So the worker
+/// parks each used-up batch here, and the next producer call
+/// (Server::offer, close_session) releases the whole list on its own
+/// thread. With several producers, that may be another producer's thread:
+/// the records still never cost a shard worker a free.
+///
+/// One per Server, shared by all its sessions, because a burst-fed tenant
+/// offers its whole stream and never calls again: a per-queue list would
+/// leave most of that stream to be freed by the worker. Only two callers
+/// release the list off a producer thread: the worker that finishes the
+/// last open session, holding the server's mutex so that no session can
+/// open meanwhile, and shutdown().
+class SpentRecords {
+ public:
+  using Batch = std::vector<IngestItem>;
+
+  /// Shard worker: parks a used-up batch (records and storage) in O(1),
+  /// leaving `batch` empty. An empty batch is not parked.
+  void park(Batch&& batch) VEDR_EXCLUDES(mu_) {
+    if (batch.empty()) return;
+    const std::size_t n = batch.size();
+    common::MutexLock lock(mu_);
+    batches_.push_back(std::move(batch));
+    records_.store(records_.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
+
+  /// Destroys everything parked, on the caller's thread: swaps the whole
+  /// list out in O(1) under the lock (takes no lock when nothing is
+  /// parked) and destroys it after unlocking.
+  void release() VEDR_EXCLUDES(mu_) {
+    if (records_.load(std::memory_order_relaxed) == 0) return;
+    std::vector<Batch> spent;  // declared before the lock: destroyed after unlocking
+    common::MutexLock lock(mu_);
+    spent.swap(batches_);
+    records_.store(0, std::memory_order_relaxed);
+  }
+
+  /// Records parked and not yet destroyed (serve.queue_spent).
+  std::size_t size() const { return records_.load(std::memory_order_relaxed); }
+
+ private:
+  common::Mutex mu_;
+  std::vector<Batch> batches_ VEDR_GUARDED_BY(mu_);
+  /// Written under mu_, read without it by release()'s fast path and by
+  /// metrics snapshots.
+  std::atomic<std::size_t> records_{0};
+};
+
 /// What one pump() call accomplished — the server's scheduler keys off this.
 enum class PumpResult : std::uint8_t {
   kIdle,         ///< nothing to do (drained, stream still open)
@@ -61,19 +124,19 @@ enum class PumpResult : std::uint8_t {
 /// diagnosis, verdict emission — must only run on the session's shard worker
 /// (the collector and analyzer underneath are VEDR_SINGLE_THREADED; the
 /// server's per-shard FIFO provides the confinement). The worker takes
-/// records from the queue in batches and ingests them with no lock held. A
-/// finished session frees its collector and buffers and keeps only what
-/// the snapshot surface reads: the atomics below (/sessions, /metrics) and
-/// the queue's counters.
+/// records from the queue in batches, ingests them with no lock held, and
+/// parks each used-up batch in `spent` for a producer to destroy. The
+/// collector is built by the first pump, on the worker. A finished session
+/// frees its collector and keeps only what the snapshot surface reads: the
+/// atomics below (/sessions, /metrics) and the queue's counters.
 class Session {
  public:
-  Session(std::uint64_t id, std::string tenant, std::size_t shard, const SessionConfig& cfg)
+  /// Used-up batches are parked in `spent` (the server's), which must
+  /// outlive the session.
+  Session(std::uint64_t id, std::string tenant, std::size_t shard, const SessionConfig& cfg,
+          SpentRecords& spent)
       : id_(id), tenant_(std::move(tenant)), shard_(shard), cfg_(cfg),
-        queue_(cfg.queue_capacity),
-        collector_(std::make_unique<replay::StreamingCollector>()) {
-    if (cfg_.telemetry.backend == net::TelemetryBackend::kSketch)
-      collector_->set_telemetry(cfg_.telemetry);
-  }
+        queue_(cfg.queue_capacity), spent_(spent) {}
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -86,15 +149,13 @@ class Session {
   // --- producer side (any thread) -------------------------------------------
 
   /// Enqueues one decoded record (read at byte `offset` of the transport
-  /// stream). kBlock: waits for space, false only if the queue was aborted.
-  /// kDropNewest: false means the record was dropped (accounted in
-  /// queue_stats().dropped). A finished session refuses every offer.
-  bool offer(replay::TraceRecord rec, std::uint64_t offset) {
-    IngestItem item;
-    item.rec = std::move(rec);
-    item.offset = offset;
-    return cfg_.policy == OverflowPolicy::kBlock ? queue_.push(std::move(item))
-                                                 : queue_.try_push(std::move(item));
+  /// stream), constructing it in the queue. kBlock: waits for space, false
+  /// only if the queue was aborted. kDropNewest: false means the record was
+  /// dropped (accounted in queue_stats().dropped). A finished session
+  /// refuses every offer. A refused record stays with the caller.
+  bool offer(replay::TraceRecord&& rec, std::uint64_t offset) {
+    return cfg_.policy == OverflowPolicy::kBlock ? queue_.push(std::move(rec), offset)
+                                                 : queue_.try_push(std::move(rec), offset);
   }
 
   /// The transport is done (footer delivered, stream error, or shutdown).
@@ -150,12 +211,11 @@ class Session {
     tail_ = tail;
   }
 
- private:
-  struct IngestItem {
-    replay::TraceRecord rec;
-    std::uint64_t offset = 0;
-  };
+  /// The window roller's drop count at its previous tick, so it reports
+  /// each drop once (only Server::poll_windows reads or writes it).
+  std::atomic<std::uint64_t>& rolled_drops() { return rolled_drops_; }
 
+ private:
   /// Re-diagnoses and emits one verdict line per newly closed step. A step s
   /// is closed once a record for a later step arrived (collective steps are
   /// emitted in order) or the footer ended the stream; pump() calls this
@@ -163,8 +223,8 @@ class Session {
   /// over every record up to and including the one that closed it.
   void emit_step_verdicts(VerdictSink& sink, sim::StatsRegistry& stats);
   /// Final diagnosis + digest verification + final verdict line; frees the
-  /// collector, the batch and the queue's storage, then moves the session
-  /// to kFinished/kError. Runs exactly once.
+  /// collector, parks what the queue still holds, then moves the session to
+  /// kFinished/kError. Runs exactly once.
   void finish(VerdictSink& sink, sim::StatsRegistry& stats);
 
   const std::uint64_t id_;
@@ -173,10 +233,12 @@ class Session {
   const SessionConfig cfg_;
 
   common::BoundedQueue<IngestItem> queue_;
+  SpentRecords& spent_;
 
   // Shard-confined (pump() only).
-  std::unique_ptr<replay::StreamingCollector> collector_;  ///< null once finished
-  std::vector<IngestItem> batch_;  ///< the records of the last take()
+  /// Built by the first pump, null again once finished.
+  std::unique_ptr<replay::StreamingCollector> collector_;
+  SpentRecords::Batch batch_;      ///< the records of the last take()
   std::size_t next_ = 0;           ///< first record of batch_ not yet ingested
   int last_closed_step_ = -1;
   std::uint64_t bytes_seen_ = 0;
@@ -199,6 +261,7 @@ class Session {
   std::atomic<int> steps_closed_{-1};
   std::atomic<std::uint64_t> verdicts_{0};
   std::atomic<bool> pump_pending_{false};
+  std::atomic<std::uint64_t> rolled_drops_{0};
 };
 
 }  // namespace vedr::serve

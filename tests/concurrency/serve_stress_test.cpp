@@ -229,13 +229,112 @@ TEST(ServeStress, ProducersAtCapacityWhilePumpsTakeBatches) {
   lossy_server.shutdown();
 }
 
+TEST(ServeStress, SessionTableGrowsWhileProducersOfferAndScrapersWalk) {
+  // Producers stream corpus traces while churn threads open and close
+  // short-lived sessions, so the lock-free session table grows (and
+  // allocates segments) under every reader: the producers' own lookups in
+  // offer(), the window roller, /sessions and /metrics scrapes, and
+  // find_session() probes past the end of the table.
+  const std::vector<std::string> names = {"contention", "incast", "storm",
+                                          "backpressure"};
+  std::vector<DecodedTrace> corpus;
+  corpus.reserve(names.size());
+  for (const auto& n : names) corpus.push_back(decode(n));
+
+  CountingSink sink;
+  serve::ServerConfig cfg;
+  cfg.shards = 2;
+  cfg.session.queue_capacity = 32;
+  cfg.roll_interval_ns = 1'000'000;  // the roller walks the table every millisecond
+  serve::Server server(cfg, &sink);
+
+  constexpr int kProducers = 3;
+  constexpr int kChurners = 2;
+  constexpr int kChurnSessions = 150;
+  std::vector<std::vector<std::uint64_t>> streamed(kProducers);
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&server, &corpus, &streamed, p] {
+      for (std::size_t k = 0; k < 2; ++k) {
+        const DecodedTrace& trace = corpus[(static_cast<std::size_t>(p) + k) % corpus.size()];
+        const std::uint64_t sid = server.open_session("stream-" + std::to_string(p));
+        streamed[static_cast<std::size_t>(p)].push_back(sid);
+        for (const auto& [rec, offset] : trace.records)
+          ASSERT_TRUE(server.offer(sid, rec, offset));
+        server.close_session(sid, replay::TraceError{}, trace.bytes);
+      }
+    });
+  }
+  for (int c = 0; c < kChurners; ++c) {
+    threads.emplace_back([&server, &corpus, c] {
+      for (int i = 0; i < kChurnSessions; ++i) {
+        const std::uint64_t sid = server.open_session("churn-" + std::to_string(c));
+        // An envelope, then the transport gives up: the session ends in error.
+        const auto& [rec, offset] = corpus[0].records.front();
+        EXPECT_TRUE(server.offer(sid, rec, offset));
+        server.close_session(sid,
+                             replay::TraceError{replay::TraceStatus::kIoError, offset, "gone"},
+                             offset);
+      }
+    });
+  }
+
+  std::atomic<bool> stop{false};
+  std::thread scraper([&server, &stop] {
+    std::uint64_t probe = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::string sessions = server.sessions_json();
+      EXPECT_NE(sessions.find("\"sessions\":["), std::string::npos);
+      const obs::MetricsSnapshot snap = server.metrics_snapshot();
+      EXPECT_GE(snap.counters.at("serve.queue_spent"), 0);
+      // Ids past the end are unknown, never a torn read.
+      const serve::Session* s = server.find_session(++probe % 1024);
+      if (s != nullptr) {
+        EXPECT_EQ(s->id(), probe % 1024);
+        const common::QueueStats q = s->queue_stats();
+        EXPECT_EQ(q.pushed, q.popped + q.size);
+      }
+      std::this_thread::yield();
+    }
+  });
+
+  for (auto& t : threads) t.join();
+  server.wait_all_finished();
+  stop.store(true, std::memory_order_release);
+  scraper.join();
+
+  const std::uint64_t total = kProducers * 2 + kChurners * kChurnSessions;
+  for (const auto& sids : streamed) {
+    for (const std::uint64_t sid : sids) {
+      const serve::Session* s = server.find_session(sid);
+      ASSERT_NE(s, nullptr);
+      EXPECT_EQ(s->state(), serve::SessionState::kFinished);
+      EXPECT_TRUE(s->digest_matched());
+    }
+  }
+  for (std::uint64_t id = 1; id <= total; ++id) {
+    const serve::Session* s = server.find_session(id);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->id(), id);
+    EXPECT_NE(s->state(), serve::SessionState::kActive);
+  }
+  EXPECT_EQ(server.find_session(total + 1), nullptr);
+  const obs::MetricsSnapshot snap = server.metrics_snapshot();
+  EXPECT_EQ(snap.counters.at("serve.sessions_total"), static_cast<std::int64_t>(total));
+  EXPECT_EQ(snap.counters.at("serve.sessions_open"), 0);
+  EXPECT_EQ(snap.counters.at("serve.queue_pushed"), snap.counters.at("serve.queue_popped"));
+  EXPECT_EQ(snap.counters.at("serve.queue_spent"), 0);  // no session open: nothing parked
+  server.shutdown();
+}
+
 TEST(ServeStress, ShutdownReleasesBlockedProducers) {
   // A producer wedged on a full queue (consumerless: no pump will ever run
   // because we never schedule one — we drive the Session directly) must be
   // released by shutdown's queue abort.
   serve::SessionConfig cfg;
   cfg.queue_capacity = 1;
-  serve::Session session(1, "wedged", 0, cfg);
+  serve::SpentRecords spent;
+  serve::Session session(1, "wedged", 0, cfg, spent);
   ASSERT_TRUE(session.offer(replay::TraceRecord{}, 0));
   std::thread producer([&session] {
     EXPECT_FALSE(session.offer(replay::TraceRecord{}, 1));  // blocks, then aborted

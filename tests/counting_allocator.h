@@ -7,32 +7,19 @@
 // default). Count between `g_allocs.store(0); g_counting.store(true);` and
 // `g_counting.store(false);`.
 //
-// The override must not exist under sanitizers: their runtimes interpose the
-// allocator themselves, and an interposed allocator changes what "an
-// allocation" is (ASan's quarantine, TSan's shadow). There kSanitized is
-// true and nothing is counted; tests skip their bound but still run.
+// The override does not exist under sanitizers (alloc_override.h): there
+// kSanitized is true and nothing is counted; tests skip their bound but
+// still run.
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define VEDR_ALLOC_OVERRIDE 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define VEDR_ALLOC_OVERRIDE 0
-#else
-#define VEDR_ALLOC_OVERRIDE 1
-#endif
-#else
-#define VEDR_ALLOC_OVERRIDE 1
-#endif
+#include "alloc_override.h"
 
 inline std::atomic<bool> g_counting{false};
 inline std::atomic<std::uint64_t> g_allocs{0};
-constexpr bool kSanitized = VEDR_ALLOC_OVERRIDE == 0;
 
 #if VEDR_ALLOC_OVERRIDE
 // Every replacement is out of line. Inlined into an allocation site, GCC's

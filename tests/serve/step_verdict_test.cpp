@@ -85,9 +85,10 @@ PumpResult pump_until_idle(Session& s, VerdictSink& sink, sim::StatsRegistry& st
 std::vector<std::string> lines_pumped_per_record(const DecodedTrace& t) {
   CaptureSink sink;
   sim::StatsRegistry stats;
-  Session s(kFirstSessionId, "tenant", 0, SessionConfig{});
+  SpentRecords spent;
+  Session s(kFirstSessionId, "tenant", 0, SessionConfig{}, spent);
   for (const auto& [rec, offset] : t.records) {
-    EXPECT_TRUE(s.offer(rec, offset));
+    EXPECT_TRUE(s.offer(replay::TraceRecord(rec), offset));
     pump_until_idle(s, sink, stats);
   }
   s.close_input(replay::TraceError{}, t.bytes);
@@ -103,8 +104,10 @@ std::vector<std::string> lines_pumped_after_queueing(const DecodedTrace& t) {
   sim::StatsRegistry stats;
   SessionConfig cfg;
   cfg.queue_capacity = t.records.size();
-  Session s(kFirstSessionId, "tenant", 0, cfg);
-  for (const auto& [rec, offset] : t.records) EXPECT_TRUE(s.offer(rec, offset));
+  SpentRecords spent;
+  Session s(kFirstSessionId, "tenant", 0, cfg, spent);
+  for (const auto& [rec, offset] : t.records)
+    EXPECT_TRUE(s.offer(replay::TraceRecord(rec), offset));
   s.close_input(replay::TraceError{}, t.bytes);
   while (s.state() == SessionState::kActive) s.pump(sink, stats);
   EXPECT_EQ(s.state(), SessionState::kFinished);
@@ -153,9 +156,10 @@ TEST(StepVerdicts, FinishedSessionFreesItsBuffersAndRefusesLateOffers) {
   sim::StatsRegistry stats;
   SessionConfig cfg;
   cfg.queue_capacity = 64;
-  Session s(kFirstSessionId, "tenant", 0, cfg);
+  SpentRecords spent;
+  Session s(kFirstSessionId, "tenant", 0, cfg, spent);
   for (const auto& [rec, offset] : t.records) {
-    ASSERT_TRUE(s.offer(rec, offset));
+    ASSERT_TRUE(s.offer(replay::TraceRecord(rec), offset));
     if (s.queue_stats().size == cfg.queue_capacity) pump_until_idle(s, sink, stats);
   }
   pump_until_idle(s, sink, stats);
@@ -168,9 +172,14 @@ TEST(StepVerdicts, FinishedSessionFreesItsBuffersAndRefusesLateOffers) {
   EXPECT_EQ(q.popped, q.pushed);
   EXPECT_EQ(q.size, 0u);
   EXPECT_EQ(s.frames_ingested(), t.records.size());
+  // The session holds none of its records: each was parked for a producer
+  // thread to destroy.
+  EXPECT_EQ(spent.size(), t.records.size());
+  spent.release();
+  EXPECT_EQ(spent.size(), 0u);
 
   // A late offer is refused by the closed queue; a late pump does nothing.
-  EXPECT_FALSE(s.offer(t.records.front().first, 0));
+  EXPECT_FALSE(s.offer(replay::TraceRecord(t.records.front().first), 0));
   EXPECT_EQ(s.pump(sink, stats), PumpResult::kIdle);
   EXPECT_EQ(s.queue_stats().pushed, t.records.size());
   EXPECT_EQ(s.queue_stats().dropped, 0u);

@@ -18,6 +18,8 @@
 // the in-process flight recorder as JSON, and SIGQUIT dumps the same ring to
 // stderr without shutting down.
 //
+// --shards is at most serve::kMaxThreads (256): each shard is a thread.
+//
 // --policy block (default) applies lossless backpressure to the tailer when
 // a session queue fills; drop sheds newest records instead (accounted in
 // serve.queue_dropped). --oneshot exits once every followed stream reached
@@ -107,7 +109,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--port-file") {
       port_file = next();
     } else if (arg == "--shards") {
-      cfg.shards = common::parse_int_or_die("--shards", next(), 1, INT_MAX);
+      cfg.shards = common::parse_int_or_die("--shards", next(), 1, serve::kMaxThreads);
     } else if (arg == "--queue-cap") {
       cfg.session.queue_capacity =
           static_cast<std::size_t>(common::parse_int_or_die("--queue-cap", next(), 1, INT_MAX));
