@@ -16,17 +16,14 @@ struct DetectionConfig {
   double rtt_multiplier = 1.2;   ///< threshold = multiplier * base RTT
   int detections_per_step = 3;   ///< trigger budget per step (Fig. 5)
   bool adaptive_transfer = true; ///< notification-packet budget transfer (Fig. 7)
-  bool step_aware_rtt = true;    ///< recompute thresholds per step from topology
   Tick fixed_rtt_threshold = 0;  ///< >0: ablation override (Fig. 13a)
   bool unrestricted = false;     ///< ablation: Hawkeye-like unlimited triggering
-  Tick min_spacing_floor = 10 * sim::kMicrosecond;
 
   /// Stalled-flow watchdog (§V): when an active step produces no ACKs for
   /// this long — the signature of full PFC halts, storms, and deadlocks,
   /// where RTT-based triggering is blind because nothing is flowing — an
   /// investigation fires immediately, outside the RTT budget. 0 disables.
   Tick stall_timeout = 1 * sim::kMillisecond;
-  int max_watchdog_polls_per_step = 3;
 };
 
 /// Per-step trigger state: enforces the detection budget and the

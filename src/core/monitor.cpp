@@ -11,6 +11,15 @@ namespace vedr::core {
 
 namespace {
 
+/// Floor of a step's even-spread trigger interval: detections at least this
+/// far apart even when the estimated FCT is tiny, so one burst of late ACKs
+/// cannot spend the whole budget at once.
+constexpr Tick kMinSpacingFloor = 10 * sim::kMicrosecond;
+
+/// Watchdog investigations per step: past this, a permanently deadlocked
+/// collective generates no further watchdog traffic.
+constexpr int kMaxWatchdogPollsPerStep = 3;
+
 void on_step_poll(const sim::EventPayload& p) {
   static_cast<Monitor*>(p.obj)->watchdog_check(p.a);
 }
@@ -33,20 +42,14 @@ void Monitor::on_step_start(const collective::StepRecord& r) {
   // Step-grained threshold: recomputed from topology before each step
   // initiation, so path changes (e.g. Halving-and-Doubling partners) get a
   // correct baseline rather than a stale global constant (§III-C2).
-  Tick threshold;
-  if (cfg_.fixed_rtt_threshold > 0) {
-    threshold = cfg_.fixed_rtt_threshold;
-  } else if (cfg_.step_aware_rtt) {
-    threshold = static_cast<Tick>(static_cast<double>(net_.base_rtt(r.key)) * cfg_.rtt_multiplier);
-  } else {
-    // Non-step-aware ablation: the step-0 path's RTT forever.
-    threshold = static_cast<Tick>(
-        static_cast<double>(net_.base_rtt(plan_.key_for(flow_index_, 0))) * cfg_.rtt_multiplier);
-  }
+  const Tick threshold =
+      cfg_.fixed_rtt_threshold > 0
+          ? cfg_.fixed_rtt_threshold
+          : static_cast<Tick>(static_cast<double>(net_.base_rtt(r.key)) * cfg_.rtt_multiplier);
 
   trigger_.begin_step(net_.sim().now(), threshold, r.expected_duration,
                       cfg_.detections_per_step + carried_budget_, cfg_.unrestricted,
-                      cfg_.min_spacing_floor);
+                      kMinSpacingFloor);
   carried_budget_ = 0;
   last_activity_ = net_.sim().now();
   watchdog_polls_this_step_ = 0;
@@ -76,7 +79,7 @@ void Monitor::watchdog_check(std::uint64_t generation) {
   }
   // Stop re-arming once the per-step cap is reached so a permanently
   // deadlocked collective cannot generate unbounded watchdog traffic.
-  if (watchdog_polls_this_step_ < cfg_.max_watchdog_polls_per_step) arm_watchdog();
+  if (watchdog_polls_this_step_ < kMaxWatchdogPollsPerStep) arm_watchdog();
 }
 
 void Monitor::on_step_complete(const collective::StepRecord& r) {

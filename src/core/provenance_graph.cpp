@@ -58,11 +58,6 @@ const ProvenanceGraph::PortCell* ProvenanceGraph::cell_of_gid(std::uint32_t gid)
   return idx < 0 ? nullptr : &cells_[static_cast<std::size_t>(idx)];
 }
 
-const ProvenanceGraph::PortCell* ProvenanceGraph::cell_of(const PortRef& p) const {
-  const std::uint32_t gid = tables_->ports.find(p);
-  return gid == PortInterner::kNone ? nullptr : cell_of_gid(gid);
-}
-
 std::int32_t ProvenanceGraph::pfc_node_of(std::uint32_t gid) const {
   return gid < pfc_node_idx_.size() ? pfc_node_idx_[gid] : -1;
 }
@@ -203,13 +198,6 @@ void ProvenanceGraph::reset() {
   waited_row_.clear();
 }
 
-std::vector<telemetry::DropEntry> ProvenanceGraph::drops_of(const FlowKey& f) const {
-  std::vector<telemetry::DropEntry> out;
-  for (const auto& d : drops_)
-    if (d.flow == f) out.push_back(d);
-  return out;
-}
-
 void ProvenanceGraph::finalize() {
   if (finalized_) return;
   finalized_ = true;
@@ -341,6 +329,7 @@ void ProvenanceGraph::finalize() {
 }
 
 bool ProvenanceGraph::pfc_has_cycle() const {
+  check_finalized();
   // Iterative DFS over the port->port PAUSE edges. A cycle here is the
   // deadlock signature (§III-D2); everywhere else the spreading tree must be
   // a DAG.
@@ -403,120 +392,146 @@ void ProvenanceGraph::audit(bool expect_dag) const {
   }
 }
 
-// Enumeration methods return canonically sorted vectors: callers iterate
-// them to build findings and accumulate floating-point scores, so leaking
-// container iteration order here would make diagnosis output depend on
-// insertion history rather than on the simulation.
-std::vector<FlowKey> ProvenanceGraph::flows() const {
-  std::vector<std::uint32_t> ids;
-  for (std::size_t i = 0; i < n_cells_; ++i)
-    ids.insert(ids.end(), cells_[i].flow_gids.begin(), cells_[i].flow_gids.end());
+void ProvenanceGraph::check_finalized() const {
+  VEDR_CHECK(finalized_, "provenance graph queried before finalize()");
+}
+
+// --- edge weights over one port cell ----------------------------------------
+// The one body of each weight: the id queries, the key queries, Eq. 1, Eq. 2
+// and to_dot() all read a weight through these.
+
+double ProvenanceGraph::pair_weight_in(const PortCell& cell, std::uint32_t waiter,
+                                       std::uint32_t ahead) {
+  const std::uint64_t* slot = cell.wait_slot.find(common::pack_u32_pair(waiter, ahead));
+  return slot == nullptr ? 0 : static_cast<double>(cell.waits[*slot].weight);
+}
+
+double ProvenanceGraph::flow_port_weight_in(const PortCell& cell, std::uint32_t flow) {
+  const std::uint64_t* slot = cell.waiter_slot.find(flow);
+  return slot == nullptr ? 0 : static_cast<double>(cell.waiters[*slot].weight_sum);
+}
+
+double ProvenanceGraph::port_flow_weight_in(const PortCell& cell, std::uint32_t flow) {
+  const std::uint64_t* slot = cell.flow_slot.find(flow);
+  if (slot == nullptr || cell.total_pkts == 0) return 0;
+  return static_cast<double>(cell.flow_pkts[*slot]) / static_cast<double>(cell.total_pkts) *
+         static_cast<double>(cell.max_qdepth_pkts);
+}
+
+// --- dense-id interface -----------------------------------------------------
+
+const std::vector<ProvenanceGraph::PfcEdge>& ProvenanceGraph::pfc_edges_of(
+    std::uint32_t gid) const {
+  check_finalized();
+  const std::int32_t node = pfc_node_of(gid);
+  return node < 0 ? kNoEdges : pfc_out_[static_cast<std::size_t>(node)];
+}
+
+std::span<const std::uint32_t> ProvenanceGraph::waited_cells_of(std::uint32_t flow) const {
+  check_finalized();
+  const std::uint64_t* entry = waited_row_.find(flow);
+  if (entry == nullptr) return {};
+  return {waited_cells_.data() + common::unpack_hi(*entry), common::unpack_lo(*entry)};
+}
+
+// --- key interface: resolve the keys, then ask the id query -----------------
+
+std::size_t ProvenanceGraph::row_of(const PortRef& p) const {
+  const std::size_t n = port_count();
+  // Rows are in canonical PortRef order, so p resolves by binary search.
+  const auto key_of = [this](std::uint32_t c) { return tables_->ports.key_of(cells_[c].gid); };
+  const auto it = std::lower_bound(sorted_cells_.begin(), sorted_cells_.end(), p,
+                                   [&](std::uint32_t c, const PortRef& k) { return key_of(c) < k; });
+  if (it == sorted_cells_.end() || !(key_of(*it) == p)) return n;
+  return static_cast<std::size_t>(it - sorted_cells_.begin());
+}
+
+std::vector<FlowKey> ProvenanceGraph::flow_keys(const std::vector<std::uint32_t>& ids) const {
   std::vector<FlowKey> out;
-  out.reserve(ids.size());
   for (const std::uint32_t id : ids) out.push_back(tables_->flows.key_of(id));
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
+
+std::vector<FlowKey> ProvenanceGraph::flows() const { return flow_keys(flow_ids()); }
 
 std::vector<PortRef> ProvenanceGraph::ports() const {
-  std::vector<PortRef> out;
-  out.reserve(n_cells_);
-  for (std::size_t i = 0; i < n_cells_; ++i) out.push_back(tables_->ports.key_of(cells_[i].gid));
-  std::sort(out.begin(), out.end());
+  std::vector<PortRef> out(port_count());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = port_at(i);
   return out;
 }
 
+// A flow the telemetry never reported resolves to kNone, which no row holds,
+// so each id query answers 0 (or nothing) for it.
+
 double ProvenanceGraph::flow_port_weight(const FlowKey& f, const PortRef& p) const {
-  const PortCell* cell = cell_of(p);
-  if (cell == nullptr) return 0;
-  const std::uint32_t fid = tables_->flows.find(f);
-  if (fid == FlowInterner::kNone) return 0;
-  const std::uint64_t* slot = cell->waiter_slot.find(fid);
-  return slot == nullptr ? 0 : static_cast<double>(cell->waiters[*slot].weight_sum);
+  const std::size_t i = row_of(p);
+  return i == port_count() ? 0 : flow_port_weight_ids(i, tables_->flows.find(f));
 }
 
 double ProvenanceGraph::pair_weight(const PortRef& p, const FlowKey& waiter,
                                     const FlowKey& ahead) const {
-  const PortCell* cell = cell_of(p);
-  if (cell == nullptr) return 0;
-  const std::uint32_t wid = tables_->flows.find(waiter);
-  const std::uint32_t aid = tables_->flows.find(ahead);
-  if (wid == FlowInterner::kNone || aid == FlowInterner::kNone) return 0;
-  const std::uint64_t* slot = cell->wait_slot.find(common::pack_u32_pair(wid, aid));
-  return slot == nullptr ? 0 : static_cast<double>(cell->waits[*slot].weight);
+  const std::size_t i = row_of(p);
+  return i == port_count()
+             ? 0
+             : pair_weight_ids(i, tables_->flows.find(waiter), tables_->flows.find(ahead));
 }
 
 double ProvenanceGraph::port_flow_weight(const PortRef& p, const FlowKey& f) const {
-  const PortCell* cell = cell_of(p);
-  if (cell == nullptr) return 0;
-  const std::uint32_t fid = tables_->flows.find(f);
-  if (fid == FlowInterner::kNone) return 0;
-  const std::uint64_t* slot = cell->flow_slot.find(fid);
-  if (slot == nullptr || cell->total_pkts == 0) return 0;
-  return static_cast<double>(cell->flow_pkts[*slot]) / static_cast<double>(cell->total_pkts) *
-         static_cast<double>(cell->max_qdepth_pkts);
+  const std::size_t i = row_of(p);
+  return i == port_count() ? 0 : port_flow_weight_ids(i, tables_->flows.find(f));
+}
+
+const ProvenanceGraph::PfcEdge* ProvenanceGraph::pfc_edge(const PortRef& up,
+                                                          const PortRef& down) const {
+  const std::uint32_t dg = tables_->ports.find(down);
+  for (const PfcEdge& e : pfc_edges_of(tables_->ports.find(up)))
+    if (e.down == dg) return &e;
+  return nullptr;
 }
 
 double ProvenanceGraph::port_port_weight(const PortRef& up, const PortRef& down) const {
-  const std::uint32_t ug = tables_->ports.find(up);
-  const std::uint32_t dg = tables_->ports.find(down);
-  if (ug == PortInterner::kNone || dg == PortInterner::kNone) return 0;
-  const std::uint64_t* loc = pfc_edge_loc_.find(common::pack_u32_pair(ug, dg));
-  return loc == nullptr ? 0 : pfc_out_[common::unpack_hi(*loc)][common::unpack_lo(*loc)].weight;
+  const PfcEdge* e = pfc_edge(up, down);
+  return e == nullptr ? 0 : e->weight;
 }
 
 std::int64_t ProvenanceGraph::port_port_contribution(const PortRef& up,
                                                      const PortRef& down) const {
-  const std::uint32_t ug = tables_->ports.find(up);
-  const std::uint32_t dg = tables_->ports.find(down);
-  if (ug == PortInterner::kNone || dg == PortInterner::kNone) return 0;
-  const std::uint64_t* loc = pfc_edge_loc_.find(common::pack_u32_pair(ug, dg));
-  return loc == nullptr ? 0 : pfc_out_[common::unpack_hi(*loc)][common::unpack_lo(*loc)].contrib;
+  const PfcEdge* e = pfc_edge(up, down);
+  return e == nullptr ? 0 : e->contrib;
 }
 
 std::vector<PortRef> ProvenanceGraph::ports_waited_by(const FlowKey& f) const {
   std::vector<PortRef> out;
-  const std::uint32_t fid = tables_->flows.find(f);
-  if (fid == FlowInterner::kNone) return out;
-  for (std::size_t i = 0; i < n_cells_; ++i) {
-    if (cells_[i].waiter_slot.find(fid) != nullptr)
-      out.push_back(tables_->ports.key_of(cells_[i].gid));
-  }
-  std::sort(out.begin(), out.end());
+  for (const std::uint32_t c : waited_cells_of(tables_->flows.find(f)))
+    out.push_back(tables_->ports.key_of(cells_[c].gid));
   return out;
 }
 
 std::vector<FlowKey> ProvenanceGraph::waiters_at(const PortRef& p) const {
-  std::vector<FlowKey> out;
-  const PortCell* cell = cell_of(p);
-  if (cell == nullptr) return out;
-  out.reserve(cell->waiters.size());
-  for (const WaiterCell& wc : cell->waiters) out.push_back(tables_->flows.key_of(wc.waiter));
-  std::sort(out.begin(), out.end());
-  return out;
+  const std::size_t i = row_of(p);
+  return i == port_count() ? std::vector<FlowKey>{} : flow_keys(waiter_ids(i));
 }
 
 std::vector<FlowKey> ProvenanceGraph::flows_at(const PortRef& p) const {
-  std::vector<FlowKey> out;
-  const PortCell* cell = cell_of(p);
-  if (cell == nullptr) return out;
-  out.reserve(cell->flow_gids.size());
-  for (const std::uint32_t fid : cell->flow_gids) out.push_back(tables_->flows.key_of(fid));
-  std::sort(out.begin(), out.end());
-  return out;
+  const std::size_t i = row_of(p);
+  return i == port_count() ? std::vector<FlowKey>{} : flow_keys(flow_ids_at(i));
 }
 
 std::vector<PortRef> ProvenanceGraph::pfc_downstream(const PortRef& up) const {
   std::vector<PortRef> out;
-  const std::uint32_t ug = tables_->ports.find(up);
-  if (ug == PortInterner::kNone) return out;
-  const std::int32_t node = pfc_node_of(ug);
-  if (node < 0) return out;
-  const auto& edges = pfc_out_[static_cast<std::size_t>(node)];
-  out.reserve(edges.size());
-  for (const PfcEdge& e : edges) out.push_back(tables_->ports.key_of(e.down));
+  for (const PfcEdge& e : pfc_edges_of(tables_->ports.find(up)))
+    out.push_back(tables_->ports.key_of(e.down));
   return out;
+}
+
+bool ProvenanceGraph::port_paused_recently(const PortRef& p) const {
+  const std::size_t i = row_of(p);
+  return i != port_count() && paused_recently_port(i);
+}
+
+std::int64_t ProvenanceGraph::qdepth_pkts(const PortRef& p) const {
+  const std::size_t i = row_of(p);
+  return i == port_count() ? 0 : row(i).max_qdepth_pkts;
 }
 
 bool ProvenanceGraph::host_facing(const PortRef& p) const {
@@ -524,186 +539,81 @@ bool ProvenanceGraph::host_facing(const PortRef& p) const {
   return topo_->is_host(topo_->peer(p.node, p.port).node);
 }
 
-bool ProvenanceGraph::port_paused_recently(const PortRef& p) const {
-  const PortCell* cell = cell_of(p);
-  return cell != nullptr && cell->saw_pause;
-}
-
 PortRef ProvenanceGraph::peer_of(const PortRef& p) const {
   if (topo_ == nullptr) return PortRef{};
   return topo_->peer(p.node, p.port);
 }
 
-std::int64_t ProvenanceGraph::qdepth_pkts(const PortRef& p) const {
-  const PortCell* cell = cell_of(p);
-  return cell == nullptr ? 0 : cell->max_qdepth_pkts;
-}
-
-// --- dense-id interface -----------------------------------------------------
-
-std::uint32_t ProvenanceGraph::port_gid(std::size_t i) const {
-  return cells_[sorted_cells_[i]].gid;
-}
-
-bool ProvenanceGraph::paused_recently_port(std::size_t i) const {
-  return cells_[sorted_cells_[i]].saw_pause;
-}
-
-const std::vector<std::uint32_t>& ProvenanceGraph::waiter_ids(std::size_t i) const {
-  return cells_[sorted_cells_[i]].sorted_waiters;
-}
-
-const std::vector<std::uint32_t>& ProvenanceGraph::flow_ids_at(std::size_t i) const {
-  return cells_[sorted_cells_[i]].sorted_flows;
-}
-
-double ProvenanceGraph::pair_weight_ids(std::size_t i, std::uint32_t waiter,
-                                        std::uint32_t ahead) const {
-  const PortCell& cell = cells_[sorted_cells_[i]];
-  const std::uint64_t* slot = cell.wait_slot.find(common::pack_u32_pair(waiter, ahead));
-  return slot == nullptr ? 0 : static_cast<double>(cell.waits[*slot].weight);
-}
-
-double ProvenanceGraph::flow_port_weight_ids(std::size_t i, std::uint32_t flow) const {
-  const PortCell& cell = cells_[sorted_cells_[i]];
-  const std::uint64_t* slot = cell.waiter_slot.find(flow);
-  return slot == nullptr ? 0 : static_cast<double>(cell.waiters[*slot].weight_sum);
-}
-
-double ProvenanceGraph::port_flow_weight_ids(std::size_t i, std::uint32_t flow) const {
-  const PortCell& cell = cells_[sorted_cells_[i]];
-  const std::uint64_t* slot = cell.flow_slot.find(flow);
-  if (slot == nullptr || cell.total_pkts == 0) return 0;
-  return static_cast<double>(cell.flow_pkts[*slot]) / static_cast<double>(cell.total_pkts) *
-         static_cast<double>(cell.max_qdepth_pkts);
-}
-
-const std::vector<ProvenanceGraph::PfcEdge>& ProvenanceGraph::pfc_edges_of(
-    std::uint32_t gid) const {
-  const std::int32_t node = pfc_node_of(gid);
-  return node < 0 ? kNoEdges : pfc_out_[static_cast<std::size_t>(node)];
-}
-
 // --- contribution rating ----------------------------------------------------
 
 double ProvenanceGraph::contribution_to_port(const FlowKey& f, const PortRef& p) const {
+  check_finalized();
   const std::uint32_t fid = tables_->flows.find(f);
   const std::uint32_t pg = tables_->ports.find(p);
-  if (pg == PortInterner::kNone) return 0;
   // An unknown flow has weight 0 at every port, so the recursion would only
   // ever sum zeros.
-  if (fid == FlowInterner::kNone) return 0;
+  if (fid == FlowInterner::kNone || pg == PortInterner::kNone) return 0;
+  if (on_path_.size() < tables_->ports.size()) on_path_.resize(tables_->ports.size(), 0);
   return contribution_to_port_ids(fid, pg);
 }
 
 double ProvenanceGraph::contribution_to_port_ids(std::uint32_t f, std::uint32_t p_gid) const {
-  if (on_path_.size() < tables_->ports.size()) on_path_.resize(tables_->ports.size(), 0);
-  return contribution_to_port_impl(f, p_gid);
-}
-
-double ProvenanceGraph::contribution_to_port_impl(std::uint32_t f, std::uint32_t p_gid) const {
   if (on_path_[p_gid] != 0) return 0;  // PFC cycle (deadlock) guard
   on_path_[p_gid] = 1;
-  double r = 0;
-  if (const PortCell* cell = cell_of_gid(p_gid);
-      cell != nullptr && cell->total_pkts != 0) {
-    if (const std::uint64_t* slot = cell->flow_slot.find(f); slot != nullptr) {
-      r = static_cast<double>(cell->flow_pkts[*slot]) /
-          static_cast<double>(cell->total_pkts) * static_cast<double>(cell->max_qdepth_pkts);
-    }
-  }
+  const PortCell* cell = cell_of_gid(p_gid);
+  double r = cell == nullptr ? 0 : port_flow_weight_in(*cell, f);
   const std::int32_t node = pfc_node_of(p_gid);
   if (node >= 0) {
     for (const PfcEdge& e : pfc_out_[static_cast<std::size_t>(node)])
-      r += contribution_to_port_impl(f, e.down) * e.weight;
+      r += contribution_to_port_ids(f, e.down) * e.weight;
   }
   on_path_[p_gid] = 0;
   return r;
 }
 
 double ProvenanceGraph::contribution_to_flow(const FlowKey& f, const FlowKey& cf) const {
-  const std::uint32_t fid = tables_->flows.find(f);
-  const std::uint32_t cfid = tables_->flows.find(cf);
-  // P_cf: ports the collective flow waits on. Computed directly from the
-  // staging cells so the query works with or without finalize() (the CSR the
-  // id path uses yields the same canonical port order).
-  std::vector<std::pair<PortRef, std::uint32_t>> waited;  // (port, cell gid)
-  if (cfid != FlowInterner::kNone) {
-    for (std::size_t i = 0; i < n_cells_; ++i) {
-      if (cells_[i].waiter_slot.find(cfid) != nullptr)
-        waited.emplace_back(tables_->ports.key_of(cells_[i].gid), cells_[i].gid);
-    }
-  }
-  std::sort(waited.begin(), waited.end());
-  if (on_path_.size() < tables_->ports.size()) on_path_.resize(tables_->ports.size(), 0);
-  double total = 0;
-  for (const auto& [pk, pk_gid] : waited) {
-    const PortCell& cell = *cell_of_gid(pk_gid);
-    double w_cf_fi = 0, w_pk_fi = 0, r_port = 0;
-    bool contend_here = false;
-    if (fid != FlowInterner::kNone) {
-      if (const std::uint64_t* ws = cell.waiter_slot.find(fid); ws != nullptr)
-        contend_here = static_cast<double>(cell.waiters[*ws].weight_sum) > 0;
-      if (const std::uint64_t* ps = cell.wait_slot.find(common::pack_u32_pair(cfid, fid));
-          ps != nullptr)
-        w_cf_fi = static_cast<double>(cell.waits[*ps].weight);
-      if (const std::uint64_t* fs = cell.flow_slot.find(fid);
-          fs != nullptr && cell.total_pkts != 0)
-        w_pk_fi = static_cast<double>(cell.flow_pkts[*fs]) /
-                  static_cast<double>(cell.total_pkts) *
-                  static_cast<double>(cell.max_qdepth_pkts);
-      r_port = contribution_to_port_impl(fid, pk_gid);
-    }
-    total += (contend_here ? (w_cf_fi - w_pk_fi) : 0.0) + r_port;
-  }
-  return total;
+  return contribution_to_flow_ids(tables_->flows.find(f), tables_->flows.find(cf));
 }
 
 double ProvenanceGraph::contribution_to_flow_ids(std::uint32_t f, std::uint32_t cf) const {
-  if (f == FlowInterner::kNone || cf == FlowInterner::kNone) return 0;
-  const std::uint64_t* row = waited_row_.find(cf);
-  if (row == nullptr) return 0;
+  // P_cf: the ports the collective flow waits on, in canonical order.
+  const std::span<const std::uint32_t> waited = waited_cells_of(cf);
+  if (f == FlowInterner::kNone || waited.empty()) return 0;
   if (on_path_.size() < tables_->ports.size()) on_path_.resize(tables_->ports.size(), 0);
-  const std::uint32_t begin = common::unpack_hi(*row);
-  const std::uint32_t count = common::unpack_lo(*row);
   double total = 0;
-  for (std::uint32_t i = begin; i < begin + count; ++i) {
-    const PortCell& cell = cells_[waited_cells_[i]];
-    double w_cf_fi = 0, w_pk_fi = 0;
-    bool contend_here = false;
-    if (const std::uint64_t* ws = cell.waiter_slot.find(f); ws != nullptr)
-      contend_here = static_cast<double>(cell.waiters[*ws].weight_sum) > 0;
-    if (const std::uint64_t* ps = cell.wait_slot.find(common::pack_u32_pair(cf, f));
-        ps != nullptr)
-      w_cf_fi = static_cast<double>(cell.waits[*ps].weight);
-    if (const std::uint64_t* fs = cell.flow_slot.find(f);
-        fs != nullptr && cell.total_pkts != 0)
-      w_pk_fi = static_cast<double>(cell.flow_pkts[*fs]) /
-                static_cast<double>(cell.total_pkts) *
-                static_cast<double>(cell.max_qdepth_pkts);
-    const double r_port = contribution_to_port_impl(f, cell.gid);
-    total += (contend_here ? (w_cf_fi - w_pk_fi) : 0.0) + r_port;
+  for (const std::uint32_t c : waited) {
+    const PortCell& cell = cells_[c];
+    // The correction w(cf, f_i) - w(p_k, f_i) counts only where f_i itself
+    // waits: the indicator 1(e(f_i, p_k)).
+    const double correction = flow_port_weight_in(cell, f) > 0
+                                  ? pair_weight_in(cell, cf, f) - port_flow_weight_in(cell, f)
+                                  : 0.0;
+    const double r_port = contribution_to_port_ids(f, cell.gid);  // Eq. (1)
+    total += correction + r_port;
   }
   return total;
 }
 
 std::string ProvenanceGraph::to_dot(
     const std::unordered_set<FlowKey, FlowKeyHash>& cc_flows) const {
+  const auto& flow_tab = tables_->flows;
   std::string dot = "digraph provenance {\n";
-  for (const PortRef& port : ports()) {
-    dot += "  \"" + port.str() + "\" [shape=box];\n";
-    for (const FlowKey& waiter : waiters_at(port)) {
+  const std::size_t n = port_count();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string port = port_at(i).str();
+    dot += "  \"" + port + "\" [shape=box];\n";
+    for (const std::uint32_t w : waiter_ids(i)) {
+      const FlowKey waiter = flow_tab.key_of(w);
       const char* color = cc_flows.count(waiter) > 0 ? "red" : "black";
-      dot += "  \"" + waiter.str() + "\" -> \"" + port.str() + "\" [color=" +
-             std::string(color) + "];\n";
+      dot += "  \"" + waiter.str() + "\" -> \"" + port + "\" [color=" + std::string(color) +
+             "];\n";
     }
-    for (const FlowKey& key : flows_at(port)) {
-      const double w = port_flow_weight(port, key);
-      if (w > 0)
-        dot += "  \"" + port.str() + "\" -> \"" + key.str() + "\" [style=dashed];\n";
+    for (const std::uint32_t f : flow_ids_at(i)) {
+      if (port_flow_weight_ids(i, f) > 0)
+        dot += "  \"" + port + "\" -> \"" + flow_tab.key_of(f).str() + "\" [style=dashed];\n";
     }
   }
-  for (const auto& [up, down] : pfc_edge_list_)
+  for (const auto& [up, down] : pfc_edges())
     dot += "  \"" + up.str() + "\" -> \"" + down.str() + "\" [color=purple,penwidth=2];\n";
   dot += "}\n";
   return dot;

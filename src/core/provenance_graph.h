@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -35,8 +36,13 @@ using net::Tick;
 /// and finalize() compacts the staging into CSR-style sorted rows (ports by
 /// PortRef, per-port waiter/flow rows by FlowKey, flow -> waited-port rows)
 /// that the classifier and contributor rating walk with pure array indexing.
-/// The key-based query API is preserved for tests and tooling; it resolves
-/// the key through the intern table and forwards to the id paths.
+///
+/// One read path: every vertex and edge query reads those rows, and each
+/// weight and Eq. (2) has one body, over a port cell. The key-based API
+/// (tests, tooling, DOT export) resolves its keys through the intern tables
+/// and calls the id query. A query on a graph that is not finalized fails a
+/// VEDR_CHECK; report_count(), empty() and drops() read the staging and
+/// answer at any time.
 ///
 /// Cleared-not-freed everywhere: reset() keeps every vector's capacity and
 /// every probe table, so re-ingesting a same-shaped report stream performs
@@ -76,7 +82,8 @@ class VEDR_SINGLE_THREADED ProvenanceGraph {
   void merge(const ProvenanceGraph& other);
 
   /// Resolves pause linkage into port->port edges and builds the sorted
-  /// id-indexed rows behind the dense-id interface. Call after all reports.
+  /// id-indexed rows every query reads. Call after all reports, and again
+  /// after any later add_report() or merge().
   void finalize();
 
   /// Drops all accumulated state but keeps capacities and the shared intern
@@ -108,17 +115,21 @@ class VEDR_SINGLE_THREADED ProvenanceGraph {
   std::vector<FlowKey> flows_at(const PortRef& p) const;
   /// Downstream PFC edges from `up` (ports it waits on via PAUSE).
   std::vector<PortRef> pfc_downstream(const PortRef& up) const;
-  /// All PFC edges (up -> down).
-  const std::vector<std::pair<PortRef, PortRef>>& pfc_edges() const { return pfc_edge_list_; }
+  /// All PFC edges (up -> down), in pause-cause arrival order.
+  const std::vector<std::pair<PortRef, PortRef>>& pfc_edges() const {
+    check_finalized();
+    return pfc_edge_list_;
+  }
 
   /// Ports where injected (storm) PAUSE causes were reported: the pause was
   /// emitted on this (switch, port) without buffer pressure explaining it.
-  const std::vector<PortRef>& storm_sources() const { return storm_sources_; }
+  const std::vector<PortRef>& storm_sources() const {
+    check_finalized();
+    return storm_sources_;
+  }
 
   /// TTL-expiry drop records collected from switch reports (loop evidence).
   const std::vector<telemetry::DropEntry>& drops() const { return drops_; }
-  /// Drop records for one flow.
-  std::vector<telemetry::DropEntry> drops_of(const FlowKey& f) const;
 
   /// Whether port p is host-facing (its peer is a host) — incast signature.
   bool host_facing(const PortRef& p) const;
@@ -155,7 +166,7 @@ class VEDR_SINGLE_THREADED ProvenanceGraph {
 
   std::string to_dot(const std::unordered_set<FlowKey, FlowKeyHash>& cc_flows) const;
 
-  // --- dense-id interface (hot path; rows are valid after finalize()) -------
+  // --- dense-id interface (hot path) -----------------------------------------
 
   /// One resolved PFC spreading edge out of an upstream port.
   struct PfcEdge {
@@ -167,22 +178,39 @@ class VEDR_SINGLE_THREADED ProvenanceGraph {
   const InternTables& tables() const { return *tables_; }
   bool finalized() const { return finalized_; }
 
-  /// Number of reported ports (== ports().size()).
-  std::size_t port_count() const { return sorted_cells_.size(); }
-  /// Port id of the i-th reported port in canonical (PortRef) order.
-  std::uint32_t port_gid(std::size_t i) const;
+  /// Number of reported ports (== ports().size()): the rows, in canonical
+  /// (PortRef) order, that the per-row queries below take.
+  std::size_t port_count() const {
+    check_finalized();
+    return sorted_cells_.size();
+  }
+  /// Port id of the i-th row.
+  std::uint32_t port_gid(std::size_t i) const { return row(i).gid; }
   PortRef port_at(std::size_t i) const { return tables_->ports.key_of(port_gid(i)); }
-  bool paused_recently_port(std::size_t i) const;
+  bool paused_recently_port(std::size_t i) const { return row(i).saw_pause; }
   bool host_facing_port(std::size_t i) const { return host_facing(port_at(i)); }
   /// Waiter flow ids at the i-th port, sorted by FlowKey.
-  const std::vector<std::uint32_t>& waiter_ids(std::size_t i) const;
+  const std::vector<std::uint32_t>& waiter_ids(std::size_t i) const {
+    return row(i).sorted_waiters;
+  }
   /// Flow ids with counters at the i-th port, sorted by FlowKey.
-  const std::vector<std::uint32_t>& flow_ids_at(std::size_t i) const;
-  double pair_weight_ids(std::size_t i, std::uint32_t waiter, std::uint32_t ahead) const;
-  double flow_port_weight_ids(std::size_t i, std::uint32_t flow) const;
-  double port_flow_weight_ids(std::size_t i, std::uint32_t flow) const;
+  const std::vector<std::uint32_t>& flow_ids_at(std::size_t i) const {
+    return row(i).sorted_flows;
+  }
+  double pair_weight_ids(std::size_t i, std::uint32_t waiter, std::uint32_t ahead) const {
+    return pair_weight_in(row(i), waiter, ahead);
+  }
+  double flow_port_weight_ids(std::size_t i, std::uint32_t flow) const {
+    return flow_port_weight_in(row(i), flow);
+  }
+  double port_flow_weight_ids(std::size_t i, std::uint32_t flow) const {
+    return port_flow_weight_in(row(i), flow);
+  }
   /// All flow ids with counters anywhere, sorted by FlowKey (== flows()).
-  const std::vector<std::uint32_t>& flow_ids() const { return sorted_flow_ids_; }
+  const std::vector<std::uint32_t>& flow_ids() const {
+    check_finalized();
+    return sorted_flow_ids_;
+  }
   /// Out-edges of the PFC spreading graph for port id `gid`, in pause-cause
   /// arrival order (empty when the port pauses nobody).
   const std::vector<PfcEdge>& pfc_edges_of(std::uint32_t gid) const;
@@ -233,6 +261,7 @@ class VEDR_SINGLE_THREADED ProvenanceGraph {
   };
 
   PortCell& claim_cell(std::uint32_t gid);
+  const PortCell& row(std::size_t i) const { return cells_[sorted_cells_[i]]; }
   // Folds of one staged value into a cell or the drop list, shared by
   // add_report() and merge() so the two cannot disagree.
   static void fold_flow(PortCell& cell, std::uint32_t fid, std::int64_t pkts);
@@ -240,11 +269,23 @@ class VEDR_SINGLE_THREADED ProvenanceGraph {
                         std::int64_t weight);
   static void fold_meter(PortCell& cell, net::PortId in_port, std::int64_t bytes);
   void fold_drop(const telemetry::DropEntry& drop);
+  // w(f_i, f_j), w(f_i, p) and w(p, f_i) at one port: each weight's one body.
+  static double pair_weight_in(const PortCell& cell, std::uint32_t waiter,
+                               std::uint32_t ahead);
+  static double flow_port_weight_in(const PortCell& cell, std::uint32_t flow);
+  static double port_flow_weight_in(const PortCell& cell, std::uint32_t flow);
+
+  void check_finalized() const;
   const PortCell* cell_of_gid(std::uint32_t gid) const;
-  const PortCell* cell_of(const PortRef& p) const;
   std::int32_t pfc_node_of(std::uint32_t gid) const;
+  /// Row of port p, or port_count() when p was never reported.
+  std::size_t row_of(const PortRef& p) const;
+  /// Cells where `flow` waits, in row order (empty for kNone).
+  std::span<const std::uint32_t> waited_cells_of(std::uint32_t flow) const;
+  const PfcEdge* pfc_edge(const PortRef& up, const PortRef& down) const;
+  std::vector<FlowKey> flow_keys(const std::vector<std::uint32_t>& ids) const;
+  /// Eq. (1) over ids; the caller sizes on_path_ to the port table.
   double contribution_to_port_ids(std::uint32_t f, std::uint32_t p_gid) const;
-  double contribution_to_port_impl(std::uint32_t f, std::uint32_t p_gid) const;
 
   const net::Topology* topo_;
   std::unique_ptr<InternTables> owned_tables_;

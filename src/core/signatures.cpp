@@ -8,6 +8,10 @@ namespace vedr::core {
 
 namespace {
 
+/// Queue-ahead packets below this are noise, not contention: a handful of
+/// packets queue behind each other at line rate even on a healthy fabric.
+constexpr double kMinPairWeight = 8.0;
+
 void sort_unique(std::vector<FlowKey>& v) {
   std::sort(v.begin(), v.end(), [](const FlowKey& a, const FlowKey& b) {
     return a.hash() < b.hash();
@@ -92,7 +96,7 @@ std::vector<AnomalyFinding> SignatureClassifier::classify(const ProvenanceGraph&
       if (!cc_flows.contains(cf)) continue;
       for (const std::uint32_t other : g.flow_ids_at(i)) {
         if (cc_flows.contains(other)) continue;
-        if (g.pair_weight_ids(i, cf, other) >= min_pair_weight_)
+        if (g.pair_weight_ids(i, cf, other) >= kMinPairWeight)
           contenders.push_back(flow_tab.key_of(other));
       }
     }
@@ -126,7 +130,7 @@ std::vector<AnomalyFinding> SignatureClassifier::classify(const ProvenanceGraph&
         if (!cc_flows.contains(a)) continue;
         for (const std::uint32_t b : g.flow_ids_at(i)) {
           if (a == b || !cc_flows.contains(b)) continue;
-          if (g.pair_weight_ids(i, a, b) >= min_pair_weight_ * 16) cc_vs_cc = true;
+          if (g.pair_weight_ids(i, a, b) >= kMinPairWeight * 16) cc_vs_cc = true;
         }
       }
       if (cc_vs_cc) imbalance.congested_ports.push_back(g.port_at(i));

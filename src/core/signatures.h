@@ -19,12 +19,6 @@ namespace vedr::core {
 /// matching; keys are only materialized into the findings it emits.
 class SignatureClassifier {
  public:
-  /// `min_pair_weight`: queue-ahead packets below this are noise, not
-  /// contention (a handful of packets queue behind each other at line rate
-  /// even on a healthy fabric).
-  explicit SignatureClassifier(double min_pair_weight = 8.0)
-      : min_pair_weight_(min_pair_weight) {}
-
   /// Primary entry: cc membership pre-resolved to interned flow ids.
   /// Requires g.finalize() to have run (the id rows are finalize products).
   std::vector<AnomalyFinding> classify(const ProvenanceGraph& g, const FlowIdSet& cc_flows,
@@ -44,8 +38,6 @@ class SignatureClassifier {
     bool cycle = false;
   };
   ChaseResult chase(const ProvenanceGraph& g, std::uint32_t start) const;
-
-  double min_pair_weight_;
 };
 
 }  // namespace vedr::core

@@ -98,6 +98,30 @@ std::int64_t scaled_bytes(std::int64_t b, double scale) {
   return std::max<std::int64_t>(static_cast<std::int64_t>(static_cast<double>(b) * scale), 65536);
 }
 
+// The paper's generation ranges (§IV-A), pre-scale.
+constexpr int kCcParticipants = 8;
+constexpr std::int64_t kCcStepBytes = 360LL * 1000 * 1000;  ///< paper: 360 MB per step
+
+// Flow contention: 1-6 flows, 20 MB-1 GB, start 0-200 ms.
+constexpr int kContentionMinFlows = 1, kContentionMaxFlows = 6;
+constexpr std::int64_t kContentionMinBytes = 20LL * 1000 * 1000;
+constexpr std::int64_t kContentionMaxBytes = 1000LL * 1000 * 1000;
+constexpr Tick kContentionMaxStart = 200 * sim::kMillisecond;
+
+// Incast: 3-8 flows, 20-200 MB, simultaneous start. Backpressure draws its
+// incast's sizes from the same range.
+constexpr int kIncastMinFlows = 3, kIncastMaxFlows = 8;
+constexpr std::int64_t kIncastMinBytes = 20LL * 1000 * 1000;
+constexpr std::int64_t kIncastMaxBytes = 200LL * 1000 * 1000;
+
+// PFC storm: start 0-150 ms, duration 10-100 ms.
+constexpr Tick kStormMaxStart = 150 * sim::kMillisecond;
+constexpr Tick kStormMinDuration = 10 * sim::kMillisecond;
+constexpr Tick kStormMaxDuration = 100 * sim::kMillisecond;
+
+// PFC backpressure: incast-driven, 4-8 senders.
+constexpr int kBackpressureMinSenders = 4, kBackpressureMaxSenders = 8;
+
 /// Draws one case of `type` from `seed`. Empty when the draw cannot place
 /// its anomaly: a backpressure case whose non-participant hosts all sit
 /// under edge switches the collective never crosses.
@@ -111,8 +135,8 @@ std::optional<ScenarioSpec> draw_scenario(ScenarioType type, int case_id, std::u
   spec.seed = seed;
   Rng rng(spec.seed);
 
-  spec.participants = sample_participants(rng, topo, params.cc_participants);
-  spec.cc_step_bytes = scaled_bytes(params.cc_step_bytes, params.scale);
+  spec.participants = sample_participants(rng, topo, kCcParticipants);
+  spec.cc_step_bytes = scaled_bytes(kCcStepBytes, params.scale);
 
   const auto plan = collective::CollectivePlan::ring(0, collective::OpType::kAllGather,
                                                      spec.participants, spec.cc_step_bytes);
@@ -163,13 +187,13 @@ std::optional<ScenarioSpec> draw_scenario(ScenarioType type, int case_id, std::u
   switch (type) {
     case ScenarioType::kFlowContention: {
       const int n = static_cast<int>(
-          rng.uniform_int(params.contention_min_flows, params.contention_max_flows));
+          rng.uniform_int(kContentionMinFlows, kContentionMaxFlows));
       for (int i = 0; i < n; ++i) {
         InjectedFlow f;
-        f.bytes = scaled_bytes(static_cast<std::int64_t>(rng.uniform_int(
-                             params.contention_min_bytes, params.contention_max_bytes)),
-                         params.scale);
-        f.start = scaled_time(rng.uniform_int(0, params.contention_max_start), params.scale);
+        f.bytes = scaled_bytes(static_cast<std::int64_t>(
+                                   rng.uniform_int(kContentionMinBytes, kContentionMaxBytes)),
+                               params.scale);
+        f.start = scaled_time(rng.uniform_int(0, kContentionMaxStart), params.scale);
         // "Placed randomly but deliberately set to collide": rejection-sample
         // host pairs until the ECMP path crosses a collective step's port
         // during that step's execution window.
@@ -204,8 +228,7 @@ std::optional<ScenarioSpec> draw_scenario(ScenarioType type, int case_id, std::u
     }
 
     case ScenarioType::kIncast: {
-      const int n =
-          static_cast<int>(rng.uniform_int(params.incast_min_flows, params.incast_max_flows));
+      const int n = static_cast<int>(rng.uniform_int(kIncastMinFlows, kIncastMaxFlows));
       // All flows target the same node; to exercise the collective they
       // converge on one of its participants.
       const NodeId victim = spec.participants[rng.index(spec.participants.size())];
@@ -220,9 +243,9 @@ std::optional<ScenarioSpec> draw_scenario(ScenarioType type, int case_id, std::u
       for (int i = 0; i < n && i < static_cast<int>(senders.size()); ++i) {
         InjectedFlow f;
         f.key = anomaly::background_key(i, senders[static_cast<std::size_t>(i)], victim);
-        f.bytes = scaled_bytes(static_cast<std::int64_t>(rng.uniform_int(params.incast_min_bytes,
-                                                                   params.incast_max_bytes)),
-                         params.scale);
+        f.bytes = scaled_bytes(
+            static_cast<std::int64_t>(rng.uniform_int(kIncastMinBytes, kIncastMaxBytes)),
+            params.scale);
         f.start = start;  // simultaneous
         spec.bg_flows.push_back(f);
       }
@@ -237,9 +260,9 @@ std::optional<ScenarioSpec> draw_scenario(ScenarioType type, int case_id, std::u
       // Candidates are drawn from steps whose execution window overlaps the
       // storm interval, so the storm actually halts in-flight traffic.
       StormSpec storm;
-      storm.start = scaled_time(rng.uniform_int(0, params.storm_max_start), params.scale);
-      storm.duration = scaled_time(
-          rng.uniform_int(params.storm_min_duration, params.storm_max_duration), params.scale);
+      storm.start = scaled_time(rng.uniform_int(0, kStormMaxStart), params.scale);
+      storm.duration =
+          scaled_time(rng.uniform_int(kStormMinDuration, kStormMaxDuration), params.scale);
 
       std::vector<PortRef> candidates;
       const int flows_considered = std::min(4, plan.num_flows());
@@ -307,8 +330,8 @@ std::optional<ScenarioSpec> draw_scenario(ScenarioType type, int case_id, std::u
       if (victim == net::kInvalidNode) return std::nullopt;
       spec.expected_root = root;
 
-      const int n = static_cast<int>(rng.uniform_int(params.backpressure_min_senders,
-                                                     params.backpressure_max_senders));
+      const int n =
+          static_cast<int>(rng.uniform_int(kBackpressureMinSenders, kBackpressureMaxSenders));
       const Tick start = rng.uniform_int(0, std::max<Tick>(1, cc_ideal));
       // Remote senders so the incast descends through shared agg/core links.
       std::vector<NodeId> senders;
@@ -325,9 +348,9 @@ std::optional<ScenarioSpec> draw_scenario(ScenarioType type, int case_id, std::u
       for (int i = 0; i < n && i < static_cast<int>(senders.size()); ++i) {
         InjectedFlow f;
         f.key = anomaly::background_key(i, senders[static_cast<std::size_t>(i)], victim);
-        f.bytes = scaled_bytes(static_cast<std::int64_t>(rng.uniform_int(params.incast_min_bytes,
-                                                                   params.incast_max_bytes)),
-                         params.scale);
+        f.bytes = scaled_bytes(
+            static_cast<std::int64_t>(rng.uniform_int(kIncastMinBytes, kIncastMaxBytes)),
+            params.scale);
         f.start = start;
         spec.bg_flows.push_back(f);
       }

@@ -32,33 +32,12 @@ const char* cli_name(ScenarioType t);
 /// The type whose cli_name is `name`, if any.
 std::optional<ScenarioType> parse_scenario(std::string_view name);
 
-/// Generation knobs. Paper values (§IV-A) are stored pre-scale; `scale`
-/// shrinks data sizes and times together so a case runs in seconds on one
-/// machine while keeping every ratio (who collides with whom, for how long
-/// relative to a step) intact.
+/// Generation knobs. The paper's generation ranges (§IV-A) are constants in
+/// scenario.cpp, stored pre-scale; `scale` shrinks data sizes and times
+/// together so a case runs in seconds on one machine while keeping every
+/// ratio (who collides with whom, for how long relative to a step) intact.
 struct ScenarioParams {
   double scale = 1.0 / 32.0;
-  int cc_participants = 8;
-  std::int64_t cc_step_bytes = 360LL * 1000 * 1000;  ///< paper: 360 MB per step
-
-  // Flow contention: 1-6 flows, 20 MB-1 GB, start 0-200 ms.
-  int contention_min_flows = 1, contention_max_flows = 6;
-  std::int64_t contention_min_bytes = 20LL * 1000 * 1000;
-  std::int64_t contention_max_bytes = 1000LL * 1000 * 1000;
-  Tick contention_max_start = 200 * sim::kMillisecond;
-
-  // Incast: 3-8 flows, 20-200 MB, simultaneous start.
-  int incast_min_flows = 3, incast_max_flows = 8;
-  std::int64_t incast_min_bytes = 20LL * 1000 * 1000;
-  std::int64_t incast_max_bytes = 200LL * 1000 * 1000;
-
-  // PFC storm: start 0-150 ms, duration 10-100 ms.
-  Tick storm_max_start = 150 * sim::kMillisecond;
-  Tick storm_min_duration = 10 * sim::kMillisecond;
-  Tick storm_max_duration = 100 * sim::kMillisecond;
-
-  // PFC backpressure: incast-driven, 4-8 senders.
-  int backpressure_min_senders = 4, backpressure_max_senders = 8;
 };
 
 /// One generated evaluation case with its ground truth.

@@ -108,9 +108,12 @@ struct TelemetryParams {
   std::int32_t sketch_width = 512;  ///< count-min counters per row
   std::int32_t sketch_depth = 4;    ///< count-min rows (independent hashes)
   std::int32_t topk = 32;           ///< heavy-hitter heap capacity (flows per port report)
-  std::int32_t pair_capacity = 0;   ///< pairwise-wait table capacity; 0 = 8 * topk
 
-  std::int32_t pair_cap() const { return pair_capacity > 0 ? pair_capacity : 8 * topk; }
+  /// Pairwise-wait table slots per heavy hitter: room for each reported flow
+  /// to wait behind several others, so the table scales with topk.
+  static constexpr std::int32_t kPairsPerTopk = 8;
+  /// Pairwise-wait table capacity.
+  std::int32_t pair_cap() const { return kPairsPerTopk * topk; }
 };
 
 /// Static link/fabric parameters shared across the simulation.

@@ -18,6 +18,18 @@ constexpr std::size_t kMaxRequestBytes = 8192;
 /// line. The listener is single-threaded, so this also bounds how long one
 /// slow client can delay every other scrape.
 constexpr std::chrono::milliseconds kRequestDeadline{1000};
+/// Longest the listener spends writing one response. A client that stops
+/// reading stalls the writes once the response outgrows the socket buffers
+/// (/sessions has no size bound); at the deadline its connection is closed.
+constexpr std::chrono::milliseconds kResponseDeadline{1000};
+
+using Clock = std::chrono::steady_clock;
+
+/// Milliseconds left until `deadline`, for poll(); <= 0 once it has passed.
+int ms_until(Clock::time_point deadline) {
+  return static_cast<int>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now()).count());
+}
 
 const char* reason_phrase(int status) {
   switch (status) {
@@ -29,12 +41,24 @@ const char* reason_phrase(int status) {
   }
 }
 
+/// Writes `data` to `fd` until done, the client hangs up, or
+/// kResponseDeadline passes; the caller then closes the connection.
 void send_all(int fd, const std::string& data) {
+  const Clock::time_point deadline = Clock::now() + kResponseDeadline;
   std::size_t off = 0;
   while (off < data.size()) {
-    // MSG_NOSIGNAL: a scraper that hangs up mid-response must not SIGPIPE
-    // the daemon.
-    const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    const int left = ms_until(deadline);
+    if (left <= 0) return;
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLOUT;
+    if (::poll(&pfd, 1, left) <= 0) return;
+    // MSG_DONTWAIT: take only what the socket buffer holds now, so the loop
+    // gets back to the deadline. MSG_NOSIGNAL: a scraper that hangs up
+    // mid-response must not SIGPIPE the daemon.
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) continue;
     if (n <= 0) return;
     off += static_cast<std::size_t>(n);
   }
@@ -99,17 +123,15 @@ void HttpListener::handle_client(int fd) {
   // Scrapers send the whole request in one segment in practice, but read
   // until the header terminator anyway, within one deadline for the whole
   // request, so a client trickling bytes cannot wedge the listener.
-  using Clock = std::chrono::steady_clock;
   const Clock::time_point deadline = Clock::now() + kRequestDeadline;
   std::string req;
   while (req.size() < kMaxRequestBytes && req.find("\r\n\r\n") == std::string::npos) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (left.count() <= 0) break;
+    const int left = ms_until(deadline);
+    if (left <= 0) break;
     pollfd pfd{};
     pfd.fd = fd;
     pfd.events = POLLIN;
-    if (::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) break;
+    if (::poll(&pfd, 1, left) <= 0) break;
     char buf[1024];
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n <= 0) break;

@@ -19,9 +19,10 @@ struct HttpResponse {
 /// loopback only, one request per connection, no keep-alive, no TLS — this
 /// is a scrape target, not a web server. The accept loop polls with a short
 /// timeout so stop() takes effect promptly without signals. A client gets
-/// one fixed deadline (http.cpp) to send its request, so a slow client
-/// delays the other scrapes by at most that long. A request line that is
-/// not "METHOD TARGET VERSION" gets 400, a method other than GET 405.
+/// one fixed deadline (http.cpp) to send its request and one to take the
+/// response, so a slow client, or one that never reads, delays the other
+/// scrapes by at most those two. A request line that is not
+/// "METHOD TARGET VERSION" gets 400, a method other than GET 405.
 class HttpListener {
  public:
   /// `handler` maps a request path to a response; it runs on the listener

@@ -91,13 +91,15 @@ struct LiveMetrics {
 /// detail only for steps whose diagnose latency lands in the rolling tail.
 ///
 /// Rule: a step is retained when the 60s window already holds at least
-/// `min_count` samples (the quantile is meaningful) and the step's latency
-/// reaches the window's q-quantile bucket edge. Below min_count nothing is
+/// kMinCount samples (the quantile is meaningful) and the step's latency
+/// reaches the window's kQuantile bucket edge. Below kMinCount nothing is
 /// retained — a cold start yields no tail verdicts rather than noise.
 class TailSampler {
  public:
-  explicit TailSampler(double quantile = 0.99, std::uint64_t min_count = 32)
-      : quantile_(quantile), min_count_(min_count) {}
+  /// The tail: the slowest 1% of steps.
+  static constexpr double kQuantile = 0.99;
+  /// Samples the 60s window must hold before its quantile means anything.
+  static constexpr std::uint64_t kMinCount = 32;
 
   /// Feeds one diagnose latency; true iff the step should be retained (its
   /// spans recorded, a flight event emitted). The sample itself always
@@ -107,28 +109,25 @@ class TailSampler {
     hist_.record(latency_ns, now_ns);
     considered_.fetch_add(1, std::memory_order_relaxed);
     const obs::Histogram win = hist_.window(kWindowNs, now_ns);
-    if (win.count() < min_count_) return false;
-    if (latency_ns < win.value_at_quantile(quantile_)) return false;
+    if (win.count() < kMinCount) return false;
+    if (latency_ns < win.value_at_quantile(kQuantile)) return false;
     retained_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 
   /// Current retain threshold (the rolling quantile's bucket edge); 0 while
-  /// the window holds fewer than min_count samples.
+  /// the window holds fewer than kMinCount samples.
   std::int64_t threshold_ns(std::uint64_t now_ns) const {
     const obs::Histogram win = hist_.window(kWindowNs, now_ns);
-    return win.count() < min_count_ ? 0 : win.value_at_quantile(quantile_);
+    return win.count() < kMinCount ? 0 : win.value_at_quantile(kQuantile);
   }
 
   std::uint64_t considered() const { return considered_.load(std::memory_order_relaxed); }
   std::uint64_t retained() const { return retained_.load(std::memory_order_relaxed); }
-  double quantile() const { return quantile_; }
 
  private:
   static constexpr std::uint64_t kWindowNs = 60'000'000'000ULL;
 
-  const double quantile_;
-  const std::uint64_t min_count_;
   obs::WindowedHistogram hist_{1'000'000'000};
   std::atomic<std::uint64_t> considered_{0};
   std::atomic<std::uint64_t> retained_{0};

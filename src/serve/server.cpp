@@ -28,7 +28,6 @@ void SessionTable::append(std::unique_ptr<Session> s) {
 
 Server::Server(const ServerConfig& cfg, VerdictSink* sink)
     : cfg_(cfg), sink_(sink), pool_(cfg.shards),
-      tail_(cfg.tail_quantile, cfg.tail_min_count),
       start_wall_ns_(obs::wall_now_ns()) {
   // From here on a CHECK failure anywhere in the process dumps the flight
   // ring to stderr before aborting (idempotent if already installed).

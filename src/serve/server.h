@@ -63,11 +63,6 @@ struct ServerConfig {
   /// the windowed gauges and folds drop deltas into the flight recorder.
   /// 0 disables the roller thread (tests drive poll_windows() by hand).
   std::uint64_t roll_interval_ns = LiveMetrics::kIntervalNs;
-  /// Tail-based trace sampling rule (see TailSampler): retain steps whose
-  /// diagnose latency reaches this rolling quantile, once the 60s window
-  /// holds at least tail_min_count samples.
-  double tail_quantile = 0.99;
-  std::uint64_t tail_min_count = 32;
 };
 
 /// The serve daemon's core: many tenant sessions multiplexed onto a sharded

@@ -7,6 +7,13 @@
 #include "obs/trace.h"  // wall_now_ns
 
 namespace vedr::serve {
+namespace {
+
+/// Max records ingested per pump slice, so sessions sharing a shard take
+/// turns; a slice may span several queue batches and a batch several slices.
+constexpr int kPumpBatch = 256;
+
+}  // namespace
 
 const char* to_string(SessionState s) {
   switch (s) {
@@ -31,7 +38,7 @@ PumpResult Session::pump(VerdictSink& sink, sim::StatsRegistry& stats) {
 
   int n = 0;
   bool drained = false;
-  while (n < cfg_.pump_batch) {
+  while (n < kPumpBatch) {
     if (next_ == batch_.size()) {
       next_ = 0;
       // The used-up batch goes to a producer to destroy; the take below

@@ -38,9 +38,6 @@ struct SessionConfig {
   /// quantum; drop-policy tenants shed load only past this bound.
   std::size_t queue_capacity = 4096;
   OverflowPolicy policy = OverflowPolicy::kBlock;
-  /// Max records ingested per pump slice, so sessions sharing a shard take
-  /// turns; a slice may span several queue batches and a batch several slices.
-  int pump_batch = 256;
   bool emit_step_verdicts = true;     ///< per-step lines, not just the final one
   /// Telemetry lane for this tenant's collector. kExact feeds recorded
   /// reports verbatim; kSketch re-encodes each through the bounded memory

@@ -7,6 +7,12 @@
 #include "replay/trace_reader.h"
 
 namespace vedr::serve {
+namespace {
+
+/// Sleep between read retries while the writer lags.
+constexpr std::chrono::milliseconds kPollInterval{2};
+
+}  // namespace
 
 FileTailSource::FileTailSource(Server* server, std::string path, std::string tenant,
                                TailConfig cfg)
@@ -30,7 +36,7 @@ void FileTailSource::stop() {
 bool FileTailSource::idle_wait() {
   common::MutexLock lock(mu_);
   if (stop_requested_) return false;
-  stop_cv_.wait_for(mu_, std::chrono::milliseconds(cfg_.poll_interval_ms));
+  stop_cv_.wait_for(mu_, kPollInterval);
   return !stop_requested_;
 }
 

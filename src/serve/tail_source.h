@@ -13,7 +13,6 @@
 namespace vedr::serve {
 
 struct TailConfig {
-  int poll_interval_ms = 2;   ///< sleep between retries when the writer lags
   bool wait_for_file = true;  ///< retry open until the file appears (or stop())
 };
 

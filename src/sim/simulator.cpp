@@ -20,7 +20,7 @@ std::uint64_t Simulator::run(Tick until) {
     now_ = next;
     // Sampled dispatch-latency observation. The mask check comes first so the
     // metrics-off cost is one branch; wall time is read through obs, keeping
-    // the kernel itself free of host-clock calls (tools/lint.py wall-clock).
+    // the kernel itself free of host-clock calls (tools/determinism_lint.py wall-clock).
     if ((executed_ & kDispatchSampleMask) == 0 && dispatch_hist_ != nullptr &&
         obs::metrics_enabled()) {
       const std::uint64_t t0 = obs::wall_now_ns();

@@ -133,6 +133,37 @@ TEST(ProvenanceInvariants, PfcCycleDetectedAndDagAuditFires) {
   EXPECT_THROW(g.audit(/*expect_dag=*/true), CheckFailure);
 }
 
+TEST(ProvenanceInvariants, QueryBeforeFinalizeIsCaught) {
+  // Every vertex and edge query reads the rows finalize() builds; the
+  // staging counters stay readable at any time.
+  net::Topology topo = net::make_chain(2, net::NetConfig{});
+  ProvenanceGraph g(&topo);
+  SwitchReport rep;
+  PortReport pr;
+  pr.port = PortRef{2, 1};
+  pr.qdepth_pkts = 4;
+  pr.waits.push_back(WaitEntry{fk(1), fk(2), 8});
+  rep.ports.push_back(pr);
+  g.add_report(rep);
+
+  ScopedThrowOnCheckFailure guard;
+  EXPECT_EQ(g.report_count(), 1u);
+  EXPECT_FALSE(g.empty());
+  EXPECT_TRUE(g.drops().empty());
+  EXPECT_THROW(g.ports(), CheckFailure);
+  EXPECT_THROW(g.waiters_at(pr.port), CheckFailure);
+  EXPECT_THROW(g.pair_weight(pr.port, fk(1), fk(2)), CheckFailure);
+  EXPECT_THROW(g.contribution_to_flow(fk(2), fk(1)), CheckFailure);
+  EXPECT_THROW(g.port_count(), CheckFailure);
+  EXPECT_THROW(g.flow_ids(), CheckFailure);
+  EXPECT_THROW(g.pfc_edges(), CheckFailure);
+
+  g.finalize();
+  EXPECT_EQ(g.pair_weight(pr.port, fk(1), fk(2)), 8.0);
+  g.add_report(rep);  // the rows are stale until the next finalize()
+  EXPECT_THROW(g.flows(), CheckFailure);
+}
+
 TEST(ProvenanceInvariants, LinearPfcChainIsAcyclic) {
   net::Topology topo = net::make_chain(2, net::NetConfig{});
   const net::NodeId sw_a = topo.switches()[0];

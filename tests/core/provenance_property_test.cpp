@@ -4,7 +4,9 @@
 // synthesized switch reports; every query family the diagnosis pipeline
 // uses is then compared exactly — the arithmetic is either integer or
 // performed in the same canonical order, so even the doubles must match
-// bit for bit.
+// bit for bit. The key queries read the same finalized rows the analyzer
+// reads, and the findings of the reference classifier over the reference
+// graph must equal the shipped classifier's over the flat one.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "core/provenance_graph.h"
+#include "core/signatures.h"
 #include "net/topology.h"
 #include "telemetry/records.h"
 #include "reference_provenance.h"
@@ -202,6 +205,30 @@ void expect_graphs_agree(const PropertyFixture& fx, const Ref& ref,
   }
 }
 
+/// The reference classifier over `ref` and the shipped one over `flat` must
+/// emit exactly the same findings, for collective flow sets of several sizes.
+void expect_findings_agree(const PropertyFixture& fx, const refimpl::ProvenanceGraph& ref,
+                           const core::ProvenanceGraph& flat) {
+  const refimpl::SignatureClassifier oracle;
+  const core::SignatureClassifier classifier;
+  for (const std::size_t n : {2, 5, 10}) {
+    const std::unordered_set<FlowKey, net::FlowKeyHash> cc(fx.flows().begin(),
+                                                           fx.flows().begin() + n);
+    const std::vector<core::AnomalyFinding> want = oracle.classify(ref, cc, 3);
+    const std::vector<core::AnomalyFinding> got = classifier.classify(flat, cc, 3);
+    ASSERT_FALSE(want.empty()) << "a comparison without findings checks nothing";
+    ASSERT_EQ(want.size(), got.size()) << n << " collective flows";
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].type, got[i].type) << want[i].str();
+      EXPECT_EQ(want[i].contending_flows, got[i].contending_flows) << want[i].str();
+      EXPECT_EQ(want[i].congested_ports, got[i].congested_ports) << want[i].str();
+      EXPECT_EQ(want[i].pfc_chain, got[i].pfc_chain) << want[i].str();
+      EXPECT_EQ(want[i].root_port, got[i].root_port) << want[i].str();
+      EXPECT_EQ(want[i].step, got[i].step) << want[i].str();
+    }
+  }
+}
+
 class ProvenanceProperty : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(ProvenanceProperty, FlatLayoutMatchesReferenceImplementation) {
@@ -221,6 +248,7 @@ TEST_P(ProvenanceProperty, FlatLayoutMatchesReferenceImplementation) {
   ref.finalize();
   flat.finalize();
   expect_graphs_agree(fx, ref, flat);
+  expect_findings_agree(fx, ref, flat);
 
   // reset() must restore a pristine graph over warmed buffers: re-ingesting
   // the same stream has to reproduce every answer again.
@@ -229,6 +257,7 @@ TEST_P(ProvenanceProperty, FlatLayoutMatchesReferenceImplementation) {
   for (const auto& r : reports) flat.add_report(r);
   flat.finalize();
   expect_graphs_agree(fx, ref, flat);
+  expect_findings_agree(fx, ref, flat);
 }
 
 // The analyzer keeps each report in one graph (its step's, or the global

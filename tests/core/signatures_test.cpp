@@ -22,7 +22,7 @@ struct Fixture {
   // s1: port0->h1, port1->s0.
   net::Topology topo = net::make_chain(2, net::NetConfig{});
   ProvenanceGraph g{&topo};
-  SignatureClassifier classifier{8.0};
+  SignatureClassifier classifier;
   std::unordered_set<FlowKey, net::FlowKeyHash> cc_set{cc(0)};
 
   void add_port(PortRef p, std::vector<WaitEntry> waits, std::vector<FlowKey> flows,

@@ -152,5 +152,46 @@ TEST(HttpListener, TricklingClientCannotHoldTheListener) {
   http.stop();
 }
 
+TEST(HttpListener, ClientThatNeverReadsCannotHoldTheListener) {
+  // A response far larger than the loopback socket buffers: writing it to a
+  // client that never reads stalls once they are full. The listener serves
+  // one client at a time, so a scrape behind it waits; the response deadline
+  // (1 s) must bound that wait while the stuck client stays connected.
+  HttpListener http([](const std::string& path) {
+    HttpResponse r;
+    if (path == "/big") {
+      r.body.assign(std::size_t{64} << 20, 'x');
+    } else {
+      r.body = "ok\n";
+    }
+    return r;
+  });
+  std::string err;
+  ASSERT_TRUE(http.start(0, &err)) << err;
+
+  std::atomic<bool> requested{false};
+  std::thread stuck([&http, &requested] {
+    const int fd = connect_to(http.port());
+    const std::string req = "GET /big HTTP/1.0\r\n\r\n";
+    EXPECT_EQ(::send(fd, req.data(), req.size(), MSG_NOSIGNAL), static_cast<ssize_t>(req.size()));
+    requested.store(true);
+    // Connected, never reading, for five response deadlines.
+    std::this_thread::sleep_for(std::chrono::seconds(5));
+    ::close(fd);
+  });
+  while (!requested.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // let its writes stall first
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string health = http_get(http.port(), "GET /healthz HTTP/1.0");
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  stuck.join();
+  EXPECT_NE(health.find("HTTP/1.0 200 OK"), std::string::npos) << health;
+  // The deadline plus a margin for loaded or sanitized runs.
+  EXPECT_LT(waited, std::chrono::milliseconds(1000 + 2500))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(waited).count() << " ms";
+  http.stop();
+}
+
 }  // namespace
 }  // namespace vedr::serve

@@ -23,7 +23,7 @@ constexpr std::uint64_t kSec = 1'000'000'000ULL;
 // --- TailSampler ------------------------------------------------------------
 
 TEST(TailSampler, ColdStartRetainsNothing) {
-  TailSampler tail(/*quantile=*/0.99, /*min_count=*/32);
+  TailSampler tail;
   const std::uint64_t now = 5 * kSec;
   // 31 samples: one short of min_count, so even the largest latency seen so
   // far is not retained and the threshold reads 0 (quantile not meaningful).
@@ -34,7 +34,7 @@ TEST(TailSampler, ColdStartRetainsNothing) {
 }
 
 TEST(TailSampler, WarmWindowRetainsOnlyTheTail) {
-  TailSampler tail(/*quantile=*/0.99, /*min_count=*/32);
+  TailSampler tail;
   const std::uint64_t now = 5 * kSec;
   // 100 equal samples of 1000ns: every sample lands in the log2 bucket whose
   // upper edge is 1023, so the rolling p99 threshold becomes 1023.

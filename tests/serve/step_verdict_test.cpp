@@ -98,7 +98,8 @@ std::vector<std::string> lines_pumped_per_record(const DecodedTrace& t) {
 }
 
 /// The whole trace queued before the first pump: every pump slice ingests
-/// pump_batch records, and many closing records sit mid-slice.
+/// a full slice of records (session.cpp's kPumpBatch), and many closing
+/// records sit mid-slice.
 std::vector<std::string> lines_pumped_after_queueing(const DecodedTrace& t) {
   CaptureSink sink;
   sim::StatsRegistry stats;

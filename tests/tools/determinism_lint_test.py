@@ -306,8 +306,81 @@ class HelperTest(unittest.TestCase):
         self.assertEqual(
             set(lint.RULE_NAMES),
             {"unordered-iter", "pointer-key", "wall-clock", "rng-seed",
-             "uninit-pod", "bare-suppression", "unknown-rule"},
+             "uninit-pod", "bare-suppression", "unknown-rule",
+             "rand", "float-eq", "header-guard"},
         )
+
+
+OUTSIDE_SRC = ("tools/x.cpp", "tests/core/x_test.cpp", "bench/x.cpp", "examples/x.cpp")
+
+
+class RandTest(unittest.TestCase):
+    def test_rand_in_every_source_dir(self):
+        for rel in OUTSIDE_SRC:
+            self.assertEqual(rules_of(run("int x = rand();\n", rel=rel)), ["rand"], rel)
+            self.assertEqual(rules_of(run("std::srand(7);\n", rel=rel)), ["rand"], rel)
+
+    def test_wall_clock_exempt_dirs_still_ban_rand(self):
+        self.assertEqual(rules_of(run("srand(42);\n", rel="src/obs/trace.cpp")), ["rand"])
+        self.assertEqual(rules_of(run("srand(42);\n", rel="src/serve/session.cpp")), ["rand"])
+
+    def test_one_finding_per_line_where_wall_clock_applies(self):
+        self.assertEqual(rules_of(run("int x = rand();\n", rel="src/net/x.cpp")), ["wall-clock"])
+
+    def test_seeded_generators_are_fine(self):
+        src = "std::mt19937_64 gen(seed);\nconst auto v = gen();\nint operand(int);\n"
+        for rel in OUTSIDE_SRC:
+            self.assertEqual(run(src, rel=rel), [], rel)
+
+    def test_suppression(self):
+        src = "int x = rand();  // vedr-lint: allow(rand): fixture of the linter test\n"
+        self.assertEqual(run(src, rel="tests/x.cpp"), [])
+
+
+class FloatEqTest(unittest.TestCase):
+    def test_compare_against_float_literal(self):
+        for rel in ("src/core/x.cpp",) + OUTSIDE_SRC:
+            self.assertEqual(rules_of(run("if (x == 0.5) f();\n", rel=rel)), ["float-eq"], rel)
+            self.assertEqual(rules_of(run("if (1.0f != y) f();\n", rel=rel)), ["float-eq"], rel)
+
+    def test_integers_epsilons_and_orderings_are_fine(self):
+        src = (
+            "if (n == 3) f();\n"
+            "if (std::abs(x - y) < 1e-9) g();\n"
+            "if (w >= 0.5) h();\n"
+        )
+        self.assertEqual(run(src), [])
+
+    def test_literal_in_string_or_comment_is_fine(self):
+        self.assertEqual(run('log("x == 0.5");  // y == 1.0\n', rel="bench/x.cpp"), [])
+
+
+class HeaderGuardTest(unittest.TestCase):
+    def test_header_without_pragma_once(self):
+        for rel in ("src/core/x.h", "tools/x.h", "tests/x.h", "bench/x.hpp", "examples/x.h"):
+            findings = run("int f();\n", rel=rel)
+            self.assertEqual(rules_of(findings), ["header-guard"], rel)
+            self.assertEqual(findings[0].line, 1)
+
+    def test_guarded_header_and_sources_are_fine(self):
+        self.assertEqual(run("// doc\n#pragma once\nint f();\n", rel="src/core/x.h"), [])
+        self.assertEqual(run("int f();\n", rel="tests/x.cpp"), [])
+
+
+class ScopeTest(unittest.TestCase):
+    def test_determinism_rules_hold_in_src_only(self):
+        # Tests and benches time themselves and iterate hash tables.
+        src = (
+            "auto t0 = std::chrono::steady_clock::now();\n"
+            "std::unordered_map<int, int> m;\n"
+            "for (const auto& [k, v] : m) emit(k);\n"
+        )
+        for rel in OUTSIDE_SRC:
+            self.assertEqual(run(src, rel=rel), [], rel)
+        self.assertEqual(rules_of(run(src)), ["wall-clock", "unordered-iter"])
+
+    def test_other_dirs_are_not_linted(self):
+        self.assertEqual(run("int x = rand();\nbool b = y == 0.5;\n", rel="pipebench/x.cpp"), [])
 
 
 class RepoCleanTest(unittest.TestCase):
@@ -323,6 +396,15 @@ class RepoCleanTest(unittest.TestCase):
                     header_names.setdefault(f.stem, set()).update(names)
         for f in files:
             findings.extend(lint.lint_file(f, REPO, header_names))
+        self.assertEqual([str(f) for f in findings], [])
+
+    def test_every_source_dir_is_clean(self):
+        files = lint.gather_files(REPO, [])
+        self.assertEqual({f.relative_to(REPO).parts[0] for f in files},
+                         set(lint.SOURCE_DIRS))
+        findings = []
+        for f in files:
+            findings.extend(lint.lint_file(f, REPO, {}))
         self.assertEqual([str(f) for f in findings], [])
 
 

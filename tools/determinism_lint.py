@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Determinism lint: finds nondeterminism sources before they reach a digest.
+"""Source lint: nondeterminism before it reaches a digest, and source hygiene.
 
 The simulator's correctness story is byte-identical determinism digests and
 bit-for-bit replay; the classic ways that story silently rots are all
-statically visible. This linter scans ``src/`` for them (see DESIGN.md §11
-for the rule catalogue and rationale):
+statically visible. This linter, the repository's one source linter, scans
+the source directories (``src``, ``tools``, ``tests``, ``bench``,
+``examples``) for them; each rule has a directory scope (see DESIGN.md §11
+for the rule catalogue and rationale). The determinism rules hold in
+``src/``:
 
   unordered-iter   iteration over a std::unordered_map/unordered_set
                    (range-for, ``.begin()``/``.cbegin()``, iterator-pair
@@ -44,6 +47,18 @@ for the rule catalogue and rationale):
   unknown-rule     an ``allow()`` naming a rule this linter does not have
                    (typo, or a stale suppression after a rule rename).
 
+The hygiene rules hold in every source directory:
+
+  rand             rand()/srand(): every random draw comes from a seeded
+                   generator (sim::Rng, std::mt19937_64). Where the
+                   wall-clock rule applies it reports these calls, so a line
+                   gets one finding.
+  float-eq         ==/!= against a floating-point literal: exact FP
+                   comparison is order-sensitive; compare integral units
+                   (Ticks, bytes) or use an epsilon.
+  header-guard     a header (.h/.hpp) without ``#pragma once``; reported on
+                   line 1 and not suppressible.
+
 Suppress a deliberate use with an inline comment carrying a reason:
 
     // vedr-lint: allow(unordered-iter): drained into a sorted vector below
@@ -66,7 +81,16 @@ RULE_NAMES = (
     "uninit-pod",
     "bare-suppression",
     "unknown-rule",
+    "rand",
+    "float-eq",
+    "header-guard",
 )
+
+# Directories scanned when no paths are given. The determinism rules apply
+# inside src/ only (tests and benches legitimately time themselves and
+# iterate hash tables); the hygiene rules apply in all of them.
+SOURCE_DIRS = ("src", "tools", "tests", "bench", "examples")
+DETERMINISM_DIRS = ("src",)
 
 SUPPRESS_RE = re.compile(r"vedr-lint:\s*allow\(([\w-]+)\)(:\s*\S.*)?")
 
@@ -82,8 +106,9 @@ POINTER_KEY_RES = (
     re.compile(r"\breinterpret_cast\s*<\s*(?:std\s*::\s*)?uintptr_t\s*>"),
 )
 
+RAND_RE = re.compile(r"\b(?:std\s*::\s*)?s?rand\s*\(")
 WALL_CLOCK_RES = (
-    re.compile(r"\b(?:std\s*::\s*)?s?rand\s*\("),
+    RAND_RE,
     re.compile(r"\b(?:system_clock|steady_clock|high_resolution_clock)\b"),
     re.compile(r"\bgettimeofday\s*\(|\bclock_gettime\s*\("),
     re.compile(r"\btime\s*\(\s*(?:NULL|nullptr|0)\s*\)"),
@@ -130,7 +155,16 @@ UNINIT_PTR_FIELD_RE = re.compile(
     r"^\s*(?:const\s+)?[A-Za-z_][\w:]*\s*\*\s*(?:const\s*)?[A-Za-z_]\w*\s*;"
 )
 
+FLOAT_EQ_RE = re.compile(r"[=!]=\s*[-+]?[0-9]*\.[0-9]+f?\b|[0-9]*\.[0-9]+f?\s*[=!]=")
+PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b", re.MULTILINE)
+
 ITER_METHODS = ("begin", "cbegin", "rbegin", "crbegin")
+
+
+def in_dirs(rel: str, dirs: tuple[str, ...]) -> bool:
+    """Whether repo-relative `rel` lies under one of `dirs` (per path
+    segment: src/served is not src/serve)."""
+    return any(rel.startswith(d + "/") or rel == d for d in dirs)
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -218,18 +252,22 @@ def _iter_patterns(names: set[str]) -> list[re.Pattern]:
 
 
 def lint_text(text: str, rel: str, extra_unordered: set[str] | None = None) -> list[Finding]:
-    """Lints one file's text. `rel` is the repo-relative posix path (used for
-    the wall-clock exemption). `extra_unordered` adds names known to be
+    """Lints one file's text. `rel` is the repo-relative posix path, which
+    selects the rules in scope. `extra_unordered` adds names known to be
     unordered from other files (headers of the same library)."""
     findings: list[Finding] = []
-    names = collect_unordered_names(text)
-    if extra_unordered:
+    determinism = in_dirs(rel, DETERMINISM_DIRS)
+    hygiene = in_dirs(rel, SOURCE_DIRS)
+    names = collect_unordered_names(text) if determinism else set()
+    if extra_unordered and determinism:
         names |= extra_unordered
     iter_res = _iter_patterns(names)
 
-    wall_clock_exempt = any(
-        rel.startswith(d + "/") or rel == d for d in WALL_CLOCK_EXEMPT_DIRS
-    )
+    wall_clock = determinism and not in_dirs(rel, WALL_CLOCK_EXEMPT_DIRS)
+
+    if (hygiene and rel.endswith((".h", ".hpp"))
+            and not PRAGMA_ONCE_RE.search(text)):
+        findings.append(Finding(rel, 1, "header-guard", "header is missing '#pragma once'"))
 
     payload_struct: str | None = None  # name, once inside the struct body
     payload_pending: str | None = None  # declared, waiting for the opening '{'
@@ -264,6 +302,17 @@ def lint_text(text: str, rel: str, extra_unordered: set[str] | None = None) -> l
                      "justify why the order cannot escape)")
                 break
 
+        if hygiene:
+            if not wall_clock and RAND_RE.search(code):
+                emit("rand", "rand()/srand() is banned: use a seeded std::mt19937_64")
+            if FLOAT_EQ_RE.search(code):
+                emit("float-eq",
+                     "raw floating-point ==/!= is banned: compare integral units or "
+                     "use an epsilon")
+
+        if not determinism:
+            continue
+
         for pat in POINTER_KEY_RES:
             if pat.search(code):
                 emit("pointer-key",
@@ -271,7 +320,7 @@ def lint_text(text: str, rel: str, extra_unordered: set[str] | None = None) -> l
                      "run to run; key on a stable id instead")
                 break
 
-        if not wall_clock_exempt:
+        if wall_clock:
             for pat in WALL_CLOCK_RES:
                 if pat.search(code):
                     emit("wall-clock",
@@ -339,7 +388,8 @@ def lint_file(path: Path, repo: Path, header_names: dict[str, set[str]]) -> list
 
 
 def gather_files(repo: Path, args_paths: list[str]) -> list[Path]:
-    roots = [Path(p) for p in args_paths] if args_paths else [repo / "src"]
+    roots = ([Path(p) for p in args_paths] if args_paths
+             else [repo / d for d in SOURCE_DIRS if (repo / d).is_dir()])
     files: list[Path] = []
     for root in roots:
         root = root if root.is_absolute() else Path.cwd() / root
@@ -356,7 +406,8 @@ def gather_files(repo: Path, args_paths: list[str]) -> list[Path]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*",
-                        help="files or directories to lint (default: <repo>/src)")
+                        help="files or directories to lint (default: every source "
+                             "directory of <repo>)")
     parser.add_argument("--repo", default=None,
                         help="repository root (default: parent of tools/)")
     parser.add_argument("--list-rules", action="store_true", help="print rule names and exit")
@@ -379,7 +430,9 @@ def main() -> int:
     # cross-contaminate.
     header_names: dict[str, set[str]] = {}
     for f in files:
-        if f.suffix in {".h", ".hpp"}:
+        # Only src/ carries the unordered-iter rule that reads these names.
+        if (f.suffix in {".h", ".hpp"}
+                and in_dirs(f.relative_to(repo).as_posix(), DETERMINISM_DIRS)):
             names = collect_unordered_names(
                 f.read_text(encoding="utf-8", errors="replace")
             )

@@ -37,6 +37,7 @@
 #include "eval/experiment.h"
 #include "net/routing.h"
 #include "obs/cli.h"
+#include "obs/json.h"
 #include "replay/trace_format.h"
 #include "sim/shard_report.h"
 #include "telemetry_flags.h"
@@ -153,16 +154,21 @@ int main(int argc, char** argv) {
   }
 
   if (as_json) {
-    std::printf("{\"scenario\":\"%s\",\"case\":%d,\"system\":\"%s\",\"outcome\":\"%s\","
-                "\"cc_completed\":%s,\"cc_time_ns\":%lld,"
-                "\"telemetry_bytes\":%lld,\"bandwidth_bytes\":%lld,"
-                "\"diagnosis\":%s}\n",
-                eval::to_string(spec.type), spec.case_id, eval::to_string(system),
-                result.outcome.label(), result.cc_completed ? "true" : "false",
-                static_cast<long long>(result.cc_time),
-                static_cast<long long>(result.telemetry_bytes),
-                static_cast<long long>(result.bandwidth_bytes),
-                core::json::diagnosis_to_json(result.diagnosis).c_str());
+    std::string line;
+    obs::JsonWriter w(&line);
+    w.begin_object();
+    w.kv("scenario", eval::to_string(spec.type));
+    w.kv("case", spec.case_id);
+    w.kv("system", eval::to_string(system));
+    w.kv("outcome", result.outcome.label());
+    w.kv("cc_completed", result.cc_completed);
+    w.kv("cc_time_ns", static_cast<std::int64_t>(result.cc_time));
+    w.kv("telemetry_bytes", result.telemetry_bytes);
+    w.kv("bandwidth_bytes", result.bandwidth_bytes);
+    w.key("diagnosis");
+    w.raw(core::json::diagnosis_to_json(result.diagnosis));
+    w.end_object();
+    std::printf("%s\n", line.c_str());
   } else {
     std::printf("case: %s\n", spec.str().c_str());
     std::printf("system: %s  outcome: %s  collective: %.2f ms%s\n", eval::to_string(system),

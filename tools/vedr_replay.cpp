@@ -31,6 +31,7 @@
 #include "common/env.h"
 #include "core/json_export.h"
 #include "obs/cli.h"
+#include "obs/json.h"
 #include "replay/collector.h"
 #include "replay/trace_reader.h"
 #include "telemetry_flags.h"
@@ -186,19 +187,23 @@ int main(int argc, char** argv) {
   }
 
   if (as_json) {
-    std::printf("{\"trace\":\"%s\",\"scenario\":\"%s\",\"case\":%d,\"system\":\"%s\","
-                "\"frames\":%llu,\"bytes\":%llu,"
-                "\"cc_completed\":%s,\"cc_time_ns\":%lld,"
-                "\"diagnosis_digest\":%llu,\"digest_matches\":%s,"
-                "\"diagnosis\":%s}\n",
-                trace_path.c_str(), scenario_name(result.envelope.scenario),
-                static_cast<int>(result.envelope.case_id), system_name(result.envelope.system),
-                static_cast<unsigned long long>(result.stats.frames),
-                static_cast<unsigned long long>(result.stats.bytes),
-                result.footer.cc_completed ? "true" : "false",
-                static_cast<long long>(result.footer.cc_time),
-                static_cast<unsigned long long>(result.diagnosis_digest),
-                result.digest_matches ? "true" : "false", result.diagnosis_json.c_str());
+    std::string line;
+    obs::JsonWriter w(&line);
+    w.begin_object();
+    w.kv("trace", std::string_view(trace_path));
+    w.kv("scenario", scenario_name(result.envelope.scenario));
+    w.kv("case", static_cast<int>(result.envelope.case_id));
+    w.kv("system", system_name(result.envelope.system));
+    w.kv("frames", static_cast<std::uint64_t>(result.stats.frames));
+    w.kv("bytes", static_cast<std::uint64_t>(result.stats.bytes));
+    w.kv("cc_completed", result.footer.cc_completed);
+    w.kv("cc_time_ns", static_cast<std::int64_t>(result.footer.cc_time));
+    w.kv("diagnosis_digest", result.diagnosis_digest);
+    w.kv("digest_matches", result.digest_matches);
+    w.key("diagnosis");
+    w.raw(result.diagnosis_json);
+    w.end_object();
+    std::printf("%s\n", line.c_str());
   } else {
     std::printf("trace: %s (%llu frames, %llu bytes)\n", trace_path.c_str(),
                 static_cast<unsigned long long>(result.stats.frames),
