@@ -50,6 +50,7 @@
 #include "eval/experiment.h"
 #include "net/routing.h"
 #include "obs/metrics.h"
+#include "replay/trace_format.h"
 #include "sim/shard_report.h"
 
 namespace {
@@ -188,7 +189,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--shard-report") {
       shard_report = true;
     } else if (arg == "--k") {
-      fat_tree_k = common::parse_int_or_die("--k", next(), 4, INT_MAX);
+      fat_tree_k = common::parse_int_or_die("--k", next(), 4, replay::kMaxFatTreeK);
       if (fat_tree_k % 2 != 0) usage(argv[0]);
     } else if (arg == "--sweep") {
       sweep = true;

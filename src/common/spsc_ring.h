@@ -105,23 +105,16 @@ class SpscRing {
   /// this per handoff lane.
   std::uint64_t spills() const { return spills_.load(std::memory_order_relaxed); }
 
-  /// Read-and-reset the ring-occupancy high watermark (peak `tail - head`
-  /// observed at push since the last call; an *upper bound*, since the
-  /// producer's view of head may be stale). Callable from any thread
-  /// concurrently with the producer: the producer's CAS-max retries past a
-  /// racing exchange(0), so a later-higher peak is never lost — this is the
-  /// property the concurrent reset-vs-producer unit test pins down.
-  std::size_t take_watermark() { return watermark_.exchange(0, std::memory_order_relaxed); }
-
-  /// Current watermark without resetting (end-of-run reports).
+  /// Ring-occupancy high watermark: the peak `tail - head` observed at push
+  /// (an *upper bound*, since the producer's view of head may be stale).
+  /// Read it once the producer has quiesced (end-of-run reports).
   std::size_t watermark() const { return watermark_.load(std::memory_order_relaxed); }
 
  private:
+  /// Producer-only writer, so a plain load-compare-store keeps the peak.
   void note_occupancy(std::size_t occ) {
-    std::size_t cur = watermark_.load(std::memory_order_relaxed);
-    while (occ > cur &&
-           !watermark_.compare_exchange_weak(cur, occ, std::memory_order_relaxed)) {
-    }
+    if (occ > watermark_.load(std::memory_order_relaxed))
+      watermark_.store(occ, std::memory_order_relaxed);
   }
 
   std::vector<T> buf_;

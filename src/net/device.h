@@ -1,6 +1,5 @@
 #pragma once
 
-#include "net/packet.h"
 #include "net/packet_pool.h"
 #include "net/types.h"
 
@@ -9,7 +8,7 @@ namespace vedr::net {
 class Network;
 
 /// A node in the fabric (host NIC or switch). Devices receive packets from
-/// the Network's link layer and emit packets through Network::deliver.
+/// the Network's link layer and emit packets through Network::deliver_ref.
 class Device {
  public:
   Device(Network& net, NodeId id, bool is_host) : net_(net), id_(id), is_host_(is_host) {}
@@ -18,15 +17,10 @@ class Device {
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
-  /// A packet has fully arrived on `in_port`.
-  virtual void handle_rx(Packet pkt, PortId in_port) = 0;
-
-  /// Pooled-delivery variant: the packet lives in the Network's pool and the
-  /// callee owns slot `ref` (it must release it, possibly by forwarding).
-  /// The default implementation moves the packet out, frees the slot, and
-  /// calls handle_rx() — correct for any device; switches override it to
-  /// keep forwarded packets in their slots.
-  virtual void handle_rx_ref(PacketRef ref, PortId in_port);
+  /// A packet has fully arrived on `in_port`. It lives in the domain's
+  /// packet pool and the callee owns slot `ref`: it must release it, possibly
+  /// by forwarding it (switches keep forwarded packets in their slots).
+  virtual void handle_rx_ref(PacketRef ref, PortId in_port) = 0;
 
   NodeId id() const { return id_; }
   bool is_host() const { return is_host_; }

@@ -140,8 +140,12 @@ void Host::on_tx_done_ref(PacketRef ref) {
   kick();
 }
 
-void Host::handle_rx(Packet pkt, PortId in_port) {
+void Host::handle_rx_ref(PacketRef ref, PortId in_port) {
   (void)in_port;
+  // Free the slot before the handlers run: they may acquire new slots (ACKs,
+  // CNPs) and must see this one available for reuse.
+  const Packet pkt = std::move(net_.pool().at(ref));
+  net_.pool().release(ref);
   if (auto* t = net_.tracer())
     t->record(TraceEvent{TraceEvent::Kind::kHostRx, net_.sim().now(), id_, kUplink, pkt.type,
                          pkt.flow, pkt.seq, pkt.size});

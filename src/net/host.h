@@ -62,7 +62,7 @@ class Host : public Device {
   bool flow_active(const FlowKey& flow) const { return send_flows_.count(flow) > 0; }
   int active_send_flows() const { return static_cast<int>(send_flows_.size()); }
 
-  void handle_rx(Packet pkt, PortId in_port) override;
+  void handle_rx_ref(PacketRef ref, PortId in_port) override;
 
   // --- event-dispatch entry points (net/events.cpp trampolines only) -------
 

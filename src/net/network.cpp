@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.h"
 #include "net/events.h"
@@ -18,8 +19,7 @@ Network::Network(sim::ShardedEngine& engine, const ShardPlan& plan, const Topolo
       topo_(topo),
       routing_(RoutingTable::shortest_paths(topo)),
       plan_(plan),
-      engine_(engine),
-      pool_(plan.num_domains) {
+      engine_(engine) {
   VEDR_CHECK(plan_.num_domains == engine.num_domains(),
              "ShardPlan and ShardedEngine disagree on domain count");
   VEDR_CHECK(engine.lookahead() <= plan_.lookahead,
@@ -27,7 +27,7 @@ Network::Network(sim::ShardedEngine& engine, const ShardPlan& plan, const Topolo
   VEDR_CHECK(plan_.domain_of.size() == topo_.size(), "ShardPlan built for another topology");
   dcqcn_.line_rate_gbps = cfg_.link_gbps;
   swift_.line_rate_gbps = cfg_.link_gbps;
-  handoffs_ = std::make_unique<HandoffMatrix>(plan_.num_domains);
+  handoffs_ = std::make_unique<HandoffMatrix>(plan_, topo_);
   ctxs_.reserve(static_cast<std::size_t>(plan_.num_domains));
   for (int d = 0; d < plan_.num_domains; ++d) {
     auto ctx = std::make_unique<DomainCtx>();
@@ -39,7 +39,6 @@ Network::Network(sim::ShardedEngine& engine, const ShardPlan& plan, const Topolo
   }
   init_devices();
   engine.set_drain_hook([this](int d) { drain_domain(d); });
-  engine.set_flush_hook([this](int d) { pool_.flush_returns(d); });
 }
 
 void Network::init_devices() {
@@ -60,10 +59,9 @@ void Network::init_devices() {
 }
 
 Network::~Network() {
-  // The engine may outlive us (it is constructed first); detach the hooks
-  // that capture `this`.
+  // The engine may outlive us (it is constructed first); detach the hook
+  // that captures `this`.
   engine_.set_drain_hook(nullptr);
-  engine_.set_flush_hook(nullptr);
   for (auto& c : ctxs_) c->sim->set_stats(nullptr);  // registries die with us
 }
 
@@ -90,17 +88,17 @@ void Network::fill_shard_report(sim::ShardReport& out) const {
 
 void Network::drain_domain(int domain) {
   // Runs on the domain's worker with ShardScope(domain) active, after the
-  // window-B barrier — every producer's flush of the previous window is
-  // visible. Reclaim returned pool slots first, then merge inbound handoffs
-  // (sorted by the (arrival, src, seq) contract) into this domain's queue.
-  pool_.drain_returns(domain);
+  // window-B barrier — every handoff pushed in the previous window is
+  // visible. Each packet takes a slot in this domain's pool just before its
+  // delivery is scheduled, in the (arrival, src, seq) order of the drain.
   DomainCtx& c = *ctxs_[static_cast<std::size_t>(domain)];
   c.scratch.clear();
   if (handoffs_->drain(domain, c.scratch) == 0) return;
-  for (const Handoff& h : c.scratch) {
+  for (Handoff& h : c.scratch) {
     Device* dev = devices_[static_cast<std::size_t>(h.node)].get();
     c.sim->schedule_event_at(h.arrival, sim::EventKind::kPacketDelivery,
-                             {dev, h.ref, static_cast<std::uint64_t>(h.port)});
+                             {dev, c.pool.acquire(std::move(h.pkt)),
+                              static_cast<std::uint64_t>(h.port)});
   }
 }
 
@@ -115,7 +113,7 @@ Switch& Network::switch_at(NodeId id) {
 }
 
 void Network::deliver(NodeId from, PortId out_port, Packet pkt) {
-  deliver_ref(from, out_port, pool_.acquire(std::move(pkt)));
+  deliver_ref(from, out_port, pool().acquire(std::move(pkt)));
 }
 
 void Network::deliver_ref(NodeId from, PortId out_port, PacketRef ref) {
@@ -127,10 +125,13 @@ void Network::deliver_ref(NodeId from, PortId out_port, PacketRef ref) {
   ++c.packets_delivered;
   const int dst = domain_of(peer.node);
   if (dst != src) {
-    // Cross-domain: ride the handoff matrix; the destination merges it at
-    // its next window boundary. The conservative window guarantees the
-    // arrival time is at or beyond every in-flight window's end.
-    handoffs_->push(src, dst, c.sim->now() + delay, peer.node, peer.port, ref);
+    // Cross-domain: the packet rides the handoff matrix by value and this
+    // domain's slot is free at once; the destination merges it at its next
+    // window boundary. The conservative window guarantees the arrival time
+    // is at or beyond every in-flight window's end.
+    handoffs_->push(src, dst, c.sim->now() + delay, peer.node, peer.port,
+                    std::move(c.pool.at(ref)));
+    c.pool.release(ref);
     return;
   }
   Device* dev = devices_.at(static_cast<std::size_t>(peer.node)).get();

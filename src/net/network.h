@@ -32,13 +32,13 @@ class Switch;
 /// (stats registry, report sink).
 ///
 /// The fabric is partitioned into the plan's domains (DESIGN.md §14); every
-/// domain gets its own Simulator, stats registry, tracer slot, report sink,
-/// and delivery counter, resolved through sim::current_domain() so device
-/// code is shard-oblivious. Deliveries whose endpoint lives in another
-/// domain travel through the HandoffMatrix and are merged at window
-/// boundaries in (time, src domain, seq) order. The serial lane is the
-/// one-domain plan (ShardPlan::single) on the one-domain engine: every
-/// delivery is local and the run is one window.
+/// domain gets its own Simulator, stats registry, packet pool, tracer slot,
+/// report sink, and delivery counter, resolved through sim::current_domain()
+/// so device code is shard-oblivious. Deliveries whose endpoint lives in
+/// another domain carry the packet by value through the HandoffMatrix and
+/// are merged at window boundaries in (time, src domain, seq) order. The
+/// serial lane is the one-domain plan (ShardPlan::single) on the one-domain
+/// engine: every delivery is local and the run is one window.
 ///
 /// Local deliveries and drained handoffs are plain typed events on the
 /// receiving domain's queue, the latter scheduled in drain order.
@@ -46,7 +46,7 @@ class Network {
  public:
   /// `plan` must be built for `topo`, with num_domains matching
   /// engine.num_domains() and a lookahead no shorter than the engine's.
-  /// Installs itself as the engine's boundary hooks.
+  /// Installs itself as the engine's drain hook.
   Network(sim::ShardedEngine& engine, const ShardPlan& plan, const Topology& topo,
           NetConfig cfg = {}, DcqcnParams dcqcn = {});
   ~Network();
@@ -65,6 +65,8 @@ class Network {
   /// The calling context's stats registry (domain-local; call
   /// merge_domain_stats() after the run to collapse them for readers).
   sim::StatsRegistry& stats() { return *ctxs_[ctx_index()]->stats; }
+  /// The calling context's in-flight packet storage (domain-local).
+  PacketPool& pool() { return ctxs_[ctx_index()]->pool; }
 
   // --- sharding ------------------------------------------------------------
 
@@ -118,15 +120,12 @@ class Network {
   /// is the sender's business and must already have elapsed.
   void deliver(NodeId from, PortId out_port, Packet pkt);
 
-  /// Pooled delivery: same contract, but the packet already lives in this
-  /// network's pool and travels as a slot index — the steady-state path,
-  /// with no Packet copy and no allocation. Cross-domain deliveries ride
-  /// the handoff matrix and materialize at the next window boundary.
+  /// Pooled delivery: same contract, but the packet already lives in the
+  /// domain's pool and travels as a slot index — the steady-state path,
+  /// with no Packet copy and no allocation. A cross-domain delivery moves
+  /// the packet into the handoff matrix, frees the slot, and takes a slot
+  /// in the receiver's pool at the next window boundary.
   void deliver_ref(NodeId from, PortId out_port, PacketRef ref);
-
-  /// In-flight packet storage (shared across domains; see PacketPool's
-  /// sharding contract).
-  PacketPool& pool() { return pool_; }
 
   /// Frames handed to the link layer since construction (all types).
   std::uint64_t packets_delivered() const {
@@ -153,12 +152,13 @@ class Network {
 
  private:
   /// Everything that must be domain-local so worker threads never share a
-  /// mutable cell: the domain's simulator, registry, observation hooks, the
-  /// delivery counter, and drain scratch. Cache-line aligned so adjacent
-  /// domains' counters don't false-share.
+  /// mutable cell: the domain's simulator, registry, packet pool,
+  /// observation hooks, the delivery counter, and drain scratch. Cache-line
+  /// aligned so adjacent domains' counters don't false-share.
   struct alignas(64) DomainCtx {
     sim::Simulator* sim = nullptr;
     std::unique_ptr<sim::StatsRegistry> stats;
+    PacketPool pool;
     telemetry::ReportSink* sink = nullptr;
     PacketTracer* tracer = nullptr;
     std::uint64_t packets_delivered = 0;
@@ -167,8 +167,8 @@ class Network {
 
   std::size_t ctx_index() const { return static_cast<std::size_t>(sim::current_domain()); }
   void init_devices();
-  /// Engine drain hook: reclaim returned pool slots, then merge inbound
-  /// handoffs (sorted) into this domain's queue.
+  /// Engine drain hook: merge inbound handoffs (sorted) into this domain's
+  /// pool and queue.
   void drain_domain(int domain);
 
   NetConfig cfg_;
@@ -180,7 +180,6 @@ class Network {
   sim::ShardedEngine& engine_;
   std::vector<std::unique_ptr<DomainCtx>> ctxs_;
   std::unique_ptr<HandoffMatrix> handoffs_;
-  PacketPool pool_;
   std::vector<std::unique_ptr<Device>> devices_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <string_view>
+#include <utility>
 
 #include "common/check.h"
 
@@ -88,19 +89,30 @@ ShardPlan ShardPlan::for_topology(const Topology& topo) {
   return plan;
 }
 
-HandoffMatrix::HandoffMatrix(int num_domains) : num_domains_(num_domains) {
-  VEDR_CHECK(num_domains >= 1, "handoff matrix needs at least one domain");
-  rings_.resize(static_cast<std::size_t>(num_domains) * static_cast<std::size_t>(num_domains));
-  for (auto& r : rings_) r = std::make_unique<common::SpscRing<Handoff>>(1024);
-  seq_rows_.reserve(static_cast<std::size_t>(num_domains));
-  for (int s = 0; s < num_domains; ++s) {
+HandoffMatrix::HandoffMatrix(const ShardPlan& plan, const Topology& topo)
+    : num_domains_(plan.num_domains) {
+  VEDR_CHECK(num_domains_ >= 1, "handoff matrix needs at least one domain");
+  rings_.resize(static_cast<std::size_t>(num_domains_) * static_cast<std::size_t>(num_domains_));
+  // Rings only where a link crosses: a fat-tree's pods meet only at the core
+  // domain, so 2(D-1) of the D^2 pairs carry every handoff, and a ring holds
+  // 1,024 whole packets.
+  for (std::size_t i = 0; i < topo.size(); ++i) {
+    const int src = plan.domain_of[i];
+    for (const auto& p : topo.node(static_cast<NodeId>(i)).ports) {
+      const int dst = plan.domain_of[static_cast<std::size_t>(p.peer)];
+      auto& ring = rings_[index(src, dst)];
+      if (src != dst && !ring) ring = std::make_unique<common::SpscRing<Handoff>>(1024);
+    }
+  }
+  seq_rows_.reserve(static_cast<std::size_t>(num_domains_));
+  for (int s = 0; s < num_domains_; ++s) {
     seq_rows_.push_back(std::make_unique<SeqRow>());
-    seq_rows_.back()->next_seq.assign(static_cast<std::size_t>(num_domains), 0);
+    seq_rows_.back()->next_seq.assign(static_cast<std::size_t>(num_domains_), 0);
   }
 }
 
 void HandoffMatrix::push(int src_domain, int dst_domain, Tick arrival, NodeId node,
-                         PortId port, PacketRef ref) {
+                         PortId port, Packet pkt) {
   SeqRow& row = *seq_rows_[static_cast<std::size_t>(src_domain)];
   Handoff h;
   h.arrival = arrival;
@@ -108,17 +120,17 @@ void HandoffMatrix::push(int src_domain, int dst_domain, Tick arrival, NodeId no
   h.src_domain = static_cast<std::uint16_t>(src_domain);
   h.node = node;
   h.port = port;
-  h.ref = ref;
+  h.pkt = std::move(pkt);
   ++row.pushed;
-  rings_[index(src_domain, dst_domain)]->push(h);
+  auto& ring = rings_[index(src_domain, dst_domain)];
+  VEDR_ASSERT(ring != nullptr, "handoff between domains no link joins");
+  ring->push(std::move(h));
 }
 
 std::size_t HandoffMatrix::drain(int dst_domain, std::vector<Handoff>& out) {
   const std::size_t before = out.size();
-  for (int src = 0; src < num_domains_; ++src) {
-    if (src == dst_domain) continue;
-    rings_[index(src, dst_domain)]->drain_into(out);
-  }
+  for (int src = 0; src < num_domains_; ++src)
+    if (const auto& ring = rings_[index(src, dst_domain)]) ring->drain_into(out);
   // The cross-shard ordering contract: merged handoffs apply in
   // (arrival time, source domain, per-pair sequence) order, so the schedule
   // a destination sees is independent of worker count and thread timing.

@@ -4,10 +4,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/spsc_ring.h"
-#include "common/thread_annotations.h"
-#include "net/packet_pool.h"
+#include "net/packet.h"
 #include "net/topology.h"
 #include "net/types.h"
 
@@ -41,30 +39,34 @@ struct ShardPlan {
   bool parallel() const { return num_domains > 1; }
 };
 
-/// One cross-domain packet delivery awaiting the window boundary.
+/// One cross-domain packet delivery awaiting the window boundary. The
+/// packet travels by value: the sender's pool slot is already free, and the
+/// receiver takes a slot in its own pool when it drains the handoff.
 struct Handoff {
   Tick arrival = 0;          ///< absolute delivery time at the destination
   std::uint64_t seq = 0;     ///< per-(src,dst) monotonic sequence
   std::uint16_t src_domain = 0;
   NodeId node = kInvalidNode;  ///< destination device
   PortId port = kInvalidPort;  ///< ingress port at the destination
-  PacketRef ref = 0;           ///< pooled slot, ownership travels with it
+  Packet pkt;
 };
 
-/// All pairwise handoff lanes between D domains: a lock-free SPSC ring per
-/// ordered (src, dst) pair plus producer-owned sequence counters. Producers
-/// push eagerly during their window; each consumer drains at its window
-/// boundary and sorts by (arrival, src domain, seq) — the documented
+/// The handoff lanes between D domains: a lock-free SPSC ring per ordered
+/// (src, dst) pair that a link joins, plus producer-owned sequence counters.
+/// Producers push eagerly during their window; each consumer drains at its
+/// window boundary and sorts by (arrival, src domain, seq) — the documented
 /// cross-shard ordering contract that makes the merge independent of worker
 /// scheduling.
 class HandoffMatrix {
  public:
-  explicit HandoffMatrix(int num_domains);
+  /// `plan` must be built for `topo`.
+  HandoffMatrix(const ShardPlan& plan, const Topology& topo);
 
   /// Producer side (src domain's worker): assigns the pair sequence number
   /// and publishes. Never blocks, never drops (ring spill under a mutex).
+  /// A link must join the two domains.
   void push(int src_domain, int dst_domain, Tick arrival, NodeId node, PortId port,
-            PacketRef ref);
+            Packet pkt);
 
   /// Consumer side (dst domain's worker, at its window boundary): drains
   /// every inbound lane into `out` and sorts by (arrival, src, seq).
@@ -94,7 +96,8 @@ class HandoffMatrix {
   }
 
   int num_domains_;
-  std::vector<std::unique_ptr<common::SpscRing<Handoff>>> rings_;  ///< [src*D + dst]
+  /// [src*D + dst]; null for a pair no link joins.
+  std::vector<std::unique_ptr<common::SpscRing<Handoff>>> rings_;
   /// Producer-owned counters, cache-line padded per src domain.
   struct alignas(64) SeqRow {
     std::vector<std::uint64_t> next_seq;  ///< per dst

@@ -47,10 +47,6 @@ Switch::Switch(Network& net, NodeId id, int num_ports)
   VEDR_CHECK_LE(cfg.ecn_kmin_bytes, cfg.ecn_kmax_bytes, "ECN Kmin must not exceed Kmax");
 }
 
-void Switch::handle_rx(Packet pkt, PortId in_port) {
-  handle_rx_ref(net_.pool().acquire(std::move(pkt)), in_port);
-}
-
 void Switch::handle_rx_ref(PacketRef ref, PortId in_port) {
   switch (net_.pool().at(ref).type) {
     case PacketType::kPfcPause: {
@@ -92,9 +88,8 @@ void Switch::forward_ref(PacketRef ref, PortId in_port) {
 
 void Switch::enqueue_ref(PortId out, PacketRef ref, PortId in_port) {
   Egress& eg = egress_.at(static_cast<std::size_t>(out));
-  // Mutation (ECN marking) happens through this reference first; the cached
-  // fields below survive update_pause_signal(), whose PFC frame acquires a
-  // pool slot and may invalidate `pkt`.
+  // Mutation (ECN marking) happens through this reference; the accounting
+  // below reads the fields cached after it.
   Packet& pkt = net_.pool().at(ref);
   const int pi = index_of(pkt.prio);
   VEDR_ASSERT(pkt.size > 0, "zero/negative-size packet enqueued at switch ", id_);
@@ -163,8 +158,6 @@ void Switch::kick(PortId out) {
   if (pi < 0) return;
 
   const Queued item = eg.q[pi].pop_front();
-  // Cached before update_pause_signal(): a PFC resume frame acquires a pool
-  // slot, invalidating references into the pool.
   const std::int32_t size = net_.pool().at(item.ref).size;
   const Priority prio = net_.pool().at(item.ref).prio;
   const PacketType type = net_.pool().at(item.ref).type;

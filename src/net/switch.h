@@ -26,7 +26,6 @@ class Switch : public Device {
  public:
   Switch(Network& net, NodeId id, int num_ports);
 
-  void handle_rx(Packet pkt, PortId in_port) override;
   void handle_rx_ref(PacketRef ref, PortId in_port) override;
 
   // --- event-dispatch entry points (net/events.cpp trampolines only) -------

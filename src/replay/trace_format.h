@@ -38,8 +38,8 @@ inline constexpr std::size_t kFrameCrcBytes = 4;
 /// Upper bound on a single frame payload; a corrupt length field must not
 /// trigger a multi-gigabyte allocation.
 inline constexpr std::uint32_t kMaxFramePayload = 64U * 1024 * 1024;
-/// Largest fat-tree radix a trace may name (k^3/4 = 8,192 hosts). Recording
-/// checks it too, so every trace that can be recorded can be replayed.
+/// Largest fat-tree radix a trace may name (k^3/4 = 8,192 hosts). It also
+/// bounds every tool's `--k`, so every run can be recorded and replayed.
 inline constexpr std::int32_t kMaxFatTreeK = 32;
 inline constexpr bool valid_fat_tree_k(std::int32_t k) {
   return k >= 4 && k <= kMaxFatTreeK && k % 2 == 0;

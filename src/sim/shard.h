@@ -4,10 +4,10 @@ namespace vedr::sim {
 
 /// Thread-local shard (domain) identity for the sharded engine.
 ///
-/// Components that are shard-aware (Network's per-domain contexts, the
-/// shared PacketPool's per-shard free lists) resolve "which domain am I
-/// running in?" through this value instead of threading a domain id through
-/// every call signature. A one-domain run reads 0 throughout.
+/// Shard-aware components (Network's per-domain contexts: simulator, stats
+/// registry, packet pool) resolve "which domain am I running in?" through
+/// this value instead of threading a domain id through every call
+/// signature. A one-domain run reads 0 throughout.
 ///
 /// The engine's worker threads set it with ShardScope around every domain's
 /// event window and boundary hook. Pre-run bootstrap code that constructs

@@ -30,7 +30,7 @@ struct ShardReport {
 
   /// Per-worker wall-clock decomposition. barrier_a_wait_ns is time parked
   /// waiting for stragglers before window selection, barrier_b_wait_ns time
-  /// parked after flushing, busy_ns time draining + executing + flushing.
+  /// parked after executing its window, busy_ns time draining + executing.
   struct Worker {
     int id = 0;
     std::uint64_t barrier_a_wait_ns = 0;

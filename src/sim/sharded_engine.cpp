@@ -12,7 +12,7 @@ ShardedEngine::ShardedEngine(int num_domains, Tick lookahead, int num_workers)
     : lookahead_(lookahead),
       num_workers_(std::clamp(num_workers, 1, std::max(num_domains, 1))),
       sync_barrier_(num_workers_, [this] { on_sync(); }),
-      flush_barrier_(num_workers_) {
+      handoff_barrier_(num_workers_) {
   VEDR_CHECK(num_domains >= 1, "sharded engine needs at least one domain");
   VEDR_CHECK(lookahead > 0, "conservative lookahead must be positive");
   sims_.reserve(static_cast<std::size_t>(num_domains));
@@ -82,7 +82,6 @@ void ShardedEngine::worker_loop(int w) {
       Simulator& sim = *sims_[static_cast<std::size_t>(d)];
       const std::uint64_t before = sim.events_executed();
       sim.run(bound);
-      if (flush_hook_) flush_hook_(d);
       // Per-domain introspection: pure observation of counters the engine
       // already owns, so it is always on and never perturbs event order.
       const std::uint64_t delta = sim.events_executed() - before;
@@ -102,7 +101,7 @@ void ShardedEngine::worker_loop(int w) {
       ws.busy_ns += t1 - t0;
       t0 = t1;
     }
-    flush_barrier_.arrive_and_wait();
+    handoff_barrier_.arrive_and_wait();
     if (timing) {
       const std::uint64_t t1 = obs::wall_now_ns();
       ws.barrier_b_wait_ns += t1 - t0;

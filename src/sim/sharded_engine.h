@@ -42,8 +42,8 @@ namespace vedr::sim {
 /// Synchronization shape per window (two std::barrier phases):
 ///   [each worker: drain hook per owned domain]     — merge inbound handoffs
 ///   barrier A (completion: pick next window / stop) — queues are quiesced
-///   [each worker: run window + flush hook]          — execute, publish
-///   barrier B                                       — publishes before drain
+///   [each worker: run window per owned domain]      — execute, push handoffs
+///   barrier B                                       — pushes before drain
 /// The barriers are blocking (futex parking, not spinning), so oversubscribed
 /// machines — including 1-core CI runners — degrade gracefully.
 class ShardedEngine {
@@ -64,15 +64,9 @@ class ShardedEngine {
 
   /// Called once per domain at the top of every window, on the domain's
   /// worker thread with ShardScope(domain) active, after barrier B of the
-  /// previous window — i.e. with every producer's flush of the previous
-  /// window visible. The network layer drains its inbound handoff rings and
-  /// pool slot returns here.
+  /// previous window — i.e. with every handoff pushed in the previous window
+  /// visible. The network layer drains its inbound handoff rings here.
   void set_drain_hook(std::function<void(int domain)> fn) { drain_hook_ = std::move(fn); }
-
-  /// Called once per domain right after its event window executes, on the
-  /// domain's worker thread with ShardScope(domain) active. The network
-  /// layer pushes its batched cross-shard pool returns here.
-  void set_flush_hook(std::function<void(int domain)> fn) { flush_hook_ = std::move(fn); }
 
   /// Runs every domain until all queues drain (handoffs included) or the
   /// next global event would be later than `until` (inclusive bound on event
@@ -108,7 +102,6 @@ class ShardedEngine {
   Tick lookahead_;
   int num_workers_;
   std::function<void(int)> drain_hook_;
-  std::function<void(int)> flush_hook_;
 
   /// Introspection accumulators, each written only by its owning worker
   /// during run() and read quiesced afterwards; padded so adjacent workers'
@@ -139,7 +132,7 @@ class ShardedEngine {
   std::uint64_t idle_gap_ticks_ = 0;
 
   std::barrier<std::function<void()>> sync_barrier_;
-  std::barrier<> flush_barrier_;
+  std::barrier<> handoff_barrier_;  ///< barrier B
 };
 
 }  // namespace vedr::sim

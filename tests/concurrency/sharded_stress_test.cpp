@@ -1,7 +1,7 @@
 // Sharded-engine stress lane. Runs in every build, but its purpose is the
 // VEDR_SANITIZE=thread configuration: CI's TSan job runs this binary with
 // --gtest_filter='Sharded*' to prove the window protocol, the handoff
-// rings, and the shard-aware packet pool are race-free under real
+// rings, and the per-domain packet pools are race-free under real
 // multi-worker interleavings. Keep every test name prefixed "Sharded".
 
 #include <gtest/gtest.h>
@@ -12,11 +12,13 @@
 #include <thread>
 #include <vector>
 
+#include "collective/runner.h"
 #include "common/spsc_ring.h"
 #include "eval/experiment.h"
-#include "net/packet_pool.h"
+#include "net/network.h"
 #include "net/routing.h"
 #include "sim/shard.h"
+#include "sim/shard_report.h"
 #include "sim/sharded_engine.h"
 
 namespace vedr {
@@ -66,46 +68,33 @@ TEST(ShardedStress, SpscRingFifoAtQuiescePoints) {
   }
 }
 
-TEST(ShardedStress, PacketPoolWindowedExchange) {
-  // Emulates the engine's window cadence with raw threads: every shard
-  // acquires packets, releases a mix of its own and its neighbour's slots,
-  // then all flush, sync, and drain — repeatedly. Any missing ordering in
-  // the pool's publish path shows up as a TSan race or a double-recycle.
-  constexpr int kShards = 4;
-  constexpr int kWindows = 50;
-  constexpr int kPerWindow = 64;
-  net::PacketPool pool(kShards);
-  std::atomic<int> window_gate{0};
+TEST(ShardedStress, HandedOffPacketsReturnEverySlot) {
+  // A ring AllGather over every host of a K=4 fat-tree crosses pods, so its
+  // packets ride the agg<->core handoffs by value: the sender frees its slot
+  // at once and the receiver acquires one when it drains. Run on 4 workers
+  // until the engine drains; then no domain's pool may hold a packet.
+  const net::NetConfig cfg;
+  const net::Topology topo = net::make_fat_tree(4, cfg);
+  const net::ShardPlan plan = net::ShardPlan::for_topology(topo);
+  ASSERT_GT(plan.num_domains, 4);
+  sim::ShardedEngine engine(plan.num_domains, plan.lookahead, /*num_workers=*/4);
+  net::Network network(engine, plan, topo, cfg);
+  collective::CollectiveRunner runner(
+      network, collective::CollectivePlan::ring(0, collective::OpType::kAllGather,
+                                                network.hosts(), 256 * 1024));
+  runner.start(0);
+  engine.run();
+  ASSERT_TRUE(runner.done());
 
-  auto worker = [&](int shard) {
-    sim::ShardScope scope(shard);
-    for (int w = 0; w < kWindows; ++w) {
-      std::vector<net::PacketRef> mine;
-      for (int i = 0; i < kPerWindow; ++i) {
-        net::Packet p;
-        p.seq = static_cast<std::uint32_t>(shard * 100000 + w * 1000 + i);
-        mine.push_back(pool.acquire(p));
-      }
-      // Read every slot back (cross-chunk at() while other shards grow the
-      // table): contents must be exactly what this shard wrote.
-      for (int i = 0; i < kPerWindow; ++i)
-        ASSERT_EQ(pool.at(mine[static_cast<std::size_t>(i)]).seq,
-                  static_cast<std::uint32_t>(shard * 100000 + w * 1000 + i));
-      for (const net::PacketRef r : mine) pool.release(r);
-      pool.flush_returns(shard);
-
-      // Window barrier: everyone's flush happens-before anyone's drain.
-      window_gate.fetch_add(1, std::memory_order_acq_rel);
-      while (window_gate.load(std::memory_order_acquire) < (w + 1) * kShards)
-        std::this_thread::yield();
-      pool.drain_returns(shard);
-    }
-  };
-
-  std::vector<std::thread> threads;
-  for (int s = 0; s < kShards; ++s) threads.emplace_back(worker, s);
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(pool.in_use(), 0u);
+  sim::ShardReport report;
+  network.fill_shard_report(report);
+  std::uint64_t handoffs = 0;
+  for (const auto& lane : report.lanes) handoffs += lane.pushed;
+  EXPECT_GT(handoffs, 0u);
+  for (int d = 0; d < network.num_domains(); ++d) {
+    sim::ShardScope scope(d);
+    EXPECT_EQ(network.pool().in_use(), 0u) << "domain " << d << " leaked a packet slot";
+  }
 }
 
 TEST(ShardedStress, EngineHookAndWindowProtocol) {

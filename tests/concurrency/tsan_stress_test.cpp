@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/spsc_ring.h"
 #include "eval/experiment.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -240,39 +238,6 @@ TEST(TsanStress, WindowedMetricsWritersScrapersRoller) {
             static_cast<std::uint64_t>(kThreads) * kOps);
   EXPECT_LE(rate.sum_in_window(16 * kMs, now),
             static_cast<std::uint64_t>(kThreads) * kOps);
-}
-
-// --- SPSC ring watermark ----------------------------------------------------
-
-TEST(TsanStress, SpscRingWatermarkResetVsProducer) {
-  // One producer fills the ring (no consumer, so occupancy climbs
-  // monotonically to exactly kPushes) while a sampler thread hammers the
-  // read-and-reset watermark. The CAS-max in note_occupancy must retry past
-  // each racing exchange(0): the max over everything the sampler took plus
-  // the final residue equals the true peak — no sample of a later-higher
-  // occupancy may be lost to a reset.
-  constexpr std::size_t kPushes = 800;
-  common::SpscRing<int> ring(1024);
-  ASSERT_GE(ring.capacity(), kPushes) << "test requires zero spills";
-
-  std::atomic<bool> producer_done{false};
-  std::size_t max_seen = 0;
-  std::thread sampler([&ring, &producer_done, &max_seen] {
-    while (!producer_done.load(std::memory_order_acquire)) {
-      const std::size_t w = ring.take_watermark();
-      if (w > max_seen) max_seen = w;
-    }
-  });
-  for (std::size_t i = 0; i < kPushes; ++i) ring.push(static_cast<int>(i));
-  producer_done.store(true, std::memory_order_release);
-  sampler.join();
-
-  const std::size_t residue = ring.take_watermark();
-  EXPECT_EQ(std::max(max_seen, residue), kPushes)
-      << "a reset raced a higher peak out of existence";
-  EXPECT_EQ(ring.spills(), 0u);
-  std::vector<int> out;
-  EXPECT_EQ(ring.drain_into(out), kPushes);
 }
 
 // --- eval suite work queue --------------------------------------------------

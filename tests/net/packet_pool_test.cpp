@@ -2,12 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
-#include <thread>
 #include <vector>
-
-#include "sim/shard.h"
 
 namespace vedr::net {
 namespace {
@@ -52,93 +47,6 @@ TEST(PacketPool, ReferencesSurviveGrowth) {
   EXPECT_EQ(pinned->seq, 7u);
   EXPECT_GE(pool.capacity(), 4097u);
   for (const PacketRef r : refs) pool.release(r);
-}
-
-TEST(PacketPool, SingleShardReleaseIsAlwaysLocal) {
-  PacketPool pool(1);
-  const PacketRef a = pool.acquire(data_packet(0));
-  EXPECT_EQ(pool.owner_of(a), 0);
-  pool.release(a);
-  EXPECT_EQ(pool.in_use(), 0u);
-  // flush/drain are no-ops but must be callable (the serial engine never
-  // calls them; the sharded engine with one domain may).
-  pool.flush_returns(0);
-  pool.drain_returns(0);
-}
-
-TEST(PacketPool, ChunksAreOwnedByTheAcquiringShard) {
-  PacketPool pool(3);
-  const PacketRef a = pool.acquire(data_packet(0));  // domain 0
-  PacketRef b;
-  {
-    sim::ShardScope scope(2);
-    b = pool.acquire(data_packet(1));
-  }
-  EXPECT_EQ(pool.owner_of(a), 0);
-  EXPECT_EQ(pool.owner_of(b), 2);
-}
-
-TEST(PacketPool, CrossShardReturnWaitsForFlushAndDrain) {
-  PacketPool pool(2);
-  const PacketRef ref = pool.acquire(data_packet(9));  // owned by shard 0
-  EXPECT_EQ(pool.in_use(), 1u);
-
-  {
-    // Shard 1 releases a slot it does not own: the slot is batched, not
-    // freed — but it is no longer "in use" from the pool's accounting.
-    sim::ShardScope scope(1);
-    pool.release(ref);
-  }
-  EXPECT_EQ(pool.in_use(), 0u);
-
-  // Until the batch is flushed and drained, shard 0's free list has not
-  // recovered the slot: a fresh acquire must come from a new slot.
-  const PacketRef other = pool.acquire(data_packet(10));
-  EXPECT_NE(other, ref);
-  pool.release(other);
-
-  pool.flush_returns(1);
-  pool.drain_returns(0);
-  // Drained returns append to the owner's free list; LIFO gives it back
-  // first.
-  const PacketRef again = pool.acquire(data_packet(11));
-  EXPECT_EQ(again, ref);
-  pool.release(again);
-}
-
-TEST(PacketPool, ThreadedHandoffRoundTrip) {
-  // The engine's real shape: the owner thread acquires and hands refs to a
-  // peer shard, the peer releases them during its window and flushes at the
-  // boundary, the owner drains at its next boundary. Run enough slots to
-  // overflow the 1024-entry SPSC ring so the mutex spill path is exercised
-  // under TSan as well.
-  constexpr std::uint32_t kSlots = 3000;
-  PacketPool pool(2);
-
-  std::vector<PacketRef> handed;
-  handed.reserve(kSlots);
-  for (std::uint32_t i = 0; i < kSlots; ++i) handed.push_back(pool.acquire(data_packet(i)));
-  EXPECT_EQ(pool.in_use(), kSlots);
-
-  std::thread peer([&pool, &handed] {
-    sim::ShardScope scope(1);
-    for (const PacketRef r : handed) pool.release(r);
-    pool.flush_returns(1);
-  });
-  peer.join();
-
-  pool.drain_returns(0);
-  EXPECT_EQ(pool.in_use(), 0u);
-
-  // Every slot is recyclable exactly once: reacquiring kSlots packets must
-  // not grow the pool.
-  const std::size_t cap = pool.capacity();
-  std::set<PacketRef> seen;
-  for (std::uint32_t i = 0; i < kSlots; ++i) {
-    const PacketRef r = pool.acquire(data_packet(i));
-    EXPECT_TRUE(seen.insert(r).second) << "slot recycled twice";
-  }
-  EXPECT_EQ(pool.capacity(), cap);
 }
 
 }  // namespace

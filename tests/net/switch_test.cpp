@@ -106,7 +106,7 @@ TEST(Switch, TtlExpiryDropsAndCounts) {
   pkt.ttl = 0;
   f.net.host(0); // ensure constructed
   f.sim.schedule_at(0, [&f, pkt] {
-    f.net.switch_at(f.sw()).handle_rx(pkt, 0);
+    f.net.switch_at(f.sw()).handle_rx_ref(f.net.pool().acquire(pkt), 0);
   });
   f.sim.run();
   EXPECT_EQ(f.net.switch_at(f.sw()).ttl_drops(), 1);

@@ -119,28 +119,20 @@ TEST(ShardedEngine, HooksRunUnderTheDomainsShardScope) {
   ShardedEngine engine(3, 10, 2);
   std::mutex mu;
   std::vector<std::pair<int, int>> drained;  // (hook arg, tls domain)
-  std::vector<std::pair<int, int>> flushed;
   engine.set_drain_hook([&](int d) {
     std::lock_guard<std::mutex> lock(mu);
     drained.emplace_back(d, current_domain());
-  });
-  engine.set_flush_hook([&](int d) {
-    std::lock_guard<std::mutex> lock(mu);
-    flushed.emplace_back(d, current_domain());
   });
   for (int d = 0; d < 3; ++d) engine.domain(d).schedule_at(d, [] {});
 
   engine.run(100);
   ASSERT_FALSE(drained.empty());
-  ASSERT_FALSE(flushed.empty());
   bool saw[3] = {false, false, false};
   for (const auto& [arg, tls] : drained) {
     EXPECT_EQ(arg, tls) << "drain hook ran outside its domain's ShardScope";
     saw[arg] = true;
   }
   EXPECT_TRUE(saw[0] && saw[1] && saw[2]);
-  for (const auto& [arg, tls] : flushed)
-    EXPECT_EQ(arg, tls) << "flush hook ran outside its domain's ShardScope";
 }
 
 TEST(ShardedEngine, CrossDomainHandoffLandsAfterTheWindow) {

@@ -34,6 +34,7 @@
 #include "eval/experiment.h"
 #include "net/routing.h"
 #include "obs/trace.h"
+#include "replay/trace_format.h"
 
 namespace {
 
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--shards") {
       shards = common::parse_int_or_die("--shards", next(), 1, INT_MAX);
     } else if (arg == "--k") {
-      fat_tree_k = common::parse_int_or_die("--k", next(), 4, INT_MAX);
+      fat_tree_k = common::parse_int_or_die("--k", next(), 4, replay::kMaxFatTreeK);
       if (fat_tree_k % 2 != 0) usage(argv[0]);
     } else if (arg == "--obs-trace") {
       obs_trace_path = next();

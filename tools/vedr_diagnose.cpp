@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--shard-report") {
       shard_report = true;
     } else if (arg == "--k") {
-      fat_tree_k = common::parse_int_or_die("--k", next(), 4, INT_MAX);
+      fat_tree_k = common::parse_int_or_die("--k", next(), 4, replay::kMaxFatTreeK);
       if (fat_tree_k % 2 != 0) usage(argv[0]);
     } else if (arg == "--json") {
       as_json = true;
@@ -118,11 +118,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "error: --record captures exact ground truth and cannot run with "
                  "--telemetry sketch; record exact, then `vedr_replay --telemetry sketch`\n");
-    return 2;
-  }
-  if (!record_path.empty() && !replay::valid_fat_tree_k(fat_tree_k)) {
-    std::fprintf(stderr, "error: --record supports --k up to %d, the largest a trace may name\n",
-                 replay::kMaxFatTreeK);
     return 2;
   }
 
